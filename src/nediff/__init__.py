@@ -19,7 +19,8 @@ from .core import (Grid2D, MomentumSpectrum, Wavepacket, check_coverage,
                    from_momentum, gaussian_wavepacket, temporal_spread,
                    to_momentum)
 from .errors import (AnalysisError, ConfigurationError, DomainError,
-                     NumericalError, StateError, UnsupportedPathError)
+                     NediffError, NumericalError, StateError,
+                     UnsupportedPathError)
 from .gridio import read_grid, write_grid
 from .nearfield import (CouplingProfile, GapResonatorModel, LaserParams,
                         UniformStripeModel, WireModel, calibrate_gap_amplitude,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Wavepacket, fwhm_interpolated, to_momentum
-from .errors import AnalysisError, ConfigurationError, DomainError
+from .errors import AnalysisError, ConfigurationError, DomainError, NediffError
 from .nearfield import CouplingProfile, profile_transform
 from .units import ELECTRON_MASS, HBAR
 
@@ -321,7 +321,8 @@ def run_sweep(template, axis: str, values, engine: str = "analytic",
     """Run one scenario per parameter value and collect scan metrics.
 
     Points run concurrently (the FFT work releases the GIL) and are assembled
-    in parameter order.  A failing point is recorded and the sweep continues.
+    in parameter order.  A point failing with a nediff error is recorded and
+    the sweep continues; any other exception is a bug and propagates.
     With dump_grids_to set, every point's final wavepacket is dumped there.
     """
     from .scenario import run_sweep_point  # local import to avoid a cycle
@@ -336,7 +337,7 @@ def run_sweep(template, axis: str, values, engine: str = "analytic",
         try:
             return run_sweep_point(template, axis, value, engine=engine,
                                    dump_grid_to=dump_grids_to)
-        except Exception as exc:  # per-point failures must not kill the sweep
+        except NediffError as exc:
             return SweepPoint(parameter=value, populations=None,
                               depletion=math.nan, alpha_max_deg=math.nan,
                               delta_kx=math.nan, delta_ky=math.nan,

@@ -1,9 +1,11 @@
 """Command line driver.
 
 Subcommands: run, sweep, preset, compare, render.  Exit code 0 on success,
-1 on validation or usage errors, 2 on numerical failures.  All runs are
-deterministic; --seedless is accepted for interface stability and is a
-no-op.
+1 on validation or usage errors, 2 on numerical failures and on sweeps in
+which no point succeeded.  All runs are deterministic; --seedless is
+accepted for interface stability and is a no-op.  --threads sets the
+scipy.fft worker count for run and preset, and the number of concurrent
+points (one FFT worker each) for sweeps.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 
 from . import gridio
 from .analysis import momentum_density, rel_l2, run_sweep
@@ -39,13 +42,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="nediff", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
     def common(p, engine=True):
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
         p.add_argument("--seedless", action="store_true",
                        help="reserved; runs are always deterministic")
         if engine:
@@ -94,10 +104,7 @@ def _apply_overrides(cfg, args):
     return cfg
 
 
-def _cmd_run(args) -> int:
-    text = Path(args.config).read_text(encoding="utf-8")
-    cfg = _apply_overrides(parse_config(text), args)
-    outdir = _out_dir(args, Path(args.config).stem + ".out")
+def _run_and_report(cfg, outdir: Path) -> int:
     result = run_scenario(cfg, outdir=outdir)
     print(f"wrote artifacts to {outdir}")
     if result.rel_l2_densities is not None:
@@ -123,7 +130,16 @@ def _run_sweep_spec(spec, outdir: Path, threads: int) -> int:
     failures = [p for p in result.points if p.error]
     for p in failures:
         print(f"point {p.parameter:g} failed: {p.error}", file=sys.stderr)
+    if len(failures) == len(result.points):
+        print("numerical failure: no sweep point succeeded", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
+
+
+def _cmd_run(args) -> int:
+    text = Path(args.config).read_text(encoding="utf-8")
+    cfg = _apply_overrides(parse_config(text), args)
+    return _run_and_report(cfg, _out_dir(args, Path(args.config).stem + ".out"))
 
 
 def _cmd_sweep(args) -> int:
@@ -143,13 +159,7 @@ def _cmd_preset(args) -> int:
         if getattr(args, "engine", None):
             spec = replace(spec, engine=args.engine)
         return _run_sweep_spec(spec, outdir, args.threads)
-    cfg = _apply_overrides(run.scenario, args)
-    result = run_scenario(cfg, outdir=outdir)
-    print(f"wrote artifacts to {outdir}")
-    if result.rel_l2_densities is not None:
-        print(f"relative L2 (numeric vs analytic densities): "
-              f"{result.rel_l2_densities:.6g}")
-    return EXIT_OK
+    return _run_and_report(_apply_overrides(run.scenario, args), outdir)
 
 
 def _cmd_compare(args) -> int:
@@ -195,7 +205,9 @@ def main(argv=None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return EXIT_VALIDATION
-        return _COMMANDS[args.command](args)
+        # Thread-local: sweep pool threads keep one FFT worker per point.
+        with scipy.fft.set_workers(getattr(args, "threads", 1)):
+            return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -1,27 +1,31 @@
 """Exception taxonomy shared across the package."""
 
 
-class DomainError(ValueError):
+class NediffError(Exception):
+    """Base of every error nediff raises on purpose (not a programming error)."""
+
+
+class DomainError(NediffError, ValueError):
     """A physical or mathematical argument is outside its valid domain."""
 
 
-class ConfigurationError(ValueError):
+class ConfigurationError(NediffError, ValueError):
     """A grid, scenario or run description is inconsistent or insufficient."""
 
 
-class StateError(RuntimeError):
+class StateError(NediffError, RuntimeError):
     """An object was used before a required preparation step (e.g. calibration)."""
 
 
-class UnsupportedPathError(RuntimeError):
+class UnsupportedPathError(NediffError, RuntimeError):
     """The requested computation path does not apply to these inputs."""
 
 
-class AnalysisError(RuntimeError):
+class AnalysisError(NediffError, RuntimeError):
     """An observable could not be extracted from the data (e.g. too few peaks)."""
 
 
-class NumericalError(RuntimeError):
+class NumericalError(NediffError, RuntimeError):
     """A numerical routine failed to reach the requested accuracy.
 
     Carries the achieved error estimate so callers can decide whether the

@@ -235,21 +235,18 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
         spec *= gc
 
     phase_sign = -q / HBAR  # exp(-i q Phi dt / hbar) = exp(i phase_sign * Phi * dt)
-    cos_buf = np.empty((grid.ny, grid.nx))
-    sin_buf = np.empty((grid.ny, grid.nx))
     factor = np.empty((grid.ny, grid.nx), dtype=np.complex128)
     for k in range(n):
         t_mid = t0 + (k + 0.5) * dt
         psi = _fft.ifft2(spec, overwrite_x=True)
         theta = model.potential(x[None, :] + v0 * t_mid, y_col, laser.field_v_per_nm)
         theta *= phase_sign * dt * math.cos(laser.omega * t_mid + laser.phase_rad)
-        np.cos(theta, out=cos_buf)
-        np.sin(theta, out=sin_buf)
-        factor.real = cos_buf
-        factor.imag = sin_buf
+        np.cos(theta, out=factor.real)
+        np.sin(theta, out=factor.imag)
         psi *= factor
-        spec = _fft.fft2(psi)
         take_snap = ((k + 1) % params.snapshot_stride == 0) or (k == n - 1)
+        # Transform in place except where record still needs psi.
+        spec = _fft.fft2(psi, overwrite_x=not take_snap)
         if take_snap:
             record(t_mid, psi, spec)
         if k < n - 1:

@@ -162,6 +162,7 @@ def test_criterion_04_series_identity():
 
 # -------------------------------------------------------------- criterion 5
 
+@pytest.mark.slow
 def test_criterion_05_weak_field_limit(fig1):
     cfg, result, _ = fig1
     psi = result.psi_initial

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.special
 
 from nediff.analysis import (Crosscut, DensityMap, crosscut, deflection_angle,
@@ -12,6 +13,7 @@ from nediff.analysis import (Crosscut, DensityMap, crosscut, deflection_angle,
                              rel_l2, run_sweep, sideband_populations,
                              transverse_splitting)
 from nediff.analytic import apply_interaction, build_phase_mask
+from nediff import scenario
 from nediff.config import ElectronSpec, ScenarioConfig
 from nediff.core import Grid2D, gaussian_wavepacket
 from nediff.errors import AnalysisError, ConfigurationError, DomainError
@@ -271,6 +273,28 @@ class TestRunSweep:
         assert not result.points[0].error
         assert result.points[1].error
         assert math.isnan(result.points[1].depletion)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug in a sweep point")
+
+        monkeypatch.setattr(scenario, "run_sweep_point", broken)
+        with pytest.raises(TypeError, match="bug in a sweep point"):
+            run_sweep(self.make_template(), "radius_nm", [6.0, 10.0], threads=2)
+
+    def test_pool_points_use_one_fft_worker(self, monkeypatch):
+        seen = []
+
+        def probe(template, axis, value, **kwargs):
+            seen.append(scipy.fft.get_workers())
+            raise DomainError("probe only")
+
+        monkeypatch.setattr(scenario, "run_sweep_point", probe)
+        with scipy.fft.set_workers(2):
+            result = run_sweep(self.make_template(), "radius_nm",
+                               [6.0, 8.0, 10.0, 12.0], threads=2)
+        assert seen == [1, 1, 1, 1]
+        assert all(p.error == "DomainError: probe only" for p in result.points)
 
     def test_csv_round_trip(self, tmp_path):
         result = run_sweep(self.make_template(), "radius_nm", [6.0, 10.0])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from nediff.cli import main
 from nediff.core import Grid2D, gaussian_wavepacket
@@ -182,3 +183,42 @@ def test_output_root_env_override(run_config, tmp_path, monkeypatch):
 def test_seedless_flag_accepted(run_config, tmp_path):
     out = tmp_path / "seedless"
     assert main(["run", str(run_config), "--out", str(out), "--seedless"]) == 0
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_is_usage_error(run_config, tmp_path, capsys, threads):
+    assert main(["run", str(run_config), "--out", str(tmp_path / "o"),
+                 "--threads", threads]) == 1
+    err = capsys.readouterr().err
+    assert "--threads" in err and "usage" in err.lower()
+    assert not (tmp_path / "o").exists()
+
+
+def test_numeric_run_identical_across_thread_counts(tmp_path):
+    cfg = tmp_path / "num.cfg"
+    cfg.write_text(SMALL_RUN.replace("engine = analytic", "engine = both")
+                   .replace("populations,profile,summary",
+                            "populations,profile,trace,compare,summary")
+                   + "\n[numeric]\nwindow_fs = 3.0\nsafety = 0.9\n"
+                     "snapshot_stride = 7\n", encoding="utf-8")
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        assert main(["run", str(cfg), "--out", str(out), "--threads", threads]) == 0
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert "trace.csv" in names and "numeric.grid" in names
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    assert scipy.fft.get_workers() == 1  # the worker setting does not leak
+
+
+def test_sweep_with_no_successful_point_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SMALL_RUN + "\n[sweep]\naxis = radius_nm\nvalues = -2,-1\n",
+                   encoding="utf-8")
+    out = tmp_path / "sw"
+    assert main(["sweep", str(cfg), "--out", str(out), "--threads", "2"]) == 2
+    assert len((out / "sweep.csv").read_text().splitlines()) == 3
+    assert "no sweep point succeeded" in capsys.readouterr().err

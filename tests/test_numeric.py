@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from nediff.analytic import apply_interaction, build_phase_mask, vacuum_propagate
 from nediff.analysis import momentum_density, rel_l2, sideband_populations
@@ -11,9 +12,9 @@ from nediff.core import Grid2D, gaussian_wavepacket, to_momentum
 from nediff.errors import ConfigurationError, NumericalError
 from nediff.nearfield import (LaserParams, UniformStripeModel, WireModel,
                               coupling_profile)
-from nediff.numeric import (EvolutionParams, choose_steps, split_step_evolve,
-                            validate_evolution)
-from nediff.units import HBAR, electron_kinematics
+from nediff.numeric import (EvolutionParams, _vector_potential_integral,
+                            choose_steps, split_step_evolve, validate_evolution)
+from nediff.units import ELECTRON_CHARGE, ELECTRON_MASS, HBAR, electron_kinematics
 
 LASER = LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2)
 WIRE = WireModel(radius_nm=10.0, response=0.5)
@@ -84,6 +85,66 @@ class TestValidation:
         with pytest.raises(NumericalError) as excinfo:
             split_step_evolve(psi, params)
         assert excinfo.value.partial is not None  # trace up to the abort
+
+
+def reference_strang(psi0, params):
+    """Plain Strang loop: fresh arrays everywhere, every step's psi kept."""
+    grid, laser, dt = psi0.grid, params.laser, params.dt
+    kx1 = 2.0 * np.pi * np.fft.fftfreq(grid.nx, grid.dx)
+    ky1 = 2.0 * np.pi * np.fft.fftfreq(grid.ny, grid.dy)
+    ksq = kx1[None, :] ** 2 + ky1[:, None] ** 2
+    kin_full = np.exp(-1j * (HBAR * dt / (2.0 * ELECTRON_MASS)) * ksq)
+    kin_half = np.exp(-1j * (HBAR * 0.5 * dt / (2.0 * ELECTRON_MASS)) * ksq)
+
+    def kinetic(spec, kin, ta, tb):
+        spec = spec * kin
+        if params.include_vector_potential:
+            integral = _vector_potential_integral(laser, ta, tb)
+            spec = spec * np.exp(
+                1j * (ELECTRON_CHARGE / ELECTRON_MASS) * integral * ky1)[:, None]
+        return spec
+
+    t0, n = params.t_start, params.n_steps
+    spec = kinetic(scipy.fft.fft2(psi0.amplitudes), kin_half, t0, t0 + 0.5 * dt)
+    kicked = []
+    for k in range(n):
+        t_mid = t0 + (k + 0.5) * dt
+        psi = scipy.fft.ifft2(spec)
+        theta = params.model.potential(grid.x[None, :] + psi0.velocity * t_mid,
+                                       grid.y[:, None], laser.field_v_per_nm)
+        theta = theta * (-ELECTRON_CHARGE / HBAR * dt
+                         * math.cos(laser.omega * t_mid + laser.phase_rad))
+        # A named factor keeps psi the left operand: numpy may swap the
+        # operands to reuse a temporary, and a*b need not equal b*a bitwise.
+        kick = np.cos(theta) + 1j * np.sin(theta)
+        psi = psi * kick
+        kicked.append(psi)
+        spec = scipy.fft.fft2(psi)
+        if k < n - 1:
+            spec = kinetic(spec, kin_full, t_mid, t_mid + dt)
+    spec = kinetic(spec, kin_half, t0 + (n - 0.5) * dt, params.t_end)
+    return scipy.fft.ifft2(spec), kicked
+
+
+class TestReferenceLoop:
+    @pytest.mark.parametrize("vector_potential", [True, False])
+    def test_bitwise_equal_to_plain_strang(self, grid, packet, vector_potential):
+        params = choose_steps(LASER, WIRE, grid, -1.0, 1.0, safety=0.9,
+                              include_vector_potential=vector_potential,
+                              snapshot_stride=4)
+        assert params.n_steps > 2 * params.snapshot_stride
+        seen = []
+        final, trace = split_step_evolve(
+            packet, params, snapshot_callback=lambda t, psi: seen.append(psi))
+        ref_final, kicked = reference_strang(packet, params)
+        assert np.array_equal(final.amplitudes, ref_final)
+        # Snapshots after the kick see psi, not its in-place transform.
+        stride, n = params.snapshot_stride, params.n_steps
+        snap_steps = [k for k in range(n) if (k + 1) % stride == 0 or k == n - 1]
+        assert len(seen) == len(snap_steps) + 2
+        for k, psi in zip(snap_steps, seen[1:-1]):
+            assert np.array_equal(psi.amplitudes, kicked[k])
+        assert np.max(np.abs(trace.norm - 1.0)) < 1e-9
 
 
 class TestConservation:
