@@ -5,16 +5,16 @@ the interaction into photon orders, and a split-step solver of the 2D
 time-dependent Schrodinger equation used as ground truth.
 """
 
-from .analysis import (Crosscut, DensityMap, SidebandTable, SweepResult,
-                       crosscut, deflection_angle, energy_axis,
-                       energy_bandwidth_fwhm, max_deflection, momentum_density,
-                       peak_spacing, rel_l2, run_sweep, sideband_populations,
-                       transverse_splitting)
+from .analysis import (Crosscut, DensityMap, SidebandTable, crosscut,
+                       deflection_angle, energy_axis, energy_bandwidth_fwhm,
+                       max_deflection, momentum_density, peak_spacing, rel_l2,
+                       sideband_populations, transverse_splitting)
 from .analytic import (OrderDecomposition, PhaseMask, apply_interaction,
                        build_phase_mask, order_amplitudes_exact,
                        order_series_taylor, vacuum_propagate, weak_field_order)
-from .config import (ElectronSpec, NumericSpec, ScenarioConfig, SweepSpec,
-                     parse_config, parse_sweep_config, serialize_config)
+from .config import (PRESET_NAMES, ElectronSpec, NumericSpec, ScenarioConfig,
+                     SweepSpec, build_preset, parse_config, parse_sweep_config,
+                     serialize_config)
 from .core import (Grid2D, MomentumSpectrum, Wavepacket, check_coverage,
                    from_momentum, gaussian_wavepacket, temporal_spread,
                    to_momentum)
@@ -29,8 +29,7 @@ from .nearfield import (CouplingProfile, GapResonatorModel, LaserParams,
                         retardation_phase, wire_potential)
 from .numeric import (EvolutionParams, EvolutionTrace, choose_steps,
                       split_step_evolve)
-from .presets import PRESET_NAMES, build_preset
-from .scenario import run_scenario
-from .units import UNITS, UnitSystem, electron_kinematics
+from .scenario import SweepResult, run_scenario, run_sweep
+from .units import electron_kinematics
 
 __version__ = "0.1.0"

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Wavepacket, fwhm_interpolated, to_momentum
-from .errors import AnalysisError, ConfigurationError, DomainError, NediffError
+from .errors import AnalysisError, ConfigurationError, DomainError
+from .gridio import write_lines
 from .nearfield import CouplingProfile, profile_transform
 from .units import ELECTRON_MASS, HBAR
 
@@ -87,8 +86,7 @@ class SidebandTable:
         lines = ["order,population,ky_spread_per_nm"]
         for n, p, s in zip(self.orders, self.populations, self.ky_spread):
             lines.append(f"{int(n)},{repr(float(p))},{repr(float(s))}")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_lines(path, lines)
 
 
 def sideband_populations(dmap: DensityMap, k0: float, delta_k: float,
@@ -239,114 +237,3 @@ def rel_l2(a: np.ndarray, b: np.ndarray) -> float:
     if ref == 0.0:
         raise DomainError("reference field is identically zero")
     return math.sqrt(float(np.sum((np.asarray(a, float) - np.asarray(b, float)) ** 2))) / ref
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """Metrics collected for one swept parameter value."""
-
-    parameter: float
-    populations: SidebandTable | None
-    depletion: float
-    alpha_max_deg: float
-    delta_kx: float
-    delta_ky: float
-    error: str = ""
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """Parameter scan summary, ordered by parameter value."""
-
-    axis: str
-    points: list[SweepPoint]
-    config_hash: str
-    order_range: int = 6
-
-    def parameters(self) -> np.ndarray:
-        return np.array([p.parameter for p in self.points])
-
-    def population_matrix(self) -> np.ndarray:
-        """Populations P_n for n in [-order_range, order_range], one row per point."""
-        m = np.zeros((len(self.points), 2 * self.order_range + 1))
-        for i, p in enumerate(self.points):
-            if p.populations is None:
-                m[i] = np.nan
-                continue
-            for j, n in enumerate(range(-self.order_range, self.order_range + 1)):
-                sel = np.nonzero(p.populations.orders == n)[0]
-                m[i, j] = p.populations.populations[sel[0]] if len(sel) else 0.0
-        return m
-
-    def ground_state_minimum(self) -> float:
-        """Parameter value at which the initial-state occupation is smallest.
-
-        The ground state here is the initial momentum state (k0, 0); its
-        occupation is the central density, not the binned n=0 population,
-        which bottoms out at a different drive mismatch.
-        """
-        dep = np.array([p.depletion for p in self.points])
-        ok = ~np.isnan(dep)
-        if not ok.any():
-            raise AnalysisError("sweep produced no valid points")
-        params = self.parameters()
-        return float(params[ok][int(np.argmin(dep[ok]))])
-
-    def write_csv(self, path) -> None:
-        ns = range(-self.order_range, self.order_range + 1)
-        header = [self.axis] + [f"P_{n}" for n in ns] + [
-            "depletion", "alpha_max_deg", "delta_kx_per_nm", "delta_ky_per_nm",
-            "depletion_min_flag", "error"]
-        pops = self.population_matrix()
-        try:
-            argmin = self.ground_state_minimum()
-        except AnalysisError:
-            argmin = math.nan
-        lines = [",".join(header)]
-        for i, p in enumerate(self.points):
-            row = [repr(float(p.parameter))]
-            row += [repr(float(v)) for v in pops[i]]
-            row += [repr(float(p.depletion)), repr(float(p.alpha_max_deg)),
-                    repr(float(p.delta_kx)), repr(float(p.delta_ky))]
-            row.append("1" if p.parameter == argmin else "0")
-            row.append(p.error.replace(",", ";"))
-            lines.append(",".join(row))
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-
-def run_sweep(template, axis: str, values, engine: str = "analytic",
-              threads: int = 1, order_range: int = 6,
-              dump_grids_to=None) -> SweepResult:
-    """Run one scenario per parameter value and collect scan metrics.
-
-    Points run concurrently (the FFT work releases the GIL) and are assembled
-    in parameter order.  A point failing with a nediff error is recorded and
-    the sweep continues; any other exception is a bug and propagates.
-    With dump_grids_to set, every point's final wavepacket is dumped there.
-    """
-    from .scenario import run_sweep_point  # local import to avoid a cycle
-
-    values = [float(v) for v in values]
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ConfigurationError("sweep values must be strictly increasing")
-    cfg_hash = hashlib.sha256(
-        (template.serialize() + f"|{axis}").encode()).hexdigest()[:16]
-
-    def one(value: float) -> SweepPoint:
-        try:
-            return run_sweep_point(template, axis, value, engine=engine,
-                                   dump_grid_to=dump_grids_to)
-        except NediffError as exc:
-            return SweepPoint(parameter=value, populations=None,
-                              depletion=math.nan, alpha_max_deg=math.nan,
-                              delta_kx=math.nan, delta_ky=math.nan,
-                              error=f"{type(exc).__name__}: {exc}")
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(one, values))
-    else:
-        points = [one(v) for v in values]
-    return SweepResult(axis=axis, points=points, config_hash=cfg_hash,
-                       order_range=order_range)

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.special
 
-from .core import Grid2D, MomentumSpectrum, Wavepacket, from_momentum, to_momentum
+from .core import (Grid2D, MomentumSpectrum, Wavepacket, density_moments,
+                   from_momentum, to_momentum, unitary_transform_1d)
 from .errors import ConfigurationError, DomainError, UnsupportedPathError
+from .gridio import write_lines
 from .nearfield import CouplingProfile
 from .units import ELECTRON_MASS, HBAR
 
@@ -106,15 +109,6 @@ def transverse_envelope(psi: Wavepacket) -> np.ndarray:
     return gy / nrm
 
 
-def _unitary_transform_1d(values: np.ndarray, y: np.ndarray):
-    dy = float(y[1] - y[0])
-    n = len(y)
-    ky = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(n, dy))
-    out = np.fft.fftshift(np.fft.fft(values, axis=-1), axes=-1)
-    out = out * (dy / math.sqrt(2.0 * math.pi)) * np.exp(-1j * ky * y[0])
-    return ky, out
-
-
 def order_amplitudes_exact(psi: Wavepacket, profile: CouplingProfile,
                            n_max: int | None = None) -> OrderDecomposition:
     """Exact photon-order amplitudes for a pure cosine coupling.
@@ -145,7 +139,7 @@ def order_amplitudes_exact(psi: Wavepacket, profile: CouplingProfile,
     for i, n in enumerate(orders):
         # i^n J_n = i^|n| J_|n| for both signs of n.
         amps[i] = (1j ** abs(n)) * scipy.special.jv(abs(n), c) * gy
-    ky, spectra = _unitary_transform_1d(amps, profile.y)
+    ky, spectra = unitary_transform_1d(amps, profile.y)
     return OrderDecomposition(orders=orders, y=profile.y.copy(), amplitudes=amps,
                               ky=ky, spectra=spectra, delta_k=profile.delta_k)
 
@@ -193,14 +187,12 @@ def weak_field_order(psi: Wavepacket, profile: CouplingProfile, n: int) -> Order
         raise DomainError("weak-field orders are indexed by n >= 0")
     gy = transverse_envelope(psi)
     amp = (1j ** n) * (profile.coupling_cos / 2.0) ** n / math.factorial(n) * gy
-    ky, vals = _unitary_transform_1d(amp, profile.y)
+    ky, vals = unitary_transform_1d(amp, profile.y)
     return OrderSpectrum(order=n, ky=ky, values=vals)
 
 
 def export_order_decomposition(dec: OrderDecomposition, outdir) -> list[str]:
     """Write one CSV per photon order plus a manifest; returns file names."""
-    from pathlib import Path
-
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -210,7 +202,7 @@ def export_order_decomposition(dec: OrderDecomposition, outdir) -> list[str]:
         for ky, val in zip(dec.ky, dec.spectra[i]):
             lines.append(f"{float(ky)!r},{float(abs(val))**2!r},"
                          f"{float(np.angle(val))!r}")
-        (outdir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines(outdir / name, lines)
         written.append(name)
     pops = dec.populations()
     manifest = [
@@ -219,8 +211,7 @@ def export_order_decomposition(dec: OrderDecomposition, outdir) -> list[str]:
         f"series_depth = {dec.series_depth if dec.series_depth is not None else 'exact'}",
         "populations = " + ",".join(repr(float(p)) for p in pops),
     ]
-    (outdir / "manifest.txt").write_text("\n".join(manifest) + "\n",
-                                         encoding="utf-8")
+    write_lines(outdir / "manifest.txt", manifest)
     written.append("manifest.txt")
     return written
 
@@ -239,45 +230,29 @@ def vacuum_propagate(psi: Wavepacket, tau: float, axes: str = "xy") -> Wavepacke
         raise DomainError(f"axes must be 'xy' or 'x', got {axes!r}")
     if tau == 0.0:
         return psi
-    _check_dispersal_fits(psi, tau, axes=axes)
-    g = psi.grid
     spec = to_momentum(psi)
+    _check_dispersal_fits(psi, spec, tau, axes=axes)
     kp_x = spec.kx - psi.k0
     ksq = kp_x[None, :] ** 2
     if axes == "xy":
         ksq = ksq + spec.ky[:, None] ** 2
     phase = (-HBAR * tau / (2.0 * ELECTRON_MASS)) * ksq
     vals = spec.values * np.exp(1j * phase)
-    out = from_momentum(MomentumSpectrum(
+    return from_momentum(MomentumSpectrum(
         values=vals, kx=spec.kx, ky=spec.ky, dkx=spec.dkx, dky=spec.dky,
-        k0=spec.k0, t=psi.t + tau, grid=g))
-    return out
+        k0=spec.k0, t=psi.t + tau, grid=psi.grid))
 
 
-def _check_dispersal_fits(psi: Wavepacket, tau: float, n_sigma: float = 4.0,
-                          axes: str = "xy") -> None:
+def _check_dispersal_fits(psi: Wavepacket, spec: MomentumSpectrum, tau: float,
+                          n_sigma: float = 4.0, axes: str = "xy") -> None:
+    # Projected width per axis: sigma(tau) = hypot(sigma_x, hbar sigma_k tau / m).
     g = psi.grid
-    rho = psi.density()
-    mass = float(rho.sum())
-    spec = to_momentum(psi)
-    rho_k = spec.density()
-    mass_k = float(rho_k.sum())
-
-    def _axis_stats(marg, coords):
-        mean = float((marg * coords).sum())
-        var = float((marg * (coords - mean) ** 2).sum())
-        return mean, math.sqrt(max(var, 0.0))
-
-    checks = [(1, g.x, spec.kx - psi.k0, g.x[0], g.x[-1])]
-    if axes == "xy":
-        checks.append((0, g.y, spec.ky, g.y[0], g.y[-1]))
-    for axis, coords, kcoords, lo, hi in checks:
-        marg = rho.sum(axis=(1 - axis)) / mass
-        mean, sig = _axis_stats(marg, coords)
-        marg_k = rho_k.sum(axis=(1 - axis)) / mass_k
-        _, sig_k = _axis_stats(marg_k, kcoords)
+    _, means, sigs = density_moments(psi.density(), g.x, g.y)
+    _, _, sigs_k = density_moments(spec.density(), spec.kx - psi.k0, spec.ky)
+    coords = (g.x, g.y) if axes == "xy" else (g.x,)
+    for c, mean, sig, sig_k in zip(coords, means, sigs, sigs_k):
         sig_final = math.hypot(sig, HBAR * sig_k * tau / ELECTRON_MASS)
-        if mean - n_sigma * sig_final < lo or mean + n_sigma * sig_final > hi:
+        if mean - n_sigma * sig_final < c[0] or mean + n_sigma * sig_final > c[-1]:
             raise ConfigurationError(
                 f"packet would outgrow the grid during {tau:g} fs of free "
                 f"flight (projected sigma {sig_final:.3g} nm)"

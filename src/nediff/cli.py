@@ -2,10 +2,10 @@
 
 Subcommands: run, sweep, preset, compare, render.  Exit code 0 on success,
 1 on validation or usage errors, 2 on numerical failures and on sweeps in
-which no point succeeded.  All runs are deterministic; --seedless is
-accepted for interface stability and is a no-op.  --threads sets the
+which no point succeeded.  All runs are deterministic.  --threads sets the
 scipy.fft worker count for run and preset, and the number of concurrent
-points (one FFT worker each) for sweeps.
+points (one FFT worker each) for sweeps.  --snapshot-stride applies only to
+a single scenario with a [numeric] section and is an error otherwise.
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ import numpy as np
 import scipy.fft
 
 from . import gridio
-from .analysis import momentum_density, rel_l2, run_sweep
-from .config import parse_config, parse_sweep_config
+from .analysis import momentum_density, rel_l2
+from .config import PRESET_NAMES, build_preset, parse_config, parse_sweep_config
 from .errors import (AnalysisError, ConfigurationError, DomainError,
                      NumericalError, StateError, UnsupportedPathError)
-from .presets import PRESET_NAMES, build_preset
 from .render import render_heatmap
-from .scenario import resolve_output_root, run_scenario
+from .scenario import resolve_output_root, run_scenario, run_sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -53,14 +52,11 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="nediff", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, engine=True):
+    def common(p):
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
-        p.add_argument("--seedless", action="store_true",
-                       help="reserved; runs are always deterministic")
-        if engine:
-            p.add_argument("--engine", default=None,
-                           choices=("analytic", "numeric", "both"))
+        p.add_argument("--engine", default=None,
+                       choices=("analytic", "numeric", "both"))
 
     p_run = sub.add_parser("run", help="run one scenario config")
     p_run.add_argument("config")
@@ -96,10 +92,14 @@ def _out_dir(args, default_name: str) -> Path:
 
 
 def _apply_overrides(cfg, args):
-    if getattr(args, "engine", None):
+    """Apply --engine and --snapshot-stride to a scenario config or sweep spec."""
+    if args.engine:
         cfg = replace(cfg, engine=args.engine)
     stride = getattr(args, "snapshot_stride", None)
-    if stride is not None and cfg.numeric is not None:
+    if stride is not None:
+        if getattr(cfg, "numeric", None) is None:
+            raise ConfigurationError("--snapshot-stride applies only to a "
+                                     "single scenario with a [numeric] section")
         cfg = replace(cfg, numeric=replace(cfg.numeric, snapshot_stride=stride))
     return cfg
 
@@ -119,8 +119,8 @@ def _run_sweep_spec(spec, outdir: Path, threads: int) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "sweep.csv"
     result.write_csv(path)
-    with open(outdir / "template.txt", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(spec.template.serialize())
+    gridio.write_lines(outdir / "template.txt",
+                       spec.template.serialize().splitlines())
     print(f"wrote {path}")
     try:
         at = result.ground_state_minimum()
@@ -144,9 +144,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     text = Path(args.config).read_text(encoding="utf-8")
-    spec = parse_sweep_config(text)
-    if getattr(args, "engine", None):
-        spec = replace(spec, engine=args.engine)
+    spec = _apply_overrides(parse_sweep_config(text), args)
     outdir = _out_dir(args, Path(args.config).stem + ".out")
     return _run_sweep_spec(spec, outdir, args.threads)
 
@@ -155,10 +153,7 @@ def _cmd_preset(args) -> int:
     run = build_preset(args.name)
     outdir = _out_dir(args, args.name + ".out")
     if run.sweep is not None:
-        spec = run.sweep
-        if getattr(args, "engine", None):
-            spec = replace(spec, engine=args.engine)
-        return _run_sweep_spec(spec, outdir, args.threads)
+        return _run_sweep_spec(_apply_overrides(run.sweep, args), outdir, args.threads)
     return _run_and_report(_apply_overrides(run.scenario, args), outdir)
 
 

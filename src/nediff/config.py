@@ -1,9 +1,13 @@
-"""Declarative scenario configuration: strict parsing and exact round-trips.
+"""Declarative scenario configuration: strict parsing, exact round-trips, presets.
 
 The on-disk format is a sectioned key-value text with units spelled out in
 the key names (wavelength_nm, field_v_per_nm, ...) so unit mistakes are
 syntactically visible.  Unknown sections or keys are rejected with the key
 path and line number; serializing a config echoes every resolved value.
+
+The figure presets re-derive every dependent quantity (k0, v0, delta_k,
+widths, free flight times) from primitive parameters at build time; nothing
+derived is hard-coded.
 """
 
 from __future__ import annotations
@@ -12,10 +16,13 @@ import configparser
 import io
 from dataclasses import dataclass, replace
 
-from .core import Grid2D
+import numpy as np
+
+from .core import Grid2D, chirp_flight_time
 from .errors import ConfigurationError, DomainError
 from .nearfield import (GapResonatorModel, LaserParams, NearFieldModel,
                         UniformStripeModel, WireModel)
+from .units import electron_kinematics
 
 ENGINES = ("analytic", "numeric", "both")
 OUTPUT_KINDS = ("grids", "density", "crosscuts", "populations", "profile",
@@ -395,7 +402,6 @@ def parse_config(text: str) -> ScenarioConfig:
     base = None
     preset_name = raw.get("scenario", "preset", str, None)
     if preset_name is not None:
-        from .presets import build_preset  # deferred: presets build configs
         run = build_preset(preset_name)
         if run.sweep is not None:
             raise ConfigurationError(
@@ -413,7 +419,6 @@ def parse_sweep_config(text: str) -> SweepSpec:
         raise ConfigurationError("missing required section [sweep]")
     preset_name = raw.get("sweep", "preset", str, None)
     if preset_name is not None:
-        from .presets import build_preset
         run = build_preset(preset_name)
         if run.sweep is None:
             raise ConfigurationError(
@@ -431,3 +436,110 @@ def parse_sweep_config(text: str) -> SweepSpec:
 
 def _to_values(raw: str) -> tuple[float, ...]:
     return tuple(float(s) for s in raw.split(",") if s.strip())
+
+
+@dataclass(frozen=True)
+class PresetRun:
+    """Either a single scenario or a sweep."""
+
+    name: str
+    scenario: ScenarioConfig | None = None
+    sweep: SweepSpec | None = None
+
+
+def _fig1_scenario(engine: str = "both") -> ScenarioConfig:
+    return ScenarioConfig(
+        engine=engine,
+        electron=ElectronSpec(energy_ev=100.0, fwhm_x_nm=60.0, fwhm_y_nm=20.0),
+        laser=LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2),
+        model=WireModel(radius_nm=10.0, response=0.5),
+        grid=Grid2D.centered(2048, 1024, 0.25, 0.25),
+        numeric=NumericSpec(window_fs=60.0, safety=0.9),
+    )
+
+
+def _fig2_sweep() -> SweepSpec:
+    template = ScenarioConfig(
+        engine="analytic",
+        electron=ElectronSpec(energy_ev=100.0, fwhm_x_nm=500.0, fwhm_y_nm=20.0),
+        laser=LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.5),
+        model=WireModel(radius_nm=10.0, response=0.5),
+        grid=Grid2D.centered(8192, 256, 0.5, 0.5),
+    )
+    base = np.geomspace(50.0, 10000.0, 40)
+    values = tuple(sorted(set(float(v) for v in base) | {100.0, 650.0}))
+    return SweepSpec(template=template, axis="energy_ev", values=values)
+
+
+def _fig3_sweep() -> SweepSpec:
+    # Transverse width tied to the wire diameter; the fig-1 drive amplitude
+    # keeps the scan out of fully saturated multiphoton coupling so the
+    # optimum radius is visible in the ground-state depletion.  Radii are
+    # dense around the coupling optimum and resume past the first
+    # transit-recurrence band (21..29 nm), inside which the coupling maximum
+    # leaves the wire surface and no single transverse scale exists.
+    template = ScenarioConfig(
+        engine="analytic",
+        electron=ElectronSpec(energy_ev=100.0, fwhm_x_nm=60.0,
+                              fwhm_y_radius_scale=2.0),
+        laser=LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2),
+        model=WireModel(radius_nm=10.0, response=0.5),
+        grid=Grid2D.centered(2048, 1024, 0.25, 0.5),
+    )
+    values = tuple(float(v) for v in
+                   list(range(2, 17)) + [18, 20] + list(range(30, 42, 2)))
+    return SweepSpec(template=template, axis="radius_nm", values=values)
+
+
+def _fig4_scenario(chirped: bool) -> ScenarioConfig:
+    energy_ev = 100.0
+    temporal_fwhm_fs = 20.0
+    bandwidth_ev = 2.0
+    _, v0 = electron_kinematics(energy_ev)
+    if chirped:
+        electron = ElectronSpec(
+            energy_ev=energy_ev,
+            bandwidth_ev=bandwidth_ev,
+            fwhm_y_nm=5.0,
+            prepropagation_fs=chirp_flight_time(
+                bandwidth_ev, energy_ev, temporal_fwhm_fs),
+            prepropagation_axes="x",
+        )
+    else:
+        electron = ElectronSpec(
+            energy_ev=energy_ev,
+            fwhm_x_nm=v0 * temporal_fwhm_fs,
+            fwhm_y_nm=5.0,
+        )
+    model = GapResonatorModel(separation_nm=23.0, smoothing_fwhm_nm=13.0,
+                              peak_field_v_per_nm=0.5)
+    # The in-gap amplitude is fixed by calibration; the nominal incident field
+    # is the calibrated peak divided by a typical enhancement of 20.
+    laser = LaserParams(wavelength_nm=2000.0,
+                        field_v_per_nm=model.peak_field_v_per_nm / 20.0)
+    return ScenarioConfig(
+        engine="analytic",
+        electron=electron,
+        laser=laser,
+        model=model,
+        grid=Grid2D.centered(2048, 1024, 0.25, 0.25),
+    )
+
+
+PRESET_NAMES = ("fig1", "fig2", "fig3", "fig4-limited", "fig4-chirped")
+
+
+def build_preset(name: str) -> PresetRun:
+    """Materialize a preset by name; raises ConfigurationError if unknown."""
+    if name == "fig1":
+        return PresetRun(name=name, scenario=_fig1_scenario())
+    if name == "fig2":
+        return PresetRun(name=name, sweep=_fig2_sweep())
+    if name == "fig3":
+        return PresetRun(name=name, sweep=_fig3_sweep())
+    if name == "fig4-limited":
+        return PresetRun(name=name, scenario=_fig4_scenario(chirped=False))
+    if name == "fig4-chirped":
+        return PresetRun(name=name, scenario=_fig4_scenario(chirped=True))
+    raise ConfigurationError(
+        f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")

@@ -20,6 +20,7 @@ from .errors import ConfigurationError, DomainError
 from .units import ELECTRON_MASS, HBAR, electron_kinematics, kinetic_energy
 
 _SQRT8LN2 = math.sqrt(8.0 * math.log(2.0))  # FWHM / sigma for a Gaussian density
+_FOUR_LN2 = 4.0 * math.log(2.0)
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -150,7 +151,6 @@ class MomentumSpectrum:
     k0: float
     t: float
     grid: Grid2D
-    normalization: str = "unitary-continuum"
 
     def density(self) -> np.ndarray:
         v = self.values
@@ -234,23 +234,55 @@ def gaussian_wavepacket(
     return Wavepacket(grid=grid, amplitudes=amps, t=0.0, k0=k0)
 
 
+def bandwidth_to_fwhm_x(bandwidth_ev: float, energy_ev: float) -> float:
+    """Longitudinal density FWHM of a transform-limited packet with the given
+    kinetic-energy FWHM."""
+    _, v0 = electron_kinematics(energy_ev)
+    fwhm_k = bandwidth_ev / (HBAR * v0)
+    return _FOUR_LN2 / fwhm_k
+
+
+def chirp_flight_time(bandwidth_ev: float, energy_ev: float,
+                      target_temporal_fwhm_fs: float) -> float:
+    """Free-flight time stretching a transform-limited packet to the target
+    temporal spread while keeping its energy bandwidth."""
+    _, v0 = electron_kinematics(energy_ev)
+    fwhm_k = bandwidth_ev / (HBAR * v0)
+    sigma_k = fwhm_k / _SQRT8LN2
+    sigma_x0 = 1.0 / (2.0 * sigma_k)
+    sigma_xt = v0 * target_temporal_fwhm_fs / _SQRT8LN2
+    if sigma_xt <= sigma_x0:
+        raise ConfigurationError(
+            "target temporal spread is below the transform limit")
+    return math.sqrt(sigma_xt**2 - sigma_x0**2) * ELECTRON_MASS / (HBAR * sigma_k)
+
+
+def density_moments(rho: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """Mass of a density sampled on (y, x) and the mean and standard deviation
+    of each axis, from its marginals.
+
+    Returns (mass, (x_mean, y_mean), (x_std, y_std)); the sums are not scaled
+    by cell sizes.
+    """
+    mass = float(rho.sum())
+    means, stds = [], []
+    for marg, coords in ((rho.sum(axis=0), x), (rho.sum(axis=1), y)):
+        mean = float((marg * coords).sum()) / mass
+        var = float((marg * (coords - mean) ** 2).sum()) / mass
+        means.append(mean)
+        stds.append(math.sqrt(max(var, 0.0)))
+    return mass, tuple(means), tuple(stds)
+
+
 def check_coverage(psi: Wavepacket, n_sigma: float = 4.0) -> None:
     """Require the packet's +-n_sigma support to fit inside the grid."""
     g = psi.grid
-    rho = psi.density()
-    mass = float(rho.sum())
-    x_mean = float((rho.sum(axis=0) * g.x).sum()) / mass
-    y_mean = float((rho.sum(axis=1) * g.y).sum()) / mass
-    x_var = float((rho.sum(axis=0) * (g.x - x_mean) ** 2).sum()) / mass
-    y_var = float((rho.sum(axis=1) * (g.y - y_mean) ** 2).sum()) / mass
-    sx, sy = math.sqrt(x_var), math.sqrt(y_var)
-    x_lo, x_hi = g.x[0], g.x[-1]
-    y_lo, y_hi = g.y[0], g.y[-1]
+    _, (x_mean, y_mean), (sx, sy) = density_moments(psi.density(), g.x, g.y)
     ok = (
-        x_mean - n_sigma * sx >= x_lo
-        and x_mean + n_sigma * sx <= x_hi
-        and y_mean - n_sigma * sy >= y_lo
-        and y_mean + n_sigma * sy <= y_hi
+        x_mean - n_sigma * sx >= g.x[0]
+        and x_mean + n_sigma * sx <= g.x[-1]
+        and y_mean - n_sigma * sy >= g.y[0]
+        and y_mean + n_sigma * sy <= g.y[-1]
     )
     if not ok:
         raise ConfigurationError(
@@ -294,8 +326,21 @@ def temporal_spread(psi: Wavepacket) -> float:
 def mean_momentum(psi: Wavepacket) -> tuple[float, float]:
     """Density-weighted mean of (k_x, k_y) including the carrier."""
     spec = to_momentum(psi)
-    rho = spec.density()
-    mass = float(rho.sum())
-    kx = float((rho.sum(axis=0) * spec.kx).sum()) / mass
-    ky = float((rho.sum(axis=1) * spec.ky).sum()) / mass
-    return kx, ky
+    _, means, _ = density_moments(spec.density(), spec.kx, spec.ky)
+    return means
+
+
+def unitary_transform_1d(values: np.ndarray, y: np.ndarray):
+    """Unitary continuum Fourier transform over the last axis, y -> k_y.
+
+    `values` is sampled on the uniform grid `y`; returns the ascending k_y
+    axis and the transform, phase-referenced to the physical coordinates.
+    """
+    steps = np.diff(y)
+    if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
+        raise ConfigurationError("profile must be sampled on a uniform y grid")
+    dy = float(steps[0])
+    ky = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(len(y), dy))
+    out = np.fft.fftshift(np.fft.fft(values, axis=-1), axes=-1)
+    out = out * (dy / math.sqrt(2.0 * math.pi)) * np.exp(-1j * ky * y[0])
+    return ky, out

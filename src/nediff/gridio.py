@@ -1,8 +1,10 @@
-"""Raw grid dumps.
+"""Artifact files: raw grid dumps and UTF-8 text.
 
-Format: one ASCII header line
+Grid dump format: one ASCII header line
     NEDIFF1 nx ny dx dy x0 y0 t k0 E0\n
 followed by little-endian float64 (re, im) pairs, row-major over y then x.
+Text artifacts (CSV, config echoes, summaries) are UTF-8 with LF line ends
+on every platform, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -13,6 +15,12 @@ from .core import Grid2D, Wavepacket
 from .errors import ConfigurationError
 
 MAGIC = "NEDIFF1"
+
+
+def write_lines(path, lines) -> None:
+    """Write text lines as UTF-8, each terminated by a single LF."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_grid(path, psi: Wavepacket) -> None:

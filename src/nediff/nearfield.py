@@ -16,11 +16,11 @@ from functools import cached_property
 import numpy as np
 import scipy.integrate
 
+from .core import _SQRT8LN2, unitary_transform_1d
 from .errors import ConfigurationError, DomainError, NumericalError, StateError, UnsupportedPathError
+from .gridio import write_lines
 from .quadrature import adaptive_quad
 from .units import C0, ELECTRON_CHARGE, HBAR
-
-_SQRT8LN2 = math.sqrt(8.0 * math.log(2.0))
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,12 @@ class WireModel:
         return self.radius_nm
 
 
+def _smoothing_ratio(u):
+    # (1 - exp(-u)) / u, finite at u = 0 (limit 1).
+    with np.errstate(invalid="ignore"):
+        return np.where(u > 1e-14, -np.expm1(-u) / np.where(u > 1e-14, u, 1.0), 1.0)
+
+
 @dataclass(frozen=True)
 class GapResonatorModel:
     """Pair of Gaussian-smoothed in-plane dipoles forming a nanogap.
@@ -165,10 +171,7 @@ class GapResonatorModel:
         for yc in self._dipole_y():
             eta = ys - yc
             rho2 = xs * xs + eta * eta
-            u = rho2 / (2.0 * sig2)
-            # (1 - exp(-u)) / (2 sigma^2 u) is finite at u = 0 (limit 1/(2 sigma^2)).
-            with np.errstate(invalid="ignore"):
-                fac = np.where(u > 1e-14, -np.expm1(-u) / np.where(u > 1e-14, u, 1.0), 1.0)
+            fac = _smoothing_ratio(rho2 / (2.0 * sig2))
             out = out + eta * fac / (2.0 * sig2)
         return out
 
@@ -180,8 +183,7 @@ class GapResonatorModel:
         for yc in self._dipole_y():
             eta = ys - yc
             u = eta * eta / (2.0 * sig2)
-            with np.errstate(invalid="ignore"):
-                fac = np.where(u > 1e-14, -np.expm1(-u) / np.where(u > 1e-14, u, 1.0), 1.0)
+            fac = _smoothing_ratio(u)
             fprime = (2.0 * np.exp(-u) - fac) / (2.0 * sig2)
             out = out - fprime
         return out
@@ -434,15 +436,9 @@ def profile_transform(profile: CouplingProfile) -> ProfileTransform:
     """Transverse spectrum of the cosine coupling; odd and imaginary for an
     odd real profile."""
     ys = profile.y
-    steps = np.diff(ys)
-    if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
-        raise ConfigurationError("profile must be sampled on a uniform y grid")
-    dy = float(steps[0])
-    n = len(ys)
-    ky = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(n, dy))
-    vals = np.fft.fftshift(np.fft.fft(profile.coupling_cos))
-    vals = vals * (dy / math.sqrt(2.0 * math.pi)) * np.exp(-1j * ky * ys[0])
-    return ProfileTransform(ky=ky, values=vals, dky=2.0 * np.pi / (n * dy))
+    ky, vals = unitary_transform_1d(profile.coupling_cos, ys)
+    return ProfileTransform(ky=ky, values=vals,
+                            dky=2.0 * np.pi / (len(ys) * float(ys[1] - ys[0])))
 
 
 def _fmt(v: float) -> str:
@@ -462,5 +458,4 @@ def export_profile_csv(profile: CouplingProfile, path) -> None:
     ]
     for yv, c, s in zip(profile.y, profile.coupling_cos, profile.coupling_sin):
         lines.append(f"{_fmt(yv)},{_fmt(c)},{_fmt(s)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)

@@ -17,8 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.fft as _fft
 
-from .core import Grid2D, Wavepacket
+from .core import Grid2D, Wavepacket, density_moments
 from .errors import ConfigurationError, NumericalError
+from .gridio import write_lines
 from .nearfield import LaserParams, NearFieldModel, UniformStripeModel
 from .units import ELECTRON_CHARGE, ELECTRON_MASS, HBAR
 
@@ -79,33 +80,34 @@ class EvolutionTrace:
         for row in zip(self.t, self.norm, self.x_mean, self.kx_mean,
                        self.ky_mean, self.energy_ev):
             lines.append(",".join(repr(float(v)) for v in row))
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_lines(path, lines)
 
 
-def _grid_kmax_sq(grid: Grid2D) -> float:
-    return (math.pi / grid.dx) ** 2 + (math.pi / grid.dy) ** 2
-
-
-def _peak_interaction_energy(params: EvolutionParams) -> float:
-    return abs(ELECTRON_CHARGE) * params.model.peak_potential(
-        params.laser.field_v_per_nm)
-
-
-def validate_evolution(params: EvolutionParams, grid: Grid2D) -> None:
-    """Check the per-step phase bounds before any stepping happens."""
-    if isinstance(params.model, UniformStripeModel):
+def _phase_bounds(laser: LaserParams, model: NearFieldModel, grid: Grid2D):
+    """Peak interaction energy, k^2 at the grid corner, and the steps dt_pot
+    and dt_kin at which the potential and kinetic phases reach their bounds."""
+    if isinstance(model, UniformStripeModel):
         raise ConfigurationError(
             "the uniform stripe model is synthetic and has no potential; "
             "run it through the analytic engine"
         )
-    v_phase = abs(params.dt) * _peak_interaction_energy(params) / HBAR
+    v_peak = abs(ELECTRON_CHARGE) * model.peak_potential(laser.field_v_per_nm)
+    kmax_sq = (math.pi / grid.dx) ** 2 + (math.pi / grid.dy) ** 2
+    dt_pot = POTENTIAL_PHASE_BOUND * HBAR / v_peak if v_peak > 0.0 else math.inf
+    dt_kin = KINETIC_PHASE_BOUND * 2.0 * ELECTRON_MASS / (HBAR * kmax_sq)
+    return v_peak, kmax_sq, dt_pot, dt_kin
+
+
+def validate_evolution(params: EvolutionParams, grid: Grid2D) -> None:
+    """Check the per-step phase bounds before any stepping happens."""
+    v_peak, kmax_sq, _, _ = _phase_bounds(params.laser, params.model, grid)
+    v_phase = abs(params.dt) * v_peak / HBAR
     if v_phase > POTENTIAL_PHASE_BOUND * (1.0 + 1e-12):
         raise ConfigurationError(
             f"potential phase per step {v_phase:.3g} rad exceeds the "
             f"{POTENTIAL_PHASE_BOUND} rad bound; reduce dt"
         )
-    k_phase = abs(params.dt) * HBAR * _grid_kmax_sq(grid) / (2.0 * ELECTRON_MASS)
+    k_phase = abs(params.dt) * HBAR * kmax_sq / (2.0 * ELECTRON_MASS)
     if k_phase > KINETIC_PHASE_BOUND * (1.0 + 1e-12):
         raise ConfigurationError(
             f"kinetic phase per step {k_phase:.3g} rad exceeds the "
@@ -116,28 +118,27 @@ def validate_evolution(params: EvolutionParams, grid: Grid2D) -> None:
 def choose_steps(laser: LaserParams, model: NearFieldModel, grid: Grid2D,
                  t_start: float, t_end: float, safety: float = 0.5,
                  include_vector_potential: bool = True,
-                 snapshot_stride: int = 50) -> EvolutionParams:
+                 snapshot_stride: int = 50,
+                 dt: float | None = None) -> EvolutionParams:
     """Largest time step satisfying both phase bounds, with a safety factor.
 
     The step is then shrunk so an integer number of steps covers the window.
+    A requested `dt` instead splits the window into the nearest whole number
+    of steps of that size; the phase bounds are then checked, not imposed.
     """
     if not 0.0 < safety <= 1.0:
         raise ConfigurationError("safety factor must be in (0, 1]")
     window = t_end - t_start
     if not window > 0.0:
         raise ConfigurationError("evolution window must have positive length")
-    if isinstance(model, UniformStripeModel):
-        raise ConfigurationError(
-            "the uniform stripe model is synthetic and has no potential; "
-            "run it through the analytic engine"
-        )
-    v_peak = abs(ELECTRON_CHARGE) * model.peak_potential(laser.field_v_per_nm)
-    dt_pot = POTENTIAL_PHASE_BOUND * HBAR / v_peak if v_peak > 0.0 else math.inf
-    dt_kin = KINETIC_PHASE_BOUND * 2.0 * ELECTRON_MASS / (HBAR * _grid_kmax_sq(grid))
-    dt0 = safety * min(dt_pot, dt_kin)
-    if not dt0 > 0.0 or not math.isfinite(window / dt0):
-        raise ConfigurationError("cannot choose a positive time step")
-    n = max(1, int(math.ceil(window / dt0 - 1e-12)))
+    _, _, dt_pot, dt_kin = _phase_bounds(laser, model, grid)
+    if dt is None:
+        dt0 = safety * min(dt_pot, dt_kin)
+        if not dt0 > 0.0 or not math.isfinite(window / dt0):
+            raise ConfigurationError("cannot choose a positive time step")
+        n = max(1, int(math.ceil(window / dt0 - 1e-12)))
+    else:
+        n = max(1, int(round(window / dt)))
     params = EvolutionParams(
         dt=window / n, n_steps=n, t_start=t_start, t_end=t_end,
         laser=laser, model=model,
@@ -178,11 +179,11 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
     kin_full = np.exp(-1j * (HBAR * dt / (2.0 * ELECTRON_MASS)) * ksq)
     kin_half = np.exp(-1j * (HBAR * 0.5 * dt / (2.0 * ELECTRON_MASS)) * ksq)
 
-    def gauge_column(ta: float, tb: float):
-        if not params.include_vector_potential:
-            return None
-        integral = _vector_potential_integral(laser, ta, tb)
-        return np.exp(1j * (q / ELECTRON_MASS) * integral * ky1)[:, None]
+    def apply_gauge(spec, ta: float, tb: float) -> None:
+        # Vector-potential phase over [ta, tb]: one factor per k_y row.
+        if params.include_vector_potential:
+            integral = _vector_potential_integral(laser, ta, tb)
+            spec *= np.exp(1j * (q / ELECTRON_MASS) * integral * ky1)[:, None]
 
     x = grid.x
     y_col = grid.y[:, None]
@@ -194,7 +195,7 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
 
     def record(t, psi_r, spec_raw):
         rho = psi_r.real**2 + psi_r.imag**2
-        mass = float(rho.sum())
+        mass, (x_mean, _), _ = density_moments(rho, x, grid.y)
         norm = math.sqrt(mass * cell)
         if not math.isfinite(norm):
             raise NumericalError(
@@ -210,15 +211,12 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
                 f"(border mass fraction {border / mass:.3g})",
                 partial=_trace_from(snaps, params.snapshot_stride),
             )
-        x_mean = float((rho.sum(axis=0) * x).sum()) / mass
         rho_k = spec_raw.real**2 + spec_raw.imag**2
-        mass_k = float(rho_k.sum())
-        kx_mean = psi0.k0 + float((rho_k.sum(axis=0) * kx1).sum()) / mass_k
-        ky_mean = float((rho_k.sum(axis=1) * ky1).sum()) / mass_k
+        mass_k, (kx_mean, ky_mean), _ = density_moments(rho_k, kx1, ky1)
         e_mean = (HBAR**2 / (2.0 * ELECTRON_MASS)) * float(
             (rho_k * ((psi0.k0 + kx1[None, :]) ** 2 + ky1[:, None] ** 2)).sum()
         ) / mass_k
-        snaps.append((t, norm, x_mean, kx_mean, ky_mean, e_mean))
+        snaps.append((t, norm, x_mean, psi0.k0 + kx_mean, ky_mean, e_mean))
         if snapshot_callback is not None:
             snapshot_callback(t, Wavepacket(grid=grid, amplitudes=psi_r.copy(),
                                             t=t, k0=psi0.k0))
@@ -230,9 +228,7 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
 
     # Leading half segment [t0, t0 + dt/2].
     spec *= kin_half
-    gc = gauge_column(t0, t0 + 0.5 * dt)
-    if gc is not None:
-        spec *= gc
+    apply_gauge(spec, t0, t0 + 0.5 * dt)
 
     phase_sign = -q / HBAR  # exp(-i q Phi dt / hbar) = exp(i phase_sign * Phi * dt)
     factor = np.empty((grid.ny, grid.nx), dtype=np.complex128)
@@ -251,15 +247,11 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
             record(t_mid, psi, spec)
         if k < n - 1:
             spec *= kin_full
-            gc = gauge_column(t_mid, t_mid + dt)
-            if gc is not None:
-                spec *= gc
+            apply_gauge(spec, t_mid, t_mid + dt)
 
     t_end = params.t_end
     spec *= kin_half
-    gc = gauge_column(t0 + (n - 0.5) * dt, t_end)
-    if gc is not None:
-        spec *= gc
+    apply_gauge(spec, t0 + (n - 0.5) * dt, t_end)
     psi = _fft.ifft2(spec, overwrite_x=True)
     final = Wavepacket(grid=grid, amplitudes=psi, t=t_end, k0=psi0.k0)
     record(t_end, psi, _fft.fft2(psi))

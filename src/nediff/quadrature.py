@@ -66,8 +66,10 @@ def adaptive_quad(f, a: float, b: float, tol: float, max_panel: float | None = N
     """Integrate f over [a, b] to absolute tolerance `tol`.
 
     Returns (integral, error_estimate) where the integral carries f's
-    trailing shape.  Raises NumericalError with the achieved estimate if the
-    panel budget is exhausted before convergence.
+    trailing shape.  The budget of `max_panels` includes the initial split
+    into panels no wider than `max_panel`: if that split alone exceeds it,
+    NumericalError is raised before f is evaluated.  Otherwise NumericalError
+    carries the achieved estimate when the budget runs out before convergence.
     """
     if b <= a:
         raise NumericalError(f"empty integration interval [{a}, {b}]")
@@ -76,6 +78,10 @@ def adaptive_quad(f, a: float, b: float, tol: float, max_panel: float | None = N
         n0 = 1
     else:
         n0 = int(np.ceil(width / max_panel))
+    if n0 > max_panels:
+        raise NumericalError(
+            f"quadrature needs {n0} initial panels, more than the budget of "
+            f"{max_panels}")
     edges = a + width * np.arange(n0 + 1) / n0
     los, his = edges[:-1], edges[1:]
     vals, errs = _panel_eval(f, los, his)

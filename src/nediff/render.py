@@ -13,6 +13,7 @@ import numpy as np
 
 from .analysis import DensityMap
 from .errors import DomainError
+from .gridio import write_lines
 
 PGM_MAXVAL = 65535
 
@@ -84,6 +85,5 @@ def render_heatmap(density, path, colormap: str = "linear",
         f"data_min: {float(values.min())!r}",
         f"data_max: {vmax!r}",
     ]
-    with open(sidecar, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(sidecar, lines)
     return path

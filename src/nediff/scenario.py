@@ -1,28 +1,30 @@
-"""Scenario orchestration: build, run, analyze and write artifacts."""
+"""Scenario orchestration: build, run, analyze, write artifacts and sweep."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import gridio
-from .analysis import (Crosscut, DensityMap, SidebandTable, SweepPoint, crosscut,
+from .analysis import (Crosscut, DensityMap, SidebandTable, crosscut,
                        max_deflection, momentum_density, peak_spacing, rel_l2,
                        sideband_populations, transverse_splitting)
 from .analytic import (apply_interaction, build_phase_mask, transverse_envelope,
                        vacuum_propagate)
 from .config import ScenarioConfig
-from .core import Wavepacket, check_coverage, gaussian_wavepacket
-from .errors import AnalysisError, ConfigurationError
+from .core import (Wavepacket, bandwidth_to_fwhm_x, check_coverage,
+                   gaussian_wavepacket)
+from .errors import AnalysisError, ConfigurationError, NediffError
 from .nearfield import (CouplingProfile, GapResonatorModel, UniformStripeModel,
                         calibrate_gap_amplitude, coupling_profile,
                         export_profile_csv)
-from .numeric import EvolutionParams, EvolutionTrace, choose_steps, split_step_evolve, validate_evolution
-from .presets import bandwidth_to_fwhm_x
+from .numeric import EvolutionTrace, choose_steps, split_step_evolve
 from .render import render_heatmap
 from .units import electron_kinematics
 
@@ -108,19 +110,10 @@ def run_scenario(cfg: ScenarioConfig, outdir=None) -> ScenarioResult:
     if cfg.engine in ("numeric", "both"):
         nu = cfg.numeric
         half = 0.5 * nu.window_fs
-        if nu.dt_fs is None:
-            params = choose_steps(cfg.laser, model, cfg.grid, -half, half,
-                                  safety=nu.safety,
-                                  include_vector_potential=nu.vector_potential,
-                                  snapshot_stride=nu.snapshot_stride)
-        else:
-            n = max(1, int(round(nu.window_fs / nu.dt_fs)))
-            params = EvolutionParams(
-                dt=nu.window_fs / n, n_steps=n, t_start=-half, t_end=half,
-                laser=cfg.laser, model=model,
-                include_vector_potential=nu.vector_potential,
-                snapshot_stride=nu.snapshot_stride)
-            validate_evolution(params, cfg.grid)
+        params = choose_steps(cfg.laser, model, cfg.grid, -half, half,
+                              safety=nu.safety,
+                              include_vector_potential=nu.vector_potential,
+                              snapshot_stride=nu.snapshot_stride, dt=nu.dt_fs)
         snapshot_callback = None
         if outdir is not None and "snapshots" in cfg.outputs:
             snap_dir = Path(outdir) / "snapshots"
@@ -154,8 +147,7 @@ def _write_crosscut_csv(cut: Crosscut, path) -> None:
              "k_per_nm,density"]
     for c, d in zip(cut.coords, cut.density):
         lines.append(f"{float(c)!r},{float(d)!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    gridio.write_lines(path, lines)
 
 
 def write_artifacts(result: ScenarioResult, outdir) -> list[str]:
@@ -170,8 +162,7 @@ def write_artifacts(result: ScenarioResult, outdir) -> list[str]:
         written.append(name)
         return outdir / name
 
-    with open(emit("config.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(cfg.serialize())
+    gridio.write_lines(emit("config.txt"), cfg.serialize().splitlines())
     if "profile" in wanted:
         export_profile_csv(result.profile, emit("profile.csv"))
     if "grids" in wanted:
@@ -198,17 +189,14 @@ def write_artifacts(result: ScenarioResult, outdir) -> list[str]:
     if result.trace is not None and "trace" in wanted:
         result.trace.write_csv(emit("trace.csv"))
     if result.rel_l2_densities is not None and "compare" in wanted:
-        with open(emit("compare.txt"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(
-                "relative_l2_momentum_density = "
-                f"{float(result.rel_l2_densities)!r}\n")
+        gridio.write_lines(emit("compare.txt"), [
+            f"relative_l2_momentum_density = {float(result.rel_l2_densities)!r}"])
     if "summary" in wanted:
-        with open(emit("summary.txt"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_summary_text(result))
+        gridio.write_lines(emit("summary.txt"), _summary_lines(result))
     return written
 
 
-def _summary_text(result: ScenarioResult) -> str:
+def _summary_lines(result: ScenarioResult) -> list[str]:
     cfg = result.config
     k0, v0 = electron_kinematics(cfg.electron.energy_ev)
     lines = [
@@ -224,7 +212,80 @@ def _summary_text(result: ScenarioResult) -> str:
             lines.append(f"p0 = {out.sidebands.population(0)!r}")
     if result.rel_l2_densities is not None:
         lines.append(f"rel_l2_densities = {float(result.rel_l2_densities)!r}")
-    return "\n".join(lines) + "\n"
+    return lines
+
+
+@dataclass(frozen=True)
+class SweepPoint:
+    """Metrics collected for one swept parameter value."""
+
+    parameter: float
+    populations: SidebandTable | None
+    depletion: float
+    alpha_max_deg: float
+    delta_kx: float
+    delta_ky: float
+    error: str = ""
+
+
+@dataclass(frozen=True)
+class SweepResult:
+    """Parameter scan summary, ordered by parameter value."""
+
+    axis: str
+    points: list[SweepPoint]
+    config_hash: str
+    order_range: int = 6
+
+    def parameters(self) -> np.ndarray:
+        return np.array([p.parameter for p in self.points])
+
+    def population_matrix(self) -> np.ndarray:
+        """Populations P_n for n in [-order_range, order_range], one row per point."""
+        m = np.zeros((len(self.points), 2 * self.order_range + 1))
+        for i, p in enumerate(self.points):
+            if p.populations is None:
+                m[i] = np.nan
+                continue
+            for j, n in enumerate(range(-self.order_range, self.order_range + 1)):
+                sel = np.nonzero(p.populations.orders == n)[0]
+                m[i, j] = p.populations.populations[sel[0]] if len(sel) else 0.0
+        return m
+
+    def ground_state_minimum(self) -> float:
+        """Parameter value at which the initial-state occupation is smallest.
+
+        The ground state here is the initial momentum state (k0, 0); its
+        occupation is the central density, not the binned n=0 population,
+        which bottoms out at a different drive mismatch.
+        """
+        dep = np.array([p.depletion for p in self.points])
+        ok = ~np.isnan(dep)
+        if not ok.any():
+            raise AnalysisError("sweep produced no valid points")
+        params = self.parameters()
+        return float(params[ok][int(np.argmin(dep[ok]))])
+
+    def write_csv(self, path) -> None:
+        ns = range(-self.order_range, self.order_range + 1)
+        header = [self.axis] + [f"P_{n}" for n in ns] + [
+            "depletion", "alpha_max_deg", "delta_kx_per_nm", "delta_ky_per_nm",
+            "depletion_min_flag", "error"]
+        pops = self.population_matrix()
+        try:
+            argmin = self.ground_state_minimum()
+        except AnalysisError:
+            argmin = math.nan
+        lines = [",".join(header)]
+        for i, p in enumerate(self.points):
+            row = [repr(float(p.parameter))]
+            row += [repr(float(v)) for v in pops[i]]
+            row += [repr(float(p.depletion)), repr(float(p.alpha_max_deg)),
+                    repr(float(p.delta_kx)), repr(float(p.delta_ky))]
+            row.append("1" if p.parameter == argmin else "0")
+            row.append(p.error.replace(",", ";"))
+            lines.append(",".join(row))
+        gridio.write_lines(path, lines)
 
 
 def apply_axis_value(template: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
@@ -278,6 +339,41 @@ def run_sweep_point(template: ScenarioConfig, axis: str, value: float,
         delta_kx=dkx_measured,
         delta_ky=dky,
     )
+
+
+def run_sweep(template, axis: str, values, engine: str = "analytic",
+              threads: int = 1, order_range: int = 6,
+              dump_grids_to=None) -> SweepResult:
+    """Run one scenario per parameter value and collect scan metrics.
+
+    Points run concurrently (the FFT work releases the GIL) and are assembled
+    in parameter order.  A point failing with a nediff error is recorded and
+    the sweep continues; any other exception is a bug and propagates.
+    With dump_grids_to set, every point's final wavepacket is dumped there.
+    """
+    values = [float(v) for v in values]
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigurationError("sweep values must be strictly increasing")
+    cfg_hash = hashlib.sha256(
+        (template.serialize() + f"|{axis}").encode()).hexdigest()[:16]
+
+    def one(value: float) -> SweepPoint:
+        try:
+            return run_sweep_point(template, axis, value, engine=engine,
+                                   dump_grid_to=dump_grids_to)
+        except NediffError as exc:
+            return SweepPoint(parameter=value, populations=None,
+                              depletion=math.nan, alpha_max_deg=math.nan,
+                              delta_kx=math.nan, delta_ky=math.nan,
+                              error=f"{type(exc).__name__}: {exc}")
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            points = list(pool.map(one, values))
+    else:
+        points = [one(v) for v in values]
+    return SweepResult(axis=axis, points=points, config_hash=cfg_hash,
+                       order_range=order_range)
 
 
 def resolve_output_root(out) -> Path:

@@ -8,7 +8,6 @@ factors appear in the interaction terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -29,19 +28,6 @@ ELEMENTARY_CHARGE = 1.0
 
 #: Electron charge in units of e.
 ELECTRON_CHARGE = -ELEMENTARY_CHARGE
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Bundle of the derived constants, mostly for introspection and tests."""
-
-    hbar_ev_fs: float = HBAR
-    electron_mass: float = ELECTRON_MASS
-    c0_nm_fs: float = C0
-    elementary_charge: float = ELEMENTARY_CHARGE
-
-
-UNITS = UnitSystem()
 
 
 def electron_kinematics(energy_ev: float) -> tuple[float, float]:
@@ -68,10 +54,3 @@ def electron_kinematics(energy_ev: float) -> tuple[float, float]:
 def kinetic_energy(k0: float) -> float:
     """Kinetic energy in eV for a carrier wavenumber in nm^-1."""
     return (HBAR * k0) ** 2 / (2.0 * ELECTRON_MASS)
-
-
-def photon_angular_frequency(wavelength_nm: float) -> float:
-    """Angular frequency [rad/fs] of light with the given vacuum wavelength."""
-    if not wavelength_nm > 0.0:
-        raise DomainError(f"wavelength must be positive, got {wavelength_nm}")
-    return 2.0 * math.pi * C0 / wavelength_nm

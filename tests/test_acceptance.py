@@ -15,7 +15,7 @@ import scipy.special
 from conftest import record_criterion
 
 from nediff.analysis import (Crosscut, crosscut, find_peaks, max_deflection,
-                             momentum_density, peak_spacing, rel_l2, run_sweep,
+                             momentum_density, peak_spacing, rel_l2,
                              sideband_populations, transverse_splitting)
 from nediff.analytic import (apply_interaction, build_phase_mask,
                              order_amplitudes_exact, order_series_taylor,
@@ -24,8 +24,8 @@ from nediff.core import Grid2D, gaussian_wavepacket, temporal_spread, to_momentu
 from nediff.nearfield import (LaserParams, UniformStripeModel, WireModel,
                               coupling_integrals, coupling_profile)
 from nediff.numeric import EvolutionParams, choose_steps, split_step_evolve
-from nediff.presets import build_preset
-from nediff.scenario import build_initial_state, run_scenario
+from nediff.config import build_preset
+from nediff.scenario import build_initial_state, run_scenario, run_sweep
 from nediff.units import HBAR, electron_kinematics
 
 pytestmark = pytest.mark.acceptance

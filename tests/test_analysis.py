@@ -10,16 +10,16 @@ import scipy.special
 from nediff.analysis import (Crosscut, DensityMap, crosscut, deflection_angle,
                              energy_axis, energy_bandwidth_fwhm,
                              max_deflection, momentum_density, peak_spacing,
-                             rel_l2, run_sweep, sideband_populations,
+                             rel_l2, sideband_populations,
                              transverse_splitting)
 from nediff.analytic import apply_interaction, build_phase_mask
 from nediff import scenario
 from nediff.config import ElectronSpec, ScenarioConfig
-from nediff.core import Grid2D, gaussian_wavepacket
+from nediff.core import Grid2D, bandwidth_to_fwhm_x, gaussian_wavepacket
 from nediff.errors import AnalysisError, ConfigurationError, DomainError
 from nediff.nearfield import (LaserParams, UniformStripeModel, WireModel,
                               coupling_profile)
-from nediff.presets import bandwidth_to_fwhm_x
+from nediff.scenario import run_sweep
 from nediff.units import HBAR, electron_kinematics
 
 LASER = LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2)

@@ -10,11 +10,11 @@ from nediff.analytic import (apply_interaction, build_phase_mask, mask_phase,
                              order_amplitudes_exact, order_series_taylor,
                              transverse_envelope, vacuum_propagate,
                              weak_field_order)
-from nediff.core import Grid2D, gaussian_wavepacket, temporal_spread, to_momentum
+from nediff.core import (Grid2D, bandwidth_to_fwhm_x, chirp_flight_time,
+                         gaussian_wavepacket, temporal_spread, to_momentum)
 from nediff.errors import ConfigurationError, DomainError, UnsupportedPathError
 from nediff.nearfield import (LaserParams, UniformStripeModel, WireModel,
                               coupling_profile)
-from nediff.presets import bandwidth_to_fwhm_x, chirp_flight_time
 from nediff.units import ELECTRON_MASS, HBAR, electron_kinematics
 
 LASER = LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2)

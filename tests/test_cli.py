@@ -180,9 +180,39 @@ def test_output_root_env_override(run_config, tmp_path, monkeypatch):
     assert (root / "rel_dir" / "config.txt").exists()
 
 
-def test_seedless_flag_accepted(run_config, tmp_path):
+def test_seedless_flag_rejected(run_config, tmp_path, capsys):
     out = tmp_path / "seedless"
-    assert main(["run", str(run_config), "--out", str(out), "--seedless"]) == 0
+    assert main(["run", str(run_config), "--out", str(out), "--seedless"]) == 1
+    assert "--seedless" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_snapshot_stride_without_numeric_section_rejected(run_config, tmp_path,
+                                                          capsys):
+    out = tmp_path / "o"
+    assert main(["run", str(run_config), "--out", str(out),
+                 "--snapshot-stride", "5"]) == 1
+    assert "--snapshot-stride" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_snapshot_stride_on_sweep_preset_rejected(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["preset", "fig2", "--out", str(out),
+                 "--snapshot-stride", "5"]) == 1
+    assert "--snapshot-stride" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_snapshot_stride_overrides_numeric_section(tmp_path):
+    cfg = tmp_path / "num.cfg"
+    cfg.write_text(SMALL_RUN.replace("engine = analytic", "engine = numeric")
+                   .replace("populations,profile,summary", "trace")
+                   + "\n[numeric]\nwindow_fs = 3.0\nsafety = 0.9\n",
+                   encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out), "--snapshot-stride", "7"]) == 0
+    assert "snapshot_stride = 7" in (out / "config.txt").read_text().splitlines()
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])

@@ -4,13 +4,12 @@ import math
 
 import pytest
 
-from nediff.config import (ElectronSpec, NumericSpec, ScenarioConfig, SweepSpec,
-                           parse_config, parse_sweep_config, serialize_config)
-from nediff.core import Grid2D
+from nediff.config import (PRESET_NAMES, ElectronSpec, NumericSpec,
+                           ScenarioConfig, SweepSpec, build_preset, parse_config,
+                           parse_sweep_config, serialize_config)
+from nediff.core import Grid2D, bandwidth_to_fwhm_x, chirp_flight_time
 from nediff.errors import ConfigurationError
 from nediff.nearfield import GapResonatorModel, LaserParams, UniformStripeModel, WireModel
-from nediff.presets import (PRESET_NAMES, bandwidth_to_fwhm_x, build_preset,
-                            chirp_flight_time)
 from nediff.units import electron_kinematics
 
 MINIMAL = """

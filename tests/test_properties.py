@@ -1,0 +1,149 @@
+"""Property tests of the round trips: config text, grid dumps, momentum
+transform and time reversal of the evolution window."""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from nediff.config import (OUTPUT_KINDS, ElectronSpec, NumericSpec,
+                           ScenarioConfig, parse_config, serialize_config)
+from nediff.core import Grid2D, Wavepacket, from_momentum, to_momentum
+from nediff.gridio import read_grid, write_grid
+from nediff.nearfield import (GapResonatorModel, LaserParams, UniformStripeModel,
+                              WireModel)
+from nediff.numeric import EvolutionParams
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def finite(lo=-1e4, hi=1e4):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False,
+                     allow_infinity=False)
+
+
+def positive(hi=1e4):
+    return st.floats(min_value=1e-6, max_value=hi, allow_nan=False,
+                     allow_infinity=False)
+
+
+powers_of_two = st.sampled_from([2, 4, 8, 16, 32, 64])
+centers = st.tuples(finite(), finite())
+
+wires = st.builds(WireModel, radius_nm=positive(),
+                  response=st.floats(min_value=0.0, max_value=1.0),
+                  center=centers)
+
+
+@st.composite
+def gaps(draw):
+    separation = draw(positive())
+    fraction = draw(st.floats(min_value=1e-3, max_value=0.999))
+    return GapResonatorModel(separation_nm=separation,
+                             smoothing_fwhm_nm=fraction * separation,
+                             peak_field_v_per_nm=draw(positive()),
+                             center=draw(centers))
+
+
+@st.composite
+def stripes(draw):
+    y_min = draw(finite())
+    return UniformStripeModel(coupling_rad=draw(finite()), y_min=y_min,
+                              y_max=y_min + draw(positive()))
+
+
+@st.composite
+def scenario_configs(draw):
+    model = draw(st.one_of(wires, gaps(), stripes()))
+    transverse = {"fwhm_y_nm": draw(positive())}
+    if isinstance(model, WireModel) and draw(st.booleans()):
+        transverse = {"fwhm_y_radius_scale": draw(positive())}
+    longitudinal = draw(st.sampled_from(["fwhm_x_nm", "bandwidth_ev"]))
+    electron = ElectronSpec(
+        energy_ev=draw(positive()), **{longitudinal: draw(positive())},
+        **transverse, center_x_nm=draw(finite()), center_y_nm=draw(finite()),
+        prepropagation_fs=draw(st.floats(min_value=0.0, max_value=1e4)),
+        prepropagation_axes=draw(st.sampled_from(["xy", "x"])))
+    numeric = draw(st.none() | st.builds(
+        NumericSpec, window_fs=positive(), dt_fs=st.none() | positive(),
+        safety=st.floats(min_value=1e-3, max_value=1.0),
+        vector_potential=st.booleans(),
+        snapshot_stride=st.integers(min_value=1, max_value=10**6)))
+    engines = ["analytic"] if numeric is None else ["analytic", "numeric", "both"]
+    return ScenarioConfig(
+        engine=draw(st.sampled_from(engines)),
+        electron=electron,
+        laser=LaserParams(wavelength_nm=draw(positive()),
+                          field_v_per_nm=draw(st.floats(min_value=0.0, max_value=1e3)),
+                          phase_rad=draw(finite(-10.0, 10.0))),
+        model=model,
+        grid=Grid2D.centered(draw(powers_of_two), draw(powers_of_two),
+                             draw(positive(10.0)), draw(positive(10.0))),
+        numeric=numeric,
+        outputs=tuple(draw(st.lists(st.sampled_from(OUTPUT_KINDS), min_size=1,
+                                    unique=True))),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(scenario_configs())
+def test_config_text_round_trip(cfg):
+    text = serialize_config(cfg)
+    assert parse_config(text) == cfg
+    assert serialize_config(parse_config(text)) == text
+
+
+@st.composite
+def wavepackets(draw, magnitude=1e3):
+    grid = Grid2D(draw(powers_of_two), draw(powers_of_two),
+                  draw(positive(10.0)), draw(positive(10.0)),
+                  draw(finite()), draw(finite()))
+    parts = arrays(np.float64, (2, grid.ny, grid.nx),
+                   elements=finite(-magnitude, magnitude))
+    re, im = draw(parts)
+    return Wavepacket(grid=grid, amplitudes=re + 1j * im, t=draw(finite()),
+                      k0=draw(finite(0.0, 1e3)))
+
+
+@PROPERTY_SETTINGS
+@given(wavepackets())
+def test_grid_dump_round_trip_is_bitwise(psi):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "psi.grid"
+        write_grid(path, psi)
+        back = read_grid(path)
+    assert back.grid == psi.grid
+    assert (back.t, back.k0) == (psi.t, psi.k0)
+    assert back.amplitudes.tobytes() == psi.amplitudes.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(wavepackets(magnitude=1.0))
+def test_momentum_transform_round_trip(psi):
+    back = from_momentum(to_momentum(psi))
+    assert back.grid == psi.grid and back.k0 == psi.k0 and back.t == psi.t
+    assert np.max(np.abs(back.amplitudes - psi.amplitudes)) <= 1e-12
+
+
+@st.composite
+def evolution_params(draw):
+    t_start = draw(finite())
+    t_end = t_start + draw(st.sampled_from([-1.0, 1.0])) * draw(positive())
+    n_steps = draw(st.integers(min_value=1, max_value=10**5))
+    return EvolutionParams(
+        dt=(t_end - t_start) / n_steps, n_steps=n_steps, t_start=t_start,
+        t_end=t_end, laser=LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2),
+        model=draw(wires), include_vector_potential=draw(st.booleans()),
+        snapshot_stride=draw(st.integers(min_value=1, max_value=1000)))
+
+
+@PROPERTY_SETTINGS
+@given(evolution_params())
+def test_time_reversal_is_an_involution(params):
+    back = params.reversed()
+    assert (back.t_start, back.t_end, back.dt) == (params.t_end, params.t_start,
+                                                   -params.dt)
+    assert back.reversed() == params

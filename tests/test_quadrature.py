@@ -58,3 +58,15 @@ def test_budget_exhaustion_reports_achieved_error():
         adaptive_quad(f, 0.0, 1.0, tol=1e-14, max_panels=4)
     assert excinfo.value.achieved is not None
     assert excinfo.value.achieved > 1e-14
+
+
+def test_initial_split_beyond_budget_fails_before_evaluating():
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return x
+
+    with pytest.raises(NumericalError, match="initial panels"):
+        adaptive_quad(f, 0.0, 100.0, tol=1e-10, max_panel=0.01, max_panels=4096)
+    assert calls == []

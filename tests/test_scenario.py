@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from nediff.analysis import momentum_density, run_sweep
+from nediff.analysis import momentum_density
 from nediff.analytic import export_order_decomposition, order_amplitudes_exact
-from nediff.config import ElectronSpec, NumericSpec, ScenarioConfig
+from nediff.config import ElectronSpec, NumericSpec, ScenarioConfig, build_preset
 from nediff.core import Grid2D, gaussian_wavepacket
 from nediff.gridio import read_grid
 from nediff.nearfield import LaserParams, WireModel, coupling_profile
-from nediff.presets import build_preset
-from nediff.scenario import build_initial_state, run_scenario
+from nediff.scenario import build_initial_state, run_scenario, run_sweep
 from nediff.units import electron_kinematics
 
 
