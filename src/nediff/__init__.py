@@ -25,8 +25,7 @@ from .gridio import read_grid, write_grid
 from .nearfield import (CouplingProfile, GapResonatorModel, LaserParams,
                         UniformStripeModel, WireModel, calibrate_gap_amplitude,
                         coupling_integrals, coupling_profile,
-                        gap_resonator_potential, profile_transform,
-                        retardation_phase, wire_potential)
+                        profile_transform, retardation_phase)
 from .numeric import (EvolutionParams, EvolutionTrace, choose_steps,
                       split_step_evolve)
 from .scenario import SweepResult, run_scenario, run_sweep

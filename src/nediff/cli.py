@@ -21,7 +21,8 @@ import scipy.fft
 
 from . import gridio
 from .analysis import momentum_density, rel_l2
-from .config import PRESET_NAMES, build_preset, parse_config, parse_sweep_config
+from .config import (PRESET_NAMES, SweepSpec, build_preset, parse_config,
+                     parse_sweep_config, serialize_config)
 from .errors import (AnalysisError, ConfigurationError, DomainError,
                      NumericalError, StateError, UnsupportedPathError)
 from .render import render_heatmap
@@ -120,7 +121,7 @@ def _run_sweep_spec(spec, outdir: Path, threads: int) -> int:
     path = outdir / "sweep.csv"
     result.write_csv(path)
     gridio.write_lines(outdir / "template.txt",
-                       spec.template.serialize().splitlines())
+                       serialize_config(spec.template).splitlines())
     print(f"wrote {path}")
     try:
         at = result.ground_state_minimum()
@@ -150,11 +151,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    run = build_preset(args.name)
+    preset = _apply_overrides(build_preset(args.name), args)
     outdir = _out_dir(args, args.name + ".out")
-    if run.sweep is not None:
-        return _run_sweep_spec(_apply_overrides(run.sweep, args), outdir, args.threads)
-    return _run_and_report(_apply_overrides(run.scenario, args), outdir)
+    if isinstance(preset, SweepSpec):
+        return _run_sweep_spec(preset, outdir, args.threads)
+    return _run_and_report(preset, outdir)
 
 
 def _cmd_compare(args) -> int:

@@ -2,18 +2,21 @@
 
 The on-disk format is a sectioned key-value text with units spelled out in
 the key names (wavelength_nm, field_v_per_nm, ...) so unit mistakes are
-syntactically visible.  Unknown sections or keys are rejected with the key
+syntactically visible.  `_KEYS` and `_MODELS` declare it once: parsing,
+serialization and the unknown-key check all read them, and every default
+lives in its dataclass.  Unknown sections or keys are rejected with the key
 path and line number; serializing a config echoes every resolved value.
 
 The figure presets re-derive every dependent quantity (k0, v0, delta_k,
 widths, free flight times) from primitive parameters at build time; nothing
-derived is hard-coded.
+derived is hard-coded.  A preset is a plain ScenarioConfig or SweepSpec.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
+import inspect
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -100,11 +103,11 @@ class NumericSpec:
 class ScenarioConfig:
     """One fully resolved simulation run."""
 
-    engine: str
     electron: ElectronSpec
     laser: LaserParams
     model: NearFieldModel
     grid: Grid2D
+    engine: str = "analytic"
     numeric: NumericSpec | None = None
     outputs: tuple[str, ...] = DEFAULT_OUTPUTS
 
@@ -122,9 +125,6 @@ class ScenarioConfig:
                 self.model, WireModel):
             raise ConfigurationError(
                 "electron.fwhm_y_radius_scale requires a wire model")
-
-    def serialize(self) -> str:
-        return serialize_config(self)
 
 
 @dataclass(frozen=True)
@@ -144,6 +144,8 @@ class SweepSpec:
             raise ConfigurationError("a sweep needs at least two values")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ConfigurationError("sweep values must be strictly increasing")
+        # Every point runs the template on this engine; reject what it would.
+        replace(self.template, engine=self.engine)
 
 
 def _fmt(v) -> str:
@@ -152,145 +154,6 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return repr(v)
     return str(v)
-
-
-_MODEL_KEYS = {
-    "wire": ("radius_nm", "response", "center_x_nm", "center_y_nm"),
-    "gap": ("separation_nm", "smoothing_fwhm_nm", "peak_field_v_per_nm",
-            "center_x_nm", "center_y_nm"),
-    "stripe": ("coupling_rad", "y_min_nm", "y_max_nm"),
-}
-
-_SCHEMA = {
-    "scenario": ("preset", "engine", "outputs"),
-    "electron": ("energy_ev", "fwhm_x_nm", "bandwidth_ev", "fwhm_y_nm",
-                 "fwhm_y_radius_scale", "center_x_nm", "center_y_nm",
-                 "prepropagation_fs", "prepropagation_axes"),
-    "laser": ("wavelength_nm", "field_v_per_nm", "phase_rad"),
-    "model": ("type",) + tuple(sorted({k for ks in _MODEL_KEYS.values() for k in ks})),
-    "grid": ("nx", "ny", "dx_nm", "dy_nm"),
-    "numeric": ("window_fs", "dt_fs", "safety", "vector_potential",
-                "snapshot_stride"),
-    "sweep": ("preset", "axis", "values", "engine"),
-}
-
-
-def serialize_config(cfg: ScenarioConfig) -> str:
-    out = io.StringIO()
-    out.write("[scenario]\n")
-    out.write(f"engine = {cfg.engine}\n")
-    out.write(f"outputs = {','.join(cfg.outputs)}\n")
-    e = cfg.electron
-    out.write("\n[electron]\n")
-    out.write(f"energy_ev = {_fmt(e.energy_ev)}\n")
-    if e.fwhm_x_nm is not None:
-        out.write(f"fwhm_x_nm = {_fmt(e.fwhm_x_nm)}\n")
-    else:
-        out.write(f"bandwidth_ev = {_fmt(e.bandwidth_ev)}\n")
-    if e.fwhm_y_nm is not None:
-        out.write(f"fwhm_y_nm = {_fmt(e.fwhm_y_nm)}\n")
-    else:
-        out.write(f"fwhm_y_radius_scale = {_fmt(e.fwhm_y_radius_scale)}\n")
-    out.write(f"center_x_nm = {_fmt(e.center_x_nm)}\n")
-    out.write(f"center_y_nm = {_fmt(e.center_y_nm)}\n")
-    out.write(f"prepropagation_fs = {_fmt(e.prepropagation_fs)}\n")
-    out.write(f"prepropagation_axes = {e.prepropagation_axes}\n")
-    la = cfg.laser
-    out.write("\n[laser]\n")
-    out.write(f"wavelength_nm = {_fmt(la.wavelength_nm)}\n")
-    out.write(f"field_v_per_nm = {_fmt(la.field_v_per_nm)}\n")
-    out.write(f"phase_rad = {_fmt(la.phase_rad)}\n")
-    m = cfg.model
-    out.write("\n[model]\n")
-    if isinstance(m, WireModel):
-        out.write("type = wire\n")
-        out.write(f"radius_nm = {_fmt(m.radius_nm)}\n")
-        out.write(f"response = {_fmt(m.response)}\n")
-        out.write(f"center_x_nm = {_fmt(m.center[0])}\n")
-        out.write(f"center_y_nm = {_fmt(m.center[1])}\n")
-    elif isinstance(m, GapResonatorModel):
-        out.write("type = gap\n")
-        out.write(f"separation_nm = {_fmt(m.separation_nm)}\n")
-        out.write(f"smoothing_fwhm_nm = {_fmt(m.smoothing_fwhm_nm)}\n")
-        out.write(f"peak_field_v_per_nm = {_fmt(m.peak_field_v_per_nm)}\n")
-        out.write(f"center_x_nm = {_fmt(m.center[0])}\n")
-        out.write(f"center_y_nm = {_fmt(m.center[1])}\n")
-    elif isinstance(m, UniformStripeModel):
-        out.write("type = stripe\n")
-        out.write(f"coupling_rad = {_fmt(m.coupling_rad)}\n")
-        out.write(f"y_min_nm = {_fmt(m.y_min)}\n")
-        out.write(f"y_max_nm = {_fmt(m.y_max)}\n")
-    else:
-        raise ConfigurationError(f"cannot serialize model {type(m).__name__}")
-    g = cfg.grid
-    out.write("\n[grid]\n")
-    out.write(f"nx = {g.nx}\n")
-    out.write(f"ny = {g.ny}\n")
-    out.write(f"dx_nm = {_fmt(g.dx)}\n")
-    out.write(f"dy_nm = {_fmt(g.dy)}\n")
-    if cfg.numeric is not None:
-        nu = cfg.numeric
-        out.write("\n[numeric]\n")
-        out.write(f"window_fs = {_fmt(nu.window_fs)}\n")
-        if nu.dt_fs is not None:
-            out.write(f"dt_fs = {_fmt(nu.dt_fs)}\n")
-        out.write(f"safety = {_fmt(nu.safety)}\n")
-        out.write(f"vector_potential = {_fmt(nu.vector_potential)}\n")
-        out.write(f"snapshot_stride = {nu.snapshot_stride}\n")
-    return out.getvalue()
-
-
-_MISSING = object()
-
-
-class _Raw:
-    """Parsed sections with line diagnostics."""
-
-    def __init__(self, text: str):
-        parser = configparser.ConfigParser(interpolation=None,
-                                           inline_comment_prefixes=("#",))
-        parser.optionxform = str
-        try:
-            parser.read_string(text)
-        except configparser.Error as exc:
-            raise ConfigurationError(f"config syntax error: {exc}") from exc
-        self.text = text
-        self.sections = {s: dict(parser.items(s)) for s in parser.sections()}
-
-    def line_of(self, key: str) -> int | None:
-        for i, line in enumerate(self.text.splitlines(), start=1):
-            stripped = line.strip()
-            if stripped.startswith((f"{key} ", f"{key}=", f"{key}\t")):
-                return i
-        return None
-
-    def check_schema(self, allowed_sections) -> None:
-        for section, keys in self.sections.items():
-            if section not in allowed_sections:
-                raise ConfigurationError(f"unknown section [{section}]")
-            for key in keys:
-                if key not in _SCHEMA[section]:
-                    line = self.line_of(key)
-                    where = f" (line {line})" if line else ""
-                    raise ConfigurationError(
-                        f"unknown key {key!r} in section [{section}]{where}")
-
-    def get(self, section: str, key: str, conv, default=_MISSING):
-        sec = self.sections.get(section, {})
-        if key not in sec:
-            if default is _MISSING:
-                raise ConfigurationError(
-                    f"missing key {key!r} in section [{section}]")
-            return default
-        raw = sec[key]
-        try:
-            return conv(raw)
-        except (TypeError, ValueError) as exc:
-            line = self.line_of(key)
-            where = f" (line {line})" if line else ""
-            raise ConfigurationError(
-                f"invalid value for [{section}] {key} = {raw!r}{where}: {exc}"
-            ) from exc
 
 
 def _to_bool(raw: str) -> bool:
@@ -302,154 +165,247 @@ def _to_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _to_outputs(raw: str) -> tuple[str, ...]:
-    items = tuple(s.strip() for s in raw.split(",") if s.strip())
-    return items
-
-
-def _build_model(raw: _Raw) -> NearFieldModel:
-    if "model" not in raw.sections:
-        raise ConfigurationError("missing required section [model]")
-    mtype = raw.get("model", "type", str)
-    if mtype not in _MODEL_KEYS:
-        raise ConfigurationError(
-            f"model.type must be one of {tuple(_MODEL_KEYS)}, got {mtype!r}")
-    present = set(raw.sections["model"]) - {"type"}
-    allowed = set(_MODEL_KEYS[mtype])
-    stray = present - allowed
-    if stray:
-        raise ConfigurationError(
-            f"keys {sorted(stray)} do not apply to model.type = {mtype}")
-    if mtype == "wire":
-        return WireModel(
-            radius_nm=raw.get("model", "radius_nm", float),
-            response=raw.get("model", "response", float, 0.5),
-            center=(raw.get("model", "center_x_nm", float, 0.0),
-                    raw.get("model", "center_y_nm", float, 0.0)),
-        )
-    if mtype == "gap":
-        return GapResonatorModel(
-            separation_nm=raw.get("model", "separation_nm", float),
-            smoothing_fwhm_nm=raw.get("model", "smoothing_fwhm_nm", float),
-            peak_field_v_per_nm=raw.get("model", "peak_field_v_per_nm", float),
-            center=(raw.get("model", "center_x_nm", float, 0.0),
-                    raw.get("model", "center_y_nm", float, 0.0)),
-        )
-    return UniformStripeModel(
-        coupling_rad=raw.get("model", "coupling_rad", float),
-        y_min=raw.get("model", "y_min_nm", float),
-        y_max=raw.get("model", "y_max_nm", float),
-    )
-
-
-def _build_scenario(raw: _Raw, base: ScenarioConfig | None = None) -> ScenarioConfig:
-    if base is not None:
-        merged = _Raw(serialize_config(base))
-        for section, keys in raw.sections.items():
-            if section == "scenario":
-                keys = {k: v for k, v in keys.items() if k != "preset"}
-            merged.sections.setdefault(section, {}).update(keys)
-        merged.text = raw.text  # keep line diagnostics pointing at user input
-        raw = merged
-    for required in ("electron", "laser", "model", "grid"):
-        if required not in raw.sections:
-            raise ConfigurationError(f"missing required section [{required}]")
-    electron = ElectronSpec(
-        energy_ev=raw.get("electron", "energy_ev", float),
-        fwhm_x_nm=raw.get("electron", "fwhm_x_nm", float, None),
-        bandwidth_ev=raw.get("electron", "bandwidth_ev", float, None),
-        fwhm_y_nm=raw.get("electron", "fwhm_y_nm", float, None),
-        fwhm_y_radius_scale=raw.get("electron", "fwhm_y_radius_scale", float, None),
-        center_x_nm=raw.get("electron", "center_x_nm", float, 0.0),
-        center_y_nm=raw.get("electron", "center_y_nm", float, 0.0),
-        prepropagation_fs=raw.get("electron", "prepropagation_fs", float, 0.0),
-        prepropagation_axes=raw.get("electron", "prepropagation_axes", str, "xy"),
-    )
-    laser = LaserParams(
-        wavelength_nm=raw.get("laser", "wavelength_nm", float),
-        field_v_per_nm=raw.get("laser", "field_v_per_nm", float),
-        phase_rad=raw.get("laser", "phase_rad", float, 0.0),
-    )
-    model = _build_model(raw)
-    try:
-        grid = Grid2D.centered(
-            nx=raw.get("grid", "nx", int), ny=raw.get("grid", "ny", int),
-            dx=raw.get("grid", "dx_nm", float), dy=raw.get("grid", "dy_nm", float),
-        )
-    except DomainError as exc:
-        raise ConfigurationError(str(exc)) from exc
-    numeric = None
-    if "numeric" in raw.sections:
-        numeric = NumericSpec(
-            window_fs=raw.get("numeric", "window_fs", float),
-            dt_fs=raw.get("numeric", "dt_fs", float, None),
-            safety=raw.get("numeric", "safety", float, 0.5),
-            vector_potential=raw.get("numeric", "vector_potential", _to_bool, True),
-            snapshot_stride=raw.get("numeric", "snapshot_stride", int, 50),
-        )
-    return ScenarioConfig(
-        engine=raw.get("scenario", "engine", str, "analytic"),
-        electron=electron, laser=laser, model=model, grid=grid,
-        numeric=numeric,
-        outputs=raw.get("scenario", "outputs", _to_outputs, DEFAULT_OUTPUTS),
-    )
-
-
-def parse_config(text: str) -> ScenarioConfig:
-    """Parse and fully validate a scenario description."""
-    raw = _Raw(text)
-    raw.check_schema(("scenario", "electron", "laser", "model", "grid", "numeric"))
-    base = None
-    preset_name = raw.get("scenario", "preset", str, None)
-    if preset_name is not None:
-        run = build_preset(preset_name)
-        if run.sweep is not None:
-            raise ConfigurationError(
-                f"preset {preset_name!r} is a sweep; use the sweep command")
-        base = run.scenario
-    return _build_scenario(raw, base=base)
-
-
-def parse_sweep_config(text: str) -> SweepSpec:
-    """Parse a sweep description: a preset reference or a template plus axis."""
-    raw = _Raw(text)
-    raw.check_schema(("sweep", "scenario", "electron", "laser", "model",
-                      "grid", "numeric"))
-    if "sweep" not in raw.sections:
-        raise ConfigurationError("missing required section [sweep]")
-    preset_name = raw.get("sweep", "preset", str, None)
-    if preset_name is not None:
-        run = build_preset(preset_name)
-        if run.sweep is None:
-            raise ConfigurationError(
-                f"preset {preset_name!r} is a single scenario, not a sweep")
-        spec = run.sweep
-        engine = raw.get("sweep", "engine", str, spec.engine)
-        values = raw.get("sweep", "values", _to_values, spec.values)
-        return replace(spec, engine=engine, values=values)
-    axis = raw.get("sweep", "axis", str)
-    values = raw.get("sweep", "values", _to_values)
-    engine = raw.get("sweep", "engine", str, "analytic")
-    template = _build_scenario(raw)
-    return SweepSpec(template=template, axis=axis, values=values, engine=engine)
+def _to_names(raw: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in raw.split(",") if s.strip())
 
 
 def _to_values(raw: str) -> tuple[float, ...]:
     return tuple(float(s) for s in raw.split(",") if s.strip())
 
 
-@dataclass(frozen=True)
-class PresetRun:
-    """Either a single scenario or a sweep."""
+_CENTER = {"center_x_nm": ("center", 0), "center_y_nm": ("center", 1)}
 
-    name: str
-    scenario: ScenarioConfig | None = None
-    sweep: SweepSpec | None = None
+#: Model type -> (class, {key: attribute}) in file order; an attribute
+#: ("center", i) is item i of the model's center.
+_MODELS = {
+    "wire": (WireModel, {"radius_nm": "radius_nm", "response": "response",
+                         **_CENTER}),
+    "gap": (GapResonatorModel, {"separation_nm": "separation_nm",
+                                "smoothing_fwhm_nm": "smoothing_fwhm_nm",
+                                "peak_field_v_per_nm": "peak_field_v_per_nm",
+                                **_CENTER}),
+    "stripe": (UniformStripeModel, {"coupling_rad": "coupling_rad",
+                                    "y_min_nm": "y_min", "y_max_nm": "y_max"}),
+}
+
+#: [grid] keys whose Grid2D.centered parameter has another name.
+_GRID = {"dx_nm": "dx", "dy_nm": "dy"}
+
+#: The file format: each section's keys in file order, with their converters.
+#: [electron], [laser] and [numeric] keys are the fields of their dataclass.
+_KEYS = {
+    "scenario": {"preset": str, "engine": str, "outputs": _to_names},
+    "electron": {"energy_ev": float, "fwhm_x_nm": float, "bandwidth_ev": float,
+                 "fwhm_y_nm": float, "fwhm_y_radius_scale": float,
+                 "center_x_nm": float, "center_y_nm": float,
+                 "prepropagation_fs": float, "prepropagation_axes": str},
+    "laser": {"wavelength_nm": float, "field_v_per_nm": float,
+              "phase_rad": float},
+    "model": {"type": str, **{key: float for _, attrs in _MODELS.values()
+                              for key in attrs}},
+    "grid": {"nx": int, "ny": int, "dx_nm": float, "dy_nm": float},
+    "numeric": {"window_fs": float, "dt_fs": float, "safety": float,
+                "vector_potential": _to_bool, "snapshot_stride": int},
+    "sweep": {"preset": str, "axis": str, "values": _to_values, "engine": str},
+}
+
+_SCENARIO_SECTIONS = ("scenario", "electron", "laser", "model", "grid", "numeric")
 
 
-def _fig1_scenario(engine: str = "both") -> ScenarioConfig:
+def _get(obj, attr):
+    if isinstance(attr, tuple):
+        return getattr(obj, attr[0])[attr[1]]
+    return getattr(obj, attr)
+
+
+def _values(obj, keys, attrs=None) -> dict:
+    """obj's value for each key in order, None values left out."""
+    attrs = attrs or {}
+    found = {key: _get(obj, attrs.get(key, key)) for key in keys}
+    return {key: v for key, v in found.items() if v is not None}
+
+
+def _sections(cfg: ScenarioConfig) -> dict[str, dict]:
+    """The config as typed key values per section, in file order."""
+    mtype = next((t for t, (cls, _) in _MODELS.items()
+                  if isinstance(cfg.model, cls)), None)
+    if mtype is None:
+        raise ConfigurationError(
+            f"cannot serialize model {type(cfg.model).__name__}")
+    model_attrs = _MODELS[mtype][1]
+    sections = {
+        "scenario": _values(cfg, ("engine", "outputs")),
+        "electron": _values(cfg.electron, _KEYS["electron"]),
+        "laser": _values(cfg.laser, _KEYS["laser"]),
+        "model": {"type": mtype, **_values(cfg.model, model_attrs, model_attrs)},
+        "grid": _values(cfg.grid, _KEYS["grid"], _GRID),
+    }
+    if cfg.numeric is not None:
+        sections["numeric"] = _values(cfg.numeric, _KEYS["numeric"])
+    return sections
+
+
+def serialize_config(cfg: ScenarioConfig) -> str:
+    blocks = []
+    for name, values in _sections(cfg).items():
+        lines = [f"[{name}]"]
+        for key, v in values.items():
+            text = ",".join(map(_fmt, v)) if isinstance(v, tuple) else _fmt(v)
+            lines.append(f"{key} = {text}")
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks)
+
+
+def _where(text: str, section: str, key: str) -> str:
+    """' (line N)' for the first line setting key inside [section], else ''."""
+    current = None
+    for i, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        header = configparser.ConfigParser.SECTCRE.match(stripped)
+        if header:
+            current = header.group("header")
+        elif current == section and re.match(rf"{re.escape(key)}\s*[=:]", stripped):
+            return f" (line {i})"
+    return ""
+
+
+def _read(text: str, allowed_sections) -> dict[str, dict]:
+    """Sections of a config text with every value converted by `_KEYS`."""
+    parser = configparser.ConfigParser(interpolation=None,
+                                       inline_comment_prefixes=("#",))
+    parser.optionxform = str
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigurationError(f"config syntax error: {exc}") from exc
+    sections = {}
+    for section in parser.sections():
+        if section not in allowed_sections:
+            raise ConfigurationError(f"unknown section [{section}]")
+        keys = sections[section] = {}
+        for key, raw in parser.items(section):
+            if key not in _KEYS[section]:
+                raise ConfigurationError(f"unknown key {key!r} in section "
+                                         f"[{section}]{_where(text, section, key)}")
+            try:
+                keys[key] = _KEYS[section][key](raw)
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(
+                    f"invalid value for [{section}] {key} = {raw!r}"
+                    f"{_where(text, section, key)}: {exc}") from exc
+    return sections
+
+
+def _missing(section: str, key: str) -> ConfigurationError:
+    return ConfigurationError(f"missing key {key!r} in section [{section}]")
+
+
+def _construct(factory, section: str, values: dict, attrs=None):
+    """Call factory with the keys present; absent keys take its defaults.
+
+    attrs maps a key to its parameter name, or to (name, i) for item i of a
+    tuple parameter; other keys are parameter names themselves.
+    """
+    attrs = attrs or {}
+    params = inspect.signature(factory).parameters
+    kwargs = {}
+    for key, value in values.items():
+        attr = attrs.get(key, key)
+        if isinstance(attr, tuple):
+            attr, i = attr
+            items = list(kwargs.get(attr, params[attr].default))
+            items[i] = value
+            value = tuple(items)
+        kwargs[attr] = value
+    for name, param in params.items():
+        if param.default is param.empty and name not in kwargs:
+            raise _missing(section, next(
+                (k for k, a in attrs.items() if a == name), name))
+    return factory(**kwargs)
+
+
+def _build_model(values: dict) -> NearFieldModel:
+    if "type" not in values:
+        raise _missing("model", "type")
+    mtype = values["type"]
+    if mtype not in _MODELS:
+        raise ConfigurationError(
+            f"model.type must be one of {tuple(_MODELS)}, got {mtype!r}")
+    cls, attrs = _MODELS[mtype]
+    given = {k: v for k, v in values.items() if k != "type"}
+    stray = set(given) - set(attrs)
+    if stray:
+        raise ConfigurationError(
+            f"keys {sorted(stray)} do not apply to model.type = {mtype}")
+    return _construct(cls, "model", given, attrs)
+
+
+def _build_scenario(sections: dict, base: ScenarioConfig | None = None) -> ScenarioConfig:
+    """Build a scenario from parsed sections, laid over a [scenario] preset or base."""
+    scenario = dict(sections.get("scenario", {}))
+    name = scenario.pop("preset", None)
+    if name is not None:
+        if base is not None:
+            raise ConfigurationError(
+                "[scenario] preset cannot be combined with a sweep preset")
+        base = build_preset(name)
+        if isinstance(base, SweepSpec):
+            raise ConfigurationError(
+                f"preset {name!r} is a sweep; use the sweep command")
+    sections = {**sections, "scenario": scenario}
+    if base is not None:
+        merged = _sections(base)
+        for section, values in sections.items():
+            merged[section] = {**merged.get(section, {}), **values}
+        sections = merged
+    for required in ("electron", "laser", "model", "grid"):
+        if required not in sections:
+            raise ConfigurationError(f"missing required section [{required}]")
+    electron = _construct(ElectronSpec, "electron", sections["electron"])
+    laser = _construct(LaserParams, "laser", sections["laser"])
+    model = _build_model(sections["model"])
+    try:
+        grid = _construct(Grid2D.centered, "grid", sections["grid"], _GRID)
+    except DomainError as exc:
+        raise ConfigurationError(str(exc)) from exc
+    numeric = sections.get("numeric")
+    if numeric is not None:
+        numeric = _construct(NumericSpec, "numeric", numeric)
+    return ScenarioConfig(electron=electron, laser=laser, model=model,
+                          grid=grid, numeric=numeric, **sections["scenario"])
+
+
+def parse_config(text: str) -> ScenarioConfig:
+    """Parse and fully validate a scenario description."""
+    return _build_scenario(_read(text, _SCENARIO_SECTIONS))
+
+
+def parse_sweep_config(text: str) -> SweepSpec:
+    """Parse a sweep description: a template plus axis, or a sweep preset with
+    section overlays laid over its template."""
+    sections = _read(text, ("sweep",) + _SCENARIO_SECTIONS)
+    if "sweep" not in sections:
+        raise ConfigurationError("missing required section [sweep]")
+    sweep = dict(sections["sweep"])
+    name = sweep.pop("preset", None)
+    if name is None:
+        return _construct(SweepSpec, "sweep",
+                          {**sweep, "template": _build_scenario(sections)})
+    spec = build_preset(name)
+    if not isinstance(spec, SweepSpec):
+        raise ConfigurationError(
+            f"preset {name!r} is a single scenario, not a sweep")
+    if "axis" in sweep:
+        raise ConfigurationError(
+            f"sweep preset {name!r} fixes the axis to {spec.axis}; "
+            f"remove [sweep] axis")
+    return replace(spec, template=_build_scenario(sections, base=spec.template),
+                   **sweep)
+
+
+def _fig1_scenario() -> ScenarioConfig:
     return ScenarioConfig(
-        engine=engine,
+        engine="both",
         electron=ElectronSpec(energy_ev=100.0, fwhm_x_nm=60.0, fwhm_y_nm=20.0),
         laser=LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2),
         model=WireModel(radius_nm=10.0, response=0.5),
@@ -526,20 +482,19 @@ def _fig4_scenario(chirped: bool) -> ScenarioConfig:
     )
 
 
-PRESET_NAMES = ("fig1", "fig2", "fig3", "fig4-limited", "fig4-chirped")
+_PRESETS = {
+    "fig1": _fig1_scenario,
+    "fig2": _fig2_sweep,
+    "fig3": _fig3_sweep,
+    "fig4-limited": lambda: _fig4_scenario(chirped=False),
+    "fig4-chirped": lambda: _fig4_scenario(chirped=True),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
-def build_preset(name: str) -> PresetRun:
+def build_preset(name: str) -> ScenarioConfig | SweepSpec:
     """Materialize a preset by name; raises ConfigurationError if unknown."""
-    if name == "fig1":
-        return PresetRun(name=name, scenario=_fig1_scenario())
-    if name == "fig2":
-        return PresetRun(name=name, sweep=_fig2_sweep())
-    if name == "fig3":
-        return PresetRun(name=name, sweep=_fig3_sweep())
-    if name == "fig4-limited":
-        return PresetRun(name=name, scenario=_fig4_scenario(chirped=False))
-    if name == "fig4-chirped":
-        return PresetRun(name=name, scenario=_fig4_scenario(chirped=True))
-    raise ConfigurationError(
-        f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    if name not in _PRESETS:
+        raise ConfigurationError(
+            f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    return _PRESETS[name]()

@@ -42,9 +42,6 @@ class LaserParams:
         """Angular frequency in rad/fs."""
         return 2.0 * math.pi * C0 / self.wavelength_nm
 
-    def photon_energy_ev(self) -> float:
-        return HBAR * self.omega
-
 
 def retardation_phase(eps: complex) -> float:
     """Phase lag of the induced near field relative to the incident laser.
@@ -258,16 +255,6 @@ class UniformStripeModel:
 
 
 NearFieldModel = WireModel | GapResonatorModel | UniformStripeModel
-
-
-def wire_potential(model: WireModel, field_v_per_nm: float, x, y):
-    """Quasi-static wire potential at (x, y) in volts."""
-    return model.potential(x, y, field_v_per_nm)
-
-
-def gap_resonator_potential(model: GapResonatorModel, x, y):
-    """Calibrated gap-resonator potential at (x, y) in volts."""
-    return model.potential(x, y)
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,6 @@ class EvolutionTrace:
     kx_mean: np.ndarray
     ky_mean: np.ndarray
     energy_ev: np.ndarray
-    stride: int
 
     def write_csv(self, path) -> None:
         lines = ["t_fs,norm,x_mean_nm,kx_mean_per_nm,ky_mean_per_nm,energy_mean_ev"]
@@ -200,7 +199,7 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
         if not math.isfinite(norm):
             raise NumericalError(
                 f"non-finite amplitudes at t={t:g} fs",
-                partial=_trace_from(snaps, params.snapshot_stride),
+                partial=_trace_from(snaps),
             )
         border = (float(rho[:, :n_border_x].sum()) + float(rho[:, -n_border_x:].sum())
                   + float(rho[:n_border_y, n_border_x:-n_border_x].sum())
@@ -209,7 +208,7 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
             raise NumericalError(
                 f"wavepacket reached the outer 10% grid border at t={t:g} fs "
                 f"(border mass fraction {border / mass:.3g})",
-                partial=_trace_from(snaps, params.snapshot_stride),
+                partial=_trace_from(snaps),
             )
         rho_k = spec_raw.real**2 + spec_raw.imag**2
         mass_k, (kx_mean, ky_mean), _ = density_moments(rho_k, kx1, ky1)
@@ -255,12 +254,12 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
     psi = _fft.ifft2(spec, overwrite_x=True)
     final = Wavepacket(grid=grid, amplitudes=psi, t=t_end, k0=psi0.k0)
     record(t_end, psi, _fft.fft2(psi))
-    return final, _trace_from(snaps, params.snapshot_stride)
+    return final, _trace_from(snaps)
 
 
-def _trace_from(snaps, stride) -> EvolutionTrace:
+def _trace_from(snaps) -> EvolutionTrace:
     arr = np.array(snaps, dtype=float).reshape(-1, 6)
     return EvolutionTrace(
         t=arr[:, 0], norm=arr[:, 1], x_mean=arr[:, 2], kx_mean=arr[:, 3],
-        ky_mean=arr[:, 4], energy_ev=arr[:, 5], stride=stride,
+        ky_mean=arr[:, 4], energy_ev=arr[:, 5],
     )

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -17,7 +16,7 @@ from .analysis import (Crosscut, DensityMap, SidebandTable, crosscut,
                        sideband_populations, transverse_splitting)
 from .analytic import (apply_interaction, build_phase_mask, transverse_envelope,
                        vacuum_propagate)
-from .config import ScenarioConfig
+from .config import ScenarioConfig, serialize_config
 from .core import (Wavepacket, bandwidth_to_fwhm_x, check_coverage,
                    gaussian_wavepacket)
 from .errors import AnalysisError, ConfigurationError, NediffError
@@ -27,6 +26,9 @@ from .nearfield import (CouplingProfile, GapResonatorModel, UniformStripeModel,
 from .numeric import EvolutionTrace, choose_steps, split_step_evolve
 from .render import render_heatmap
 from .units import electron_kinematics
+
+#: Sweep results report the populations of photon orders -6..6.
+ORDER_RANGE = 6
 
 
 @dataclass(frozen=True)
@@ -162,7 +164,7 @@ def write_artifacts(result: ScenarioResult, outdir) -> list[str]:
         written.append(name)
         return outdir / name
 
-    gridio.write_lines(emit("config.txt"), cfg.serialize().splitlines())
+    gridio.write_lines(emit("config.txt"), serialize_config(cfg).splitlines())
     if "profile" in wanted:
         export_profile_csv(result.profile, emit("profile.csv"))
     if "grids" in wanted:
@@ -234,20 +236,18 @@ class SweepResult:
 
     axis: str
     points: list[SweepPoint]
-    config_hash: str
-    order_range: int = 6
 
     def parameters(self) -> np.ndarray:
         return np.array([p.parameter for p in self.points])
 
     def population_matrix(self) -> np.ndarray:
-        """Populations P_n for n in [-order_range, order_range], one row per point."""
-        m = np.zeros((len(self.points), 2 * self.order_range + 1))
+        """Populations P_n for n in [-ORDER_RANGE, ORDER_RANGE], one row per point."""
+        m = np.zeros((len(self.points), 2 * ORDER_RANGE + 1))
         for i, p in enumerate(self.points):
             if p.populations is None:
                 m[i] = np.nan
                 continue
-            for j, n in enumerate(range(-self.order_range, self.order_range + 1)):
+            for j, n in enumerate(range(-ORDER_RANGE, ORDER_RANGE + 1)):
                 sel = np.nonzero(p.populations.orders == n)[0]
                 m[i, j] = p.populations.populations[sel[0]] if len(sel) else 0.0
         return m
@@ -267,7 +267,7 @@ class SweepResult:
         return float(params[ok][int(np.argmin(dep[ok]))])
 
     def write_csv(self, path) -> None:
-        ns = range(-self.order_range, self.order_range + 1)
+        ns = range(-ORDER_RANGE, ORDER_RANGE + 1)
         header = [self.axis] + [f"P_{n}" for n in ns] + [
             "depletion", "alpha_max_deg", "delta_kx_per_nm", "delta_ky_per_nm",
             "depletion_min_flag", "error"]
@@ -342,8 +342,7 @@ def run_sweep_point(template: ScenarioConfig, axis: str, value: float,
 
 
 def run_sweep(template, axis: str, values, engine: str = "analytic",
-              threads: int = 1, order_range: int = 6,
-              dump_grids_to=None) -> SweepResult:
+              threads: int = 1, dump_grids_to=None) -> SweepResult:
     """Run one scenario per parameter value and collect scan metrics.
 
     Points run concurrently (the FFT work releases the GIL) and are assembled
@@ -354,8 +353,6 @@ def run_sweep(template, axis: str, values, engine: str = "analytic",
     values = [float(v) for v in values]
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigurationError("sweep values must be strictly increasing")
-    cfg_hash = hashlib.sha256(
-        (template.serialize() + f"|{axis}").encode()).hexdigest()[:16]
 
     def one(value: float) -> SweepPoint:
         try:
@@ -372,8 +369,7 @@ def run_sweep(template, axis: str, values, engine: str = "analytic",
             points = list(pool.map(one, values))
     else:
         points = [one(v) for v in values]
-    return SweepResult(axis=axis, points=points, config_hash=cfg_hash,
-                       order_range=order_range)
+    return SweepResult(axis=axis, points=points)
 
 
 def resolve_output_root(out) -> Path:

@@ -36,7 +36,7 @@ pytestmark = pytest.mark.acceptance
 @pytest.fixture(scope="module")
 def fig1():
     """Full fig-1 preset with both engines; the expensive ground-truth run."""
-    cfg = build_preset("fig1").scenario
+    cfg = build_preset("fig1")
     t0 = time.perf_counter()
     result = run_scenario(cfg)
     elapsed = time.perf_counter() - t0
@@ -45,7 +45,7 @@ def fig1():
 
 @pytest.fixture(scope="module")
 def fig2_sweep():
-    spec = build_preset("fig2").sweep
+    spec = build_preset("fig2")
     t0 = time.perf_counter()
     result = run_sweep(spec.template, spec.axis, spec.values, engine=spec.engine)
     return spec, result, time.perf_counter() - t0
@@ -53,7 +53,7 @@ def fig2_sweep():
 
 @pytest.fixture(scope="module")
 def fig3_sweep():
-    spec = build_preset("fig3").sweep
+    spec = build_preset("fig3")
     result = run_sweep(spec.template, spec.axis, spec.values, engine=spec.engine)
     return spec, result
 
@@ -308,7 +308,7 @@ def test_criterion_09_radius_sweep(fig3_sweep):
 
 @pytest.mark.slow
 def test_criterion_10_gap_resonator_scenarios():
-    limited_cfg = build_preset("fig4-limited").scenario
+    limited_cfg = build_preset("fig4-limited")
     psi_limited = build_initial_state(limited_cfg)
     from nediff.analysis import energy_bandwidth_fwhm
     bw_limited = energy_bandwidth_fwhm(psi_limited)
@@ -316,7 +316,7 @@ def test_criterion_10_gap_resonator_scenarios():
     spread_ok = 0.04 <= spread_limited <= 0.06
     t_limited = temporal_spread(psi_limited)
 
-    chirped_cfg = build_preset("fig4-chirped").scenario
+    chirped_cfg = build_preset("fig4-chirped")
     flight = chirped_cfg.electron.prepropagation_fs
     flight_ok = 1600.0 <= flight <= 2400.0
     psi_chirped = build_initial_state(chirped_cfg)

@@ -252,3 +252,24 @@ def test_sweep_with_no_successful_point_exits_two(tmp_path, capsys):
     assert main(["sweep", str(cfg), "--out", str(out), "--threads", "2"]) == 2
     assert len((out / "sweep.csv").read_text().splitlines()) == 3
     assert "no sweep point succeeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "[sweep]\npreset = fig3\nengine = magic\n",
+    "[sweep]\npreset = fig3\nengine = numeric\n",
+    SMALL_RUN + "\n[sweep]\naxis = radius_nm\nvalues = 6,10\nengine = numeric\n",
+], ids=["preset-magic", "preset-numeric", "template-numeric"])
+def test_sweep_with_bad_engine_exits_one(tmp_path, capsys, text):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "sw"
+    assert main(["sweep", str(cfg), "--out", str(out), "--threads", "1"]) == 1
+    assert "engine" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_preset_engine_override_validated(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["preset", "fig2", "--out", str(out), "--engine", "numeric"]) == 1
+    assert "numeric" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,9 +1,12 @@
 """Config parsing, serialization round-trips, presets."""
 
+import dataclasses
+import inspect
 import math
 
 import pytest
 
+from nediff import config
 from nediff.config import (PRESET_NAMES, ElectronSpec, NumericSpec,
                            ScenarioConfig, SweepSpec, build_preset, parse_config,
                            parse_sweep_config, serialize_config)
@@ -48,7 +51,7 @@ def test_parse_minimal():
 
 def test_round_trip_exact():
     cfg = parse_config(MINIMAL)
-    assert parse_config(cfg.serialize()) == cfg
+    assert parse_config(serialize_config(cfg)) == cfg
 
 
 def test_round_trip_gap_and_stripe():
@@ -161,14 +164,13 @@ def test_sweep_validation():
 
 def test_all_presets_build():
     for name in PRESET_NAMES:
-        run = build_preset(name)
-        assert (run.scenario is None) != (run.sweep is None)
+        assert isinstance(build_preset(name), (ScenarioConfig, SweepSpec))
     with pytest.raises(ConfigurationError):
         build_preset("fig9")
 
 
 def test_fig3_preset_ties_width_to_radius():
-    spec = build_preset("fig3").sweep
+    spec = build_preset("fig3")
     assert spec.template.electron.fwhm_y_radius_scale == 2.0
     assert spec.template.electron.fwhm_y_nm is None
     assert spec.axis == "radius_nm"
@@ -176,13 +178,13 @@ def test_fig3_preset_ties_width_to_radius():
 
 def test_fig4_presets_rederive_quantities():
     _, v0 = electron_kinematics(100.0)
-    limited = build_preset("fig4-limited").scenario
+    limited = build_preset("fig4-limited")
     assert limited.electron.fwhm_x_nm == pytest.approx(v0 * 20.0, rel=1e-12)
     assert limited.model.separation_nm == 23.0
     assert limited.model.smoothing_fwhm_nm == 13.0
     assert limited.model.peak_field_v_per_nm == 0.5
     assert limited.electron.fwhm_y_nm == 5.0
-    chirped = build_preset("fig4-chirped").scenario
+    chirped = build_preset("fig4-chirped")
     assert chirped.electron.bandwidth_ev == 2.0
     assert chirped.electron.prepropagation_fs == pytest.approx(
         chirp_flight_time(2.0, 100.0, 20.0), rel=1e-12)
@@ -230,3 +232,110 @@ def test_numeric_spec_validation():
         NumericSpec(window_fs=10.0, safety=1.5)
     with pytest.raises(ConfigurationError):
         NumericSpec(window_fs=10.0, snapshot_stride=0)
+
+
+def test_schema_keys_are_the_dataclass_fields():
+    # [electron], [laser] and [numeric] keys are the init fields, both ways.
+    for section, cls in (("electron", ElectronSpec), ("laser", LaserParams),
+                         ("numeric", NumericSpec)):
+        fields = [f.name for f in dataclasses.fields(cls) if f.init]
+        assert list(config._KEYS[section]) == fields, section
+    grid_params = inspect.signature(Grid2D.centered).parameters
+    assert [config._GRID.get(k, k) for k in config._KEYS["grid"]] == list(grid_params)
+    # Every model init field has a key, except the calibration products.
+    for mtype, (cls, attrs) in config._MODELS.items():
+        named = {a[0] if isinstance(a, tuple) else a for a in attrs.values()}
+        fields = {f.name for f in dataclasses.fields(cls) if f.init}
+        assert named == fields - {"moment", "peak_potential_v"}, mtype
+        assert set(attrs) <= set(config._KEYS["model"])
+
+
+def test_absent_keys_take_the_dataclass_defaults():
+    assert parse_config(MINIMAL) == ScenarioConfig(
+        electron=ElectronSpec(energy_ev=100.0, fwhm_x_nm=60.0, fwhm_y_nm=20.0),
+        laser=LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2),
+        model=WireModel(radius_nm=10.0),
+        grid=Grid2D.centered(512, 256, 0.5, 0.5),
+    )
+
+
+def test_partial_model_center_keeps_the_other_coordinate_default():
+    cfg = parse_config(MINIMAL.replace("radius_nm = 10.0",
+                                       "radius_nm = 10.0\ncenter_y_nm = 3.0"))
+    assert cfg.model.center == (0.0, 3.0)
+
+
+def test_missing_required_key_names_it():
+    with pytest.raises(ConfigurationError,
+                       match=r"missing key 'radius_nm' in section \[model\]"):
+        parse_config(MINIMAL.replace("radius_nm = 10.0\n", ""))
+    with pytest.raises(ConfigurationError,
+                       match=r"missing key 'dy_nm' in section \[grid\]"):
+        parse_config(MINIMAL.replace("dy_nm = 0.5\n", ""))
+
+
+def _line_number(text, needle):
+    return text.splitlines().index(needle) + 1
+
+
+def test_invalid_value_line_is_inside_its_section():
+    text = MINIMAL.replace("fwhm_y_nm = 20.0", "fwhm_y_nm = 20.0\ncenter_x_nm = 1.0")
+    text = text.replace("radius_nm = 10.0", "radius_nm = 10.0\ncenter_x_nm = abc")
+    line = _line_number(text, "center_x_nm = abc")
+    with pytest.raises(ConfigurationError, match=rf"\[model\] center_x_nm .*\(line {line}\)"):
+        parse_config(text)
+
+
+def test_unknown_key_line_is_inside_its_section():
+    text = MINIMAL + "\n[numeric]\nwindow_fs = 10.0\nradius_nm = 3.0\n"
+    line = _line_number(text, "radius_nm = 3.0")
+    with pytest.raises(ConfigurationError,
+                       match=rf"'radius_nm' in section \[numeric\] \(line {line}\)"):
+        parse_config(text)
+
+
+def test_sweep_preset_applies_section_overlays():
+    spec = parse_sweep_config("[sweep]\npreset = fig2\nengine = analytic\n"
+                              "\n[laser]\nfield_v_per_nm = 0.01\n"
+                              "\n[grid]\nnx = 64\n")
+    assert spec.template.laser.field_v_per_nm == 0.01
+    assert spec.template.grid.nx == 64
+    preset = build_preset("fig2")
+    assert spec.axis == "energy_ev"
+    assert spec.values == preset.values
+    assert spec.template.grid.ny == preset.template.grid.ny
+
+
+def test_sweep_preset_without_overlays_keeps_its_template():
+    assert parse_sweep_config("[sweep]\npreset = fig3\n") == build_preset("fig3")
+
+
+def test_sweep_preset_rejects_axis():
+    with pytest.raises(ConfigurationError, match="axis"):
+        parse_sweep_config("[sweep]\npreset = fig2\naxis = radius_nm\n")
+
+
+@pytest.mark.parametrize("engine", ["magic", "numeric", "both"])
+def test_sweep_engine_is_validated_against_the_template(engine):
+    with pytest.raises(ConfigurationError, match="engine"):
+        parse_sweep_config(f"[sweep]\npreset = fig3\nengine = {engine}\n")
+    with pytest.raises(ConfigurationError, match="engine"):
+        parse_sweep_config(MINIMAL + f"\n[sweep]\naxis = radius_nm\n"
+                           f"values = 5,10\nengine = {engine}\n")
+
+
+def test_sweep_preset_numeric_engine_with_numeric_overlay():
+    spec = parse_sweep_config("[sweep]\npreset = fig3\nengine = numeric\n"
+                              "\n[numeric]\nwindow_fs = 10.0\n")
+    assert spec.engine == "numeric"
+    assert spec.template.numeric == NumericSpec(window_fs=10.0)
+
+
+def test_sweep_template_from_scenario_preset():
+    spec = parse_sweep_config("[scenario]\npreset = fig1\nengine = analytic\n"
+                              "\n[sweep]\naxis = radius_nm\nvalues = 5,10\n")
+    assert spec.template == dataclasses.replace(build_preset("fig1"),
+                                                engine="analytic")
+    with pytest.raises(ConfigurationError, match="preset"):
+        parse_sweep_config("[scenario]\npreset = fig1\n"
+                           "\n[sweep]\npreset = fig2\n")

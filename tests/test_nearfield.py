@@ -12,8 +12,7 @@ from nediff.nearfield import (CouplingProfile, GapResonatorModel, LaserParams,
                               UniformStripeModel, WireModel,
                               calibrate_gap_amplitude, coupling_integrals,
                               coupling_profile, export_profile_csv,
-                              gap_resonator_potential, profile_transform,
-                              retardation_phase, wire_potential)
+                              profile_transform, retardation_phase)
 from nediff.units import C0, HBAR, electron_kinematics
 
 FIG1_LASER = LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2)
@@ -45,24 +44,24 @@ def test_laser_validation():
 class TestWirePotential:
     def test_vanishes_on_axis(self):
         xs = np.linspace(-50.0, 50.0, 101)
-        assert np.all(wire_potential(FIG1_WIRE, 0.2, xs, 0.0) == 0.0)
+        assert np.all(FIG1_WIRE.potential(xs, 0.0, 0.2) == 0.0)
 
     def test_even_in_x(self):
-        pot_p = wire_potential(FIG1_WIRE, 0.2, 7.3, 4.0)
-        pot_m = wire_potential(FIG1_WIRE, 0.2, -7.3, 4.0)
+        pot_p = FIG1_WIRE.potential(7.3, 4.0, 0.2)
+        pot_m = FIG1_WIRE.potential(-7.3, 4.0, 0.2)
         assert pot_p == pytest.approx(pot_m, rel=1e-15)
 
     def test_odd_in_y(self):
-        assert wire_potential(FIG1_WIRE, 0.2, 3.0, 6.0) == pytest.approx(
-            -wire_potential(FIG1_WIRE, 0.2, 3.0, -6.0), rel=1e-15)
+        assert FIG1_WIRE.potential(3.0, 6.0, 0.2) == pytest.approx(
+            -FIG1_WIRE.potential(3.0, -6.0, 0.2), rel=1e-15)
 
     def test_continuous_at_surface(self):
         r = FIG1_WIRE.radius_nm
         for ang in (0.3, 1.1, 2.0):
             x_in, y_in = 0.999 * r * math.cos(ang), 0.999 * r * math.sin(ang)
             x_out, y_out = 1.001 * r * math.cos(ang), 1.001 * r * math.sin(ang)
-            vin = wire_potential(FIG1_WIRE, 0.2, x_in, y_in)
-            vout = wire_potential(FIG1_WIRE, 0.2, x_out, y_out)
+            vin = FIG1_WIRE.potential(x_in, y_in, 0.2)
+            vout = FIG1_WIRE.potential(x_out, y_out, 0.2)
             assert vin == pytest.approx(vout, rel=5e-3)
 
     def test_surface_pole_field_enhancement(self):
@@ -70,8 +69,8 @@ class TestWirePotential:
         # enhancement with the incident field is 1 + response = 1.5.
         e_l, h = 0.2, 1e-5
         y = FIG1_WIRE.radius_nm * (1.0 + 1e-4)
-        grad = (wire_potential(FIG1_WIRE, e_l, 0.0, y + h)
-                - wire_potential(FIG1_WIRE, e_l, 0.0, y - h)) / (2.0 * h)
+        grad = (FIG1_WIRE.potential(0.0, y + h, e_l)
+                - FIG1_WIRE.potential(0.0, y - h, e_l)) / (2.0 * h)
         induced = -grad
         assert induced == pytest.approx(e_l * FIG1_WIRE.response, rel=1e-3)
         assert (e_l + induced) / e_l == pytest.approx(1.5, rel=1e-3)
@@ -104,7 +103,7 @@ class TestGapResonator:
 
     def test_requires_calibration(self):
         with pytest.raises(StateError):
-            gap_resonator_potential(self.make(), 1.0, 2.0)
+            self.make().potential(1.0, 2.0)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -117,16 +116,16 @@ class TestGapResonator:
     def test_odd_in_y_even_in_x(self):
         gap = calibrate_gap_amplitude(self.make())
         xs = np.linspace(-30, 30, 7)
-        assert np.allclose(gap_resonator_potential(gap, xs, 0.0), 0.0, atol=1e-15)
-        v = gap_resonator_potential(gap, 5.0, 8.0)
-        assert v == pytest.approx(-gap_resonator_potential(gap, 5.0, -8.0), rel=1e-14)
-        assert v == pytest.approx(gap_resonator_potential(gap, -5.0, 8.0), rel=1e-14)
+        assert np.allclose(gap.potential(xs, 0.0), 0.0, atol=1e-15)
+        v = gap.potential(5.0, 8.0)
+        assert v == pytest.approx(-gap.potential(5.0, -8.0), rel=1e-14)
+        assert v == pytest.approx(gap.potential(-5.0, 8.0), rel=1e-14)
 
     def test_calibrated_peak_field(self):
         gap = calibrate_gap_amplitude(self.make())
         half_open = 0.5 * (gap.separation_nm - gap.smoothing_fwhm_nm)
         ys = np.linspace(-half_open, half_open, 4001)
-        pot = np.asarray(gap_resonator_potential(gap, 0.0, ys))
+        pot = np.asarray(gap.potential(0.0, ys))
         ey = -np.gradient(pot, ys)
         assert float(np.max(np.abs(ey))) == pytest.approx(0.5, abs=1e-6)
 
@@ -137,8 +136,8 @@ class TestGapResonator:
                               peak_field_v_per_nm=1.0))
         pts = [(3.0, 7.0), (0.0, 4.0), (10.0, -9.0)]
         for x, y in pts:
-            assert gap_resonator_potential(gap2, x, y) == pytest.approx(
-                2.0 * gap_resonator_potential(gap1, x, y), rel=1e-12)
+            assert gap2.potential(x, y) == pytest.approx(
+                2.0 * gap1.potential(x, y), rel=1e-12)
 
     def test_implied_incident_field_below_limit(self):
         gap = self.make()
@@ -148,7 +147,7 @@ class TestGapResonator:
     def test_far_field_monotone_decay(self):
         gap = calibrate_gap_amplitude(self.make())
         ys = np.linspace(3 * gap.separation_nm, 10 * gap.separation_nm, 200)
-        vals = np.abs(np.asarray(gap_resonator_potential(gap, 0.0, ys)))
+        vals = np.abs(np.asarray(gap.potential(0.0, ys)))
         assert np.all(np.diff(vals) < 0.0)
 
     def test_smoothed_dipole_against_convolution_oracle(self):
@@ -174,7 +173,7 @@ class TestGapResonator:
             return gap.moment * total
 
         for x, y in ((3.0, 6.0), (0.0, 14.0), (7.0, -3.0)):
-            assert gap_resonator_potential(gap, x, y) == pytest.approx(
+            assert gap.potential(x, y) == pytest.approx(
                 oracle(x, y), rel=1e-6, abs=1e-9)
 
 

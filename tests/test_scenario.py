@@ -33,7 +33,7 @@ def test_zero_field_run_keeps_initial_spectrum():
 
 
 def test_chirped_preset_prepropagates():
-    cfg = build_preset("fig4-chirped").scenario
+    cfg = build_preset("fig4-chirped")
     psi = build_initial_state(cfg)
     assert psi.t == pytest.approx(cfg.electron.prepropagation_fs)
 
