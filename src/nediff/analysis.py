@@ -13,6 +13,11 @@ from .gridio import write_lines
 from .nearfield import CouplingProfile, profile_transform
 from .units import ELECTRON_MASS, HBAR
 
+#: A sideband bin must span at least this many k_x cells.
+SIDEBAND_MIN_CELLS = 6
+#: max_deflection counts k_y rows down to this fraction of the peak marginal.
+DEFLECTION_LEVEL = 0.01
+
 
 @dataclass(frozen=True)
 class DensityMap:
@@ -89,16 +94,15 @@ class SidebandTable:
         write_lines(path, lines)
 
 
-def sideband_populations(dmap: DensityMap, k0: float, delta_k: float,
-                         min_cells: int = 6) -> SidebandTable:
+def sideband_populations(dmap: DensityMap, k0: float, delta_k: float) -> SidebandTable:
     """Integrate k_x bins of width delta_k centered on k0 + n delta_k.
 
     Only complete bins inside the grid are reported, so the populations sum
     to at most the total mass.
     """
-    if delta_k < min_cells * dmap.dkx:
+    if delta_k < SIDEBAND_MIN_CELLS * dmap.dkx:
         raise ConfigurationError(
-            f"sideband spacing {delta_k:g} spans fewer than {min_cells} grid "
+            f"sideband spacing {delta_k:g} spans fewer than {SIDEBAND_MIN_CELLS} grid "
             f"cells (dkx = {dmap.dkx:g}); refine the momentum grid"
         )
     offs = dmap.kx - k0
@@ -147,9 +151,9 @@ def find_peaks(coords: np.ndarray, values: np.ndarray,
     return np.array(positions), np.array(heights)
 
 
-def peak_spacing(cut: Crosscut, threshold: float = 0.01) -> float:
-    """Median spacing of adjacent local maxima above the threshold."""
-    positions, _ = find_peaks(cut.coords, cut.density, threshold)
+def peak_spacing(cut: Crosscut) -> float:
+    """Median spacing of adjacent local maxima above 1% of the maximum."""
+    positions, _ = find_peaks(cut.coords, cut.density)
     if len(positions) < 2:
         raise AnalysisError(
             f"need at least two peaks to measure a spacing, found {len(positions)}")
@@ -171,10 +175,10 @@ def deflection_angle(ky, k0: float):
     return np.degrees(np.arctan(np.asarray(ky, dtype=float) / k0))
 
 
-def max_deflection(dmap: DensityMap, threshold: float = 0.01) -> float:
-    """Largest |deflection| carrying at least threshold*max marginal density."""
+def max_deflection(dmap: DensityMap) -> float:
+    """Largest |deflection| carrying at least DEFLECTION_LEVEL*max marginal density."""
     marg = dmap.values.sum(axis=1)
-    level = threshold * float(marg.max())
+    level = DEFLECTION_LEVEL * float(marg.max())
     sel = np.nonzero(marg >= level)[0]
     ky_max = max(abs(dmap.ky[sel[0]]), abs(dmap.ky[sel[-1]]))
     return float(deflection_angle(ky_max, dmap.k0))

@@ -16,8 +16,9 @@ from pathlib import Path
 import numpy as np
 import scipy.special
 
-from .core import (Grid2D, MomentumSpectrum, Wavepacket, density_moments,
-                   from_momentum, to_momentum, unitary_transform_1d)
+from .core import (COVERAGE_SIGMAS, Grid2D, MomentumSpectrum, Wavepacket,
+                   density_moments, from_momentum, to_momentum,
+                   unitary_transform_1d)
 from .errors import ConfigurationError, DomainError, UnsupportedPathError
 from .gridio import write_lines
 from .nearfield import CouplingProfile
@@ -79,7 +80,6 @@ class OrderDecomposition:
     ky: np.ndarray
     spectra: np.ndarray
     delta_k: float
-    series_depth: int | None = None
 
     def populations(self) -> np.ndarray:
         dy = float(self.y[1] - self.y[0])
@@ -208,7 +208,7 @@ def export_order_decomposition(dec: OrderDecomposition, outdir) -> list[str]:
     manifest = [
         f"orders = {','.join(str(int(n)) for n in dec.orders)}",
         f"delta_k_per_nm = {float(dec.delta_k)!r}",
-        f"series_depth = {dec.series_depth if dec.series_depth is not None else 'exact'}",
+        "series_depth = exact",
         "populations = " + ",".join(repr(float(p)) for p in pops),
     ]
     write_lines(outdir / "manifest.txt", manifest)
@@ -244,7 +244,7 @@ def vacuum_propagate(psi: Wavepacket, tau: float, axes: str = "xy") -> Wavepacke
 
 
 def _check_dispersal_fits(psi: Wavepacket, spec: MomentumSpectrum, tau: float,
-                          n_sigma: float = 4.0, axes: str = "xy") -> None:
+                          axes: str = "xy") -> None:
     # Projected width per axis: sigma(tau) = hypot(sigma_x, hbar sigma_k tau / m).
     g = psi.grid
     _, means, sigs = density_moments(psi.density(), g.x, g.y)
@@ -252,7 +252,8 @@ def _check_dispersal_fits(psi: Wavepacket, spec: MomentumSpectrum, tau: float,
     coords = (g.x, g.y) if axes == "xy" else (g.x,)
     for c, mean, sig, sig_k in zip(coords, means, sigs, sigs_k):
         sig_final = math.hypot(sig, HBAR * sig_k * tau / ELECTRON_MASS)
-        if mean - n_sigma * sig_final < c[0] or mean + n_sigma * sig_final > c[-1]:
+        if (mean - COVERAGE_SIGMAS * sig_final < c[0]
+                or mean + COVERAGE_SIGMAS * sig_final > c[-1]):
             raise ConfigurationError(
                 f"packet would outgrow the grid during {tau:g} fs of free "
                 f"flight (projected sigma {sig_final:.3g} nm)"

@@ -61,7 +61,7 @@ def _build_parser() -> _Parser:
 
     p_run = sub.add_parser("run", help="run one scenario config")
     p_run.add_argument("config")
-    p_run.add_argument("--snapshot-stride", type=int, default=None)
+    p_run.add_argument("--snapshot-stride", type=_positive_int, default=None)
     common(p_run)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep config")
@@ -70,7 +70,7 @@ def _build_parser() -> _Parser:
 
     p_preset = sub.add_parser("preset", help="run a built-in preset")
     p_preset.add_argument("name", choices=PRESET_NAMES)
-    p_preset.add_argument("--snapshot-stride", type=int, default=None)
+    p_preset.add_argument("--snapshot-stride", type=_positive_int, default=None)
     common(p_preset)
 
     p_cmp = sub.add_parser("compare", help="L2/max metrics between two grid dumps")
@@ -115,8 +115,7 @@ def _run_and_report(cfg, outdir: Path) -> int:
 
 
 def _run_sweep_spec(spec, outdir: Path, threads: int) -> int:
-    result = run_sweep(spec.template, spec.axis, spec.values,
-                       engine=spec.engine, threads=threads)
+    result = run_sweep(spec, threads=threads)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "sweep.csv"
     result.write_csv(path)

@@ -32,7 +32,12 @@ OUTPUT_KINDS = ("grids", "density", "crosscuts", "populations", "profile",
                 "trace", "compare", "summary", "snapshots")
 #: Everything except the bulky per-step snapshot dumps.
 DEFAULT_OUTPUTS = tuple(k for k in OUTPUT_KINDS if k != "snapshots")
-SWEEP_AXES = ("energy_ev", "radius_nm", "field_v_per_nm")
+#: Each sweep axis and the ScenarioConfig field that carries it.
+SWEEP_AXES = {"energy_ev": "electron", "radius_nm": "model",
+              "field_v_per_nm": "laser"}
+#: Pairs of [electron] keys of which exactly one is given.
+WIDTH_ALTERNATIVES = (("fwhm_x_nm", "bandwidth_ev"),
+                      ("fwhm_y_nm", "fwhm_y_radius_scale"))
 
 
 @dataclass(frozen=True)
@@ -58,16 +63,11 @@ class ElectronSpec:
     def __post_init__(self):
         if not self.energy_ev > 0.0:
             raise ConfigurationError("electron.energy_ev must be positive")
-        if (self.fwhm_x_nm is None) == (self.bandwidth_ev is None):
-            raise ConfigurationError(
-                "exactly one of electron.fwhm_x_nm and electron.bandwidth_ev "
-                "must be given")
-        if (self.fwhm_y_nm is None) == (self.fwhm_y_radius_scale is None):
-            raise ConfigurationError(
-                "exactly one of electron.fwhm_y_nm and "
-                "electron.fwhm_y_radius_scale must be given")
-        for name in ("fwhm_x_nm", "bandwidth_ev", "fwhm_y_nm",
-                     "fwhm_y_radius_scale"):
+        for a, b in WIDTH_ALTERNATIVES:
+            if (getattr(self, a) is None) == (getattr(self, b) is None):
+                raise ConfigurationError(f"exactly one of electron.{a} and "
+                                         f"electron.{b} must be given")
+        for name in sum(WIDTH_ALTERNATIVES, ()):
             v = getattr(self, name)
             if v is not None and not v > 0.0:
                 raise ConfigurationError(f"electron.{name} must be positive")
@@ -139,13 +139,23 @@ class SweepSpec:
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
             raise ConfigurationError(
-                f"sweep axis must be one of {SWEEP_AXES}, got {self.axis!r}")
+                f"sweep axis must be one of {tuple(SWEEP_AXES)}, got {self.axis!r}")
+        part = getattr(self.template, SWEEP_AXES[self.axis])
+        if not hasattr(part, self.axis):
+            raise ConfigurationError(f"sweep axis {self.axis} does not apply "
+                                     f"to {type(part).__name__}")
         if len(self.values) < 2:
             raise ConfigurationError("a sweep needs at least two values")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ConfigurationError("sweep values must be strictly increasing")
         # Every point runs the template on this engine; reject what it would.
         replace(self.template, engine=self.engine)
+
+    def point(self, value: float) -> ScenarioConfig:
+        """The template with the axis set to value, on the sweep engine."""
+        field = SWEEP_AXES[self.axis]
+        part = replace(getattr(self.template, field), **{self.axis: value})
+        return replace(self.template, engine=self.engine, **{field: part})
 
 
 def _fmt(v) -> str:
@@ -271,7 +281,8 @@ def _where(text: str, section: str, key: str) -> str:
 
 def _read(text: str, allowed_sections) -> dict[str, dict]:
     """Sections of a config text with every value converted by `_KEYS`."""
-    parser = configparser.ConfigParser(interpolation=None,
+    # No header can name the empty section, so [DEFAULT] is an ordinary one.
+    parser = configparser.ConfigParser(interpolation=None, default_section="",
                                        inline_comment_prefixes=("#",))
     parser.optionxform = str
     try:
@@ -356,7 +367,15 @@ def _build_scenario(sections: dict, base: ScenarioConfig | None = None) -> Scena
     if base is not None:
         merged = _sections(base)
         for section, values in sections.items():
-            merged[section] = {**merged.get(section, {}), **values}
+            kept = merged.get(section, {})
+            # A [model] of another type replaces the base's model, and a
+            # width key replaces its alternative.
+            if values.get("type", kept.get("type")) != kept.get("type"):
+                kept = {}
+            for pair in WIDTH_ALTERNATIVES:
+                if set(pair) & set(values):
+                    kept = {k: v for k, v in kept.items() if k not in pair}
+            merged[section] = {**kept, **values}
         sections = merged
     for required in ("electron", "laser", "model", "grid"):
         if required not in sections:

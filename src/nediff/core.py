@@ -21,6 +21,8 @@ from .units import ELECTRON_MASS, HBAR, electron_kinematics, kinetic_energy
 
 _SQRT8LN2 = math.sqrt(8.0 * math.log(2.0))  # FWHM / sigma for a Gaussian density
 _FOUR_LN2 = 4.0 * math.log(2.0)
+#: A packet must fit inside its grid to this many standard deviations.
+COVERAGE_SIGMAS = 4.0
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -274,19 +276,19 @@ def density_moments(rho: np.ndarray, x: np.ndarray, y: np.ndarray):
     return mass, tuple(means), tuple(stds)
 
 
-def check_coverage(psi: Wavepacket, n_sigma: float = 4.0) -> None:
-    """Require the packet's +-n_sigma support to fit inside the grid."""
+def check_coverage(psi: Wavepacket) -> None:
+    """Require the packet's +-COVERAGE_SIGMAS support to fit inside the grid."""
     g = psi.grid
     _, (x_mean, y_mean), (sx, sy) = density_moments(psi.density(), g.x, g.y)
     ok = (
-        x_mean - n_sigma * sx >= g.x[0]
-        and x_mean + n_sigma * sx <= g.x[-1]
-        and y_mean - n_sigma * sy >= g.y[0]
-        and y_mean + n_sigma * sy <= g.y[-1]
+        x_mean - COVERAGE_SIGMAS * sx >= g.x[0]
+        and x_mean + COVERAGE_SIGMAS * sx <= g.x[-1]
+        and y_mean - COVERAGE_SIGMAS * sy >= g.y[0]
+        and y_mean + COVERAGE_SIGMAS * sy <= g.y[-1]
     )
     if not ok:
         raise ConfigurationError(
-            f"grid does not cover the wavepacket to {n_sigma:g} sigma on all "
+            f"grid does not cover the wavepacket to {COVERAGE_SIGMAS:g} sigma on all "
             f"sides (center ({x_mean:.3g}, {y_mean:.3g}), sigma "
             f"({sx:.3g}, {sy:.3g}) nm)"
         )

@@ -22,6 +22,9 @@ from .gridio import write_lines
 from .quadrature import adaptive_quad
 from .units import C0, ELECTRON_CHARGE, HBAR
 
+#: Absolute tolerance of the coupling integrals, in rad.
+COUPLING_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class LaserParams:
@@ -328,8 +331,7 @@ def _oscillatory_tails(model, field, ys, x_lo, x_hi, delta_k, phase, tol):
 
 
 def coupling_integrals(model: NearFieldModel, laser: LaserParams, v0: float, y,
-                       x_bounds: tuple[float, float] | None = None,
-                       tol: float = 1e-10):
+                       x_bounds: tuple[float, float] | None = None):
     """Cosine and sine coupling integrals at transverse positions y, in rad.
 
     Evaluates the trajectory integrals of Phi0(x, y) against
@@ -377,9 +379,9 @@ def coupling_integrals(model: NearFieldModel, laser: LaserParams, v0: float, y,
         pot = model.potential(xs[:, None], ys[None, :], field)
         return pot * np.sin(delta_k * xs + phase)[:, None]
 
-    # The requested tolerance is on the coupling in rad; the quadrature runs
-    # on the bare potential integral, so rescale by the prefactor magnitude.
-    raw_tol = tol / abs(prefactor)
+    # The tolerance is on the coupling in rad; the quadrature runs on the
+    # bare potential integral, so rescale by the prefactor magnitude.
+    raw_tol = COUPLING_TOL / abs(prefactor)
     core_tol = raw_tol / 2.0 if infinite else raw_tol
     c_core, _ = adaptive_quad(integrand_cos, x_lo, x_hi, core_tol, max_panel=max_panel)
     s_core, _ = adaptive_quad(integrand_sin, x_lo, x_hi, core_tol, max_panel=max_panel)
@@ -399,11 +401,10 @@ def coupling_integrals(model: NearFieldModel, laser: LaserParams, v0: float, y,
 
 def coupling_profile(model: NearFieldModel, laser: LaserParams, v0: float,
                      y_grid: np.ndarray,
-                     x_bounds: tuple[float, float] | None = None,
-                     tol: float = 1e-10) -> CouplingProfile:
+                     x_bounds: tuple[float, float] | None = None) -> CouplingProfile:
     """Sample the coupling integrals on a uniform transverse grid."""
     ys = np.asarray(y_grid, dtype=float)
-    c, s = coupling_integrals(model, laser, v0, ys, x_bounds=x_bounds, tol=tol)
+    c, s = coupling_integrals(model, laser, v0, ys, x_bounds=x_bounds)
     return CouplingProfile(
         y=ys, coupling_cos=np.asarray(c), coupling_sin=np.asarray(s),
         delta_k=laser.omega / v0, model=model, laser=laser, v0=v0,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,7 @@ from .analysis import (Crosscut, DensityMap, SidebandTable, crosscut,
                        sideband_populations, transverse_splitting)
 from .analytic import (apply_interaction, build_phase_mask, transverse_envelope,
                        vacuum_propagate)
-from .config import ScenarioConfig, serialize_config
+from .config import ScenarioConfig, SweepSpec, serialize_config
 from .core import (Wavepacket, bandwidth_to_fwhm_x, check_coverage,
                    gaussian_wavepacket)
 from .errors import AnalysisError, ConfigurationError, NediffError
@@ -288,30 +288,10 @@ class SweepResult:
         gridio.write_lines(path, lines)
 
 
-def apply_axis_value(template: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
-    """Derive one sweep-point configuration from the template."""
-    if axis == "energy_ev":
-        return replace(template, electron=replace(template.electron, energy_ev=value))
-    if axis == "radius_nm":
-        if not hasattr(template.model, "radius_nm"):
-            raise ConfigurationError("radius sweeps require a wire model")
-        return replace(template, model=replace(template.model, radius_nm=value))
-    if axis == "field_v_per_nm":
-        return replace(template, laser=replace(template.laser, field_v_per_nm=value))
-    raise ConfigurationError(f"unknown sweep axis {axis!r}")
-
-
-def run_sweep_point(template: ScenarioConfig, axis: str, value: float,
-                    engine: str = "analytic", dump_grid_to=None) -> SweepPoint:
+def run_sweep_point(spec: SweepSpec, value: float) -> SweepPoint:
     """Run one sweep point and extract the scan metrics."""
-    cfg = replace(apply_axis_value(template, axis, value), engine=engine,
-                  outputs=("summary",))
-    result = run_scenario(cfg)
+    result = run_scenario(spec.point(value))
     out = result.primary()
-    if dump_grid_to is not None:
-        target = Path(dump_grid_to)
-        target.mkdir(parents=True, exist_ok=True)
-        gridio.write_grid(target / f"{axis}_{value:g}.grid", out.psi)
     dmap = out.density
     k0 = out.psi.k0
     ix = int(np.argmin(np.abs(dmap.kx - k0)))
@@ -323,7 +303,7 @@ def run_sweep_point(template: ScenarioConfig, axis: str, value: float,
         dkx_measured = peak_spacing(marginal)
     except AnalysisError:
         dkx_measured = math.nan
-    if isinstance(template.model, UniformStripeModel):
+    if isinstance(spec.template.model, UniformStripeModel):
         dky = math.nan
     else:
         try:
@@ -341,35 +321,26 @@ def run_sweep_point(template: ScenarioConfig, axis: str, value: float,
     )
 
 
-def run_sweep(template, axis: str, values, engine: str = "analytic",
-              threads: int = 1, dump_grids_to=None) -> SweepResult:
+def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """Run one scenario per parameter value and collect scan metrics.
 
-    Points run concurrently (the FFT work releases the GIL) and are assembled
-    in parameter order.  A point failing with a nediff error is recorded and
-    the sweep continues; any other exception is a bug and propagates.
-    With dump_grids_to set, every point's final wavepacket is dumped there.
+    Points run on a pool of `threads` threads (the FFT work releases the
+    GIL) and are assembled in parameter order.  A point failing with a nediff
+    error is recorded and the sweep continues; any other exception is a bug
+    and propagates.
     """
-    values = [float(v) for v in values]
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ConfigurationError("sweep values must be strictly increasing")
-
     def one(value: float) -> SweepPoint:
         try:
-            return run_sweep_point(template, axis, value, engine=engine,
-                                   dump_grid_to=dump_grids_to)
+            return run_sweep_point(spec, value)
         except NediffError as exc:
             return SweepPoint(parameter=value, populations=None,
                               depletion=math.nan, alpha_max_deg=math.nan,
                               delta_kx=math.nan, delta_ky=math.nan,
                               error=f"{type(exc).__name__}: {exc}")
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(one, values))
-    else:
-        points = [one(v) for v in values]
-    return SweepResult(axis=axis, points=points)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        points = list(pool.map(one, spec.values))
+    return SweepResult(axis=spec.axis, points=points)
 
 
 def resolve_output_root(out) -> Path:

@@ -47,14 +47,14 @@ def fig1():
 def fig2_sweep():
     spec = build_preset("fig2")
     t0 = time.perf_counter()
-    result = run_sweep(spec.template, spec.axis, spec.values, engine=spec.engine)
+    result = run_sweep(spec)
     return spec, result, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def fig3_sweep():
     spec = build_preset("fig3")
-    result = run_sweep(spec.template, spec.axis, spec.values, engine=spec.engine)
+    result = run_sweep(spec)
     return spec, result
 
 

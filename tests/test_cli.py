@@ -224,6 +224,17 @@ def test_threads_below_one_is_usage_error(run_config, tmp_path, capsys, threads)
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("stride", ["0", "-1"])
+def test_snapshot_stride_below_one_is_usage_error(run_config, tmp_path, capsys,
+                                                  stride):
+    assert main(["run", str(run_config), "--out", str(tmp_path / "o"),
+                 "--snapshot-stride", stride]) == 1
+    err = capsys.readouterr().err
+    assert "--snapshot-stride" in err and "usage" in err.lower()
+    assert "[numeric]" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_numeric_run_identical_across_thread_counts(tmp_path):
     cfg = tmp_path / "num.cfg"
     cfg.write_text(SMALL_RUN.replace("engine = analytic", "engine = both")
@@ -273,3 +284,25 @@ def test_sweep_preset_engine_override_validated(tmp_path, capsys):
     assert main(["preset", "fig2", "--out", str(out), "--engine", "numeric"]) == 1
     assert "numeric" in capsys.readouterr().err
     assert not out.exists()
+
+
+GAP_KEYS = """type = gap
+separation_nm = 23.0
+smoothing_fwhm_nm = 13.0
+peak_field_v_per_nm = 0.5
+"""
+
+
+@pytest.mark.parametrize("text", [
+    SMALL_RUN.replace("type = wire\nradius_nm = 10.0\n", GAP_KEYS)
+    + "\n[sweep]\naxis = radius_nm\nvalues = 6,10\n",
+    "[sweep]\npreset = fig3\n\n[model]\n" + GAP_KEYS
+    + "\n[electron]\nfwhm_y_nm = 20.0\n",
+], ids=["template", "fig3-preset"])
+def test_radius_sweep_on_a_gap_model_exits_one(tmp_path, capsys, text):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "sw"
+    assert main(["sweep", str(cfg), "--out", str(out), "--threads", "2"]) == 1
+    assert "radius_nm does not apply" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()

@@ -339,3 +339,78 @@ def test_sweep_template_from_scenario_preset():
     with pytest.raises(ConfigurationError, match="preset"):
         parse_sweep_config("[scenario]\npreset = fig1\n"
                            "\n[sweep]\npreset = fig2\n")
+
+
+def test_default_section_is_an_unknown_section():
+    with pytest.raises(ConfigurationError, match=r"unknown section \[DEFAULT\]"):
+        parse_config("[DEFAULT]\nphase_rad = 1.0\n" + MINIMAL)
+
+
+GAP_MODEL = """
+[model]
+type = gap
+separation_nm = 23.0
+smoothing_fwhm_nm = 13.0
+peak_field_v_per_nm = 0.5
+"""
+
+
+def test_preset_overlay_of_another_model_type_replaces_the_model():
+    cfg = parse_config("[scenario]\npreset = fig1\n" + GAP_MODEL)
+    assert cfg.model == GapResonatorModel(separation_nm=23.0,
+                                          smoothing_fwhm_nm=13.0,
+                                          peak_field_v_per_nm=0.5)
+    assert cfg.electron == build_preset("fig1").electron
+
+
+def test_preset_overlay_of_the_same_model_type_is_key_by_key():
+    cfg = parse_config("[scenario]\npreset = fig1\n"
+                       "\n[model]\ntype = wire\ncenter_y_nm = 3.0\n")
+    assert cfg.model == WireModel(radius_nm=10.0, response=0.5,
+                                  center=(0.0, 3.0))
+
+
+def test_preset_overlay_width_key_replaces_its_alternative():
+    cfg = parse_config("[scenario]\npreset = fig4-chirped\n"
+                       "\n[electron]\nfwhm_x_nm = 300.0\n")
+    assert cfg.electron.fwhm_x_nm == 300.0
+    assert cfg.electron.bandwidth_ev is None
+    assert cfg.electron.fwhm_y_nm == build_preset("fig4-chirped").electron.fwhm_y_nm
+
+
+def test_radius_sweep_preset_on_a_gap_model_is_rejected():
+    # fig3 ties the transverse width to the radius, so the gap model alone
+    # fails that tie; with a fixed width it reaches the axis check.
+    with pytest.raises(ConfigurationError, match="requires a wire model"):
+        parse_sweep_config("[sweep]\npreset = fig3\n" + GAP_MODEL)
+    with pytest.raises(ConfigurationError,
+                       match="axis radius_nm does not apply to GapResonatorModel"):
+        parse_sweep_config("[sweep]\npreset = fig3\n" + GAP_MODEL
+                           + "\n[electron]\nfwhm_y_nm = 20.0\n")
+
+
+@pytest.mark.parametrize("model", [
+    GapResonatorModel(separation_nm=23.0, smoothing_fwhm_nm=13.0,
+                      peak_field_v_per_nm=0.5),
+    UniformStripeModel(coupling_rad=1.0, y_min=-40.0, y_max=40.0),
+], ids=["gap", "stripe"])
+def test_radius_axis_needs_a_model_with_a_radius(model):
+    template = dataclasses.replace(parse_config(MINIMAL), model=model)
+    with pytest.raises(ConfigurationError, match="radius_nm does not apply"):
+        SweepSpec(template=template, axis="radius_nm", values=(5.0, 10.0))
+    for axis in ("energy_ev", "field_v_per_nm"):
+        SweepSpec(template=template, axis=axis, values=(0.1, 0.2))
+
+
+@pytest.mark.parametrize("axis", list(config.SWEEP_AXES))
+def test_point_sets_only_its_axis_and_the_sweep_engine(axis):
+    template = parse_config(MINIMAL.replace("engine = analytic", "engine = both")
+                            + "\n[numeric]\nwindow_fs = 10.0\n")
+    spec = SweepSpec(template=template, axis=axis, values=(0.25, 0.5))
+    cfg = spec.point(0.5)
+    field = config.SWEEP_AXES[axis]
+    assert getattr(getattr(cfg, field), axis) == 0.5
+    assert getattr(getattr(template, field), axis) != 0.5
+    assert cfg.engine == "analytic"
+    restored = dataclasses.replace(cfg, **{field: getattr(template, field)})
+    assert restored == dataclasses.replace(template, engine="analytic")

@@ -9,7 +9,7 @@ from nediff.config import ElectronSpec, NumericSpec, ScenarioConfig, build_prese
 from nediff.core import Grid2D, gaussian_wavepacket
 from nediff.gridio import read_grid
 from nediff.nearfield import LaserParams, WireModel, coupling_profile
-from nediff.scenario import build_initial_state, run_scenario, run_sweep
+from nediff.scenario import build_initial_state, run_scenario
 from nediff.units import electron_kinematics
 
 
@@ -59,16 +59,6 @@ def test_numeric_snapshot_dumps(tmp_path):
     first = read_grid(snaps[0])
     assert first.t == result.trace.t[0]
     assert first.amplitudes.shape == (cfg.grid.ny, cfg.grid.nx)
-
-
-def test_sweep_grid_dumps(tmp_path):
-    result = run_sweep(small_config(), "radius_nm", [8.0, 12.0],
-                       dump_grids_to=tmp_path)
-    assert not any(p.error for p in result.points)
-    names = sorted(p.name for p in tmp_path.glob("*.grid"))
-    assert names == ["radius_nm_12.grid", "radius_nm_8.grid"]
-    psi = read_grid(tmp_path / "radius_nm_8.grid")
-    assert psi.norm() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_order_decomposition_export(tmp_path):
