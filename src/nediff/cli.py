@@ -1,11 +1,14 @@
 """Command line driver.
 
 Subcommands: run, sweep, preset, compare, render.  Exit code 0 on success,
-1 on validation or usage errors, 2 on numerical failures and on sweeps in
-which no point succeeded.  All runs are deterministic.  --threads sets the
-scipy.fft worker count for run and preset, and the number of concurrent
-points (one FFT worker each) for sweeps.  --snapshot-stride applies only to
-a single scenario with a [numeric] section and is an error otherwise.
+1 on validation or usage errors and on files that cannot be read or
+written, 2 on numerical failures and on sweeps in which no point succeeded,
+3 on any other exception (a bug; its traceback goes to stderr).  All runs
+are deterministic.  --threads sets the scipy.fft worker count for run and
+preset, which also sizes the thread pool that runs the split step's
+elementwise work in row blocks, and the number of concurrent points (one
+worker each) for sweeps.  --snapshot-stride applies only to a single
+scenario with a [numeric] section and is an error otherwise.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,14 +27,14 @@ from . import gridio
 from .analysis import momentum_density, rel_l2
 from .config import (PRESET_NAMES, SweepSpec, build_preset, parse_config,
                      parse_sweep_config, serialize_config)
-from .errors import (AnalysisError, ConfigurationError, DomainError,
-                     NumericalError, StateError, UnsupportedPathError)
+from .errors import AnalysisError, ConfigurationError, NediffError
 from .render import render_heatmap
 from .scenario import resolve_output_root, run_scenario, run_sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
+EXIT_BUG = 3
 
 
 class _UsageError(Exception):
@@ -136,14 +140,21 @@ def _run_sweep_spec(spec, outdir: Path, threads: int) -> int:
     return EXIT_OK
 
 
+def _read_config(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def _cmd_run(args) -> int:
-    text = Path(args.config).read_text(encoding="utf-8")
+    text = _read_config(args.config)
     cfg = _apply_overrides(parse_config(text), args)
     return _run_and_report(cfg, _out_dir(args, Path(args.config).stem + ".out"))
 
 
 def _cmd_sweep(args) -> int:
-    text = Path(args.config).read_text(encoding="utf-8")
+    text = _read_config(args.config)
     spec = _apply_overrides(parse_sweep_config(text), args)
     outdir = _out_dir(args, Path(args.config).stem + ".out")
     return _run_sweep_spec(spec, outdir, args.threads)
@@ -207,12 +218,16 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_VALIDATION
-    except (ConfigurationError, DomainError, StateError, FileNotFoundError) as exc:
+    except OSError as exc:  # a missing or unreadable file, a full disk
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NumericalError, AnalysisError, UnsupportedPathError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except NediffError as exc:
+        kind = "numerical failure" if exc.exit_code == EXIT_NUMERICAL else "error"
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except Exception:
+        traceback.print_exc()
+        return EXIT_BUG
 
 
 if __name__ == "__main__":

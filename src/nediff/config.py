@@ -144,6 +144,12 @@ class SweepSpec:
         if not hasattr(part, self.axis):
             raise ConfigurationError(f"sweep axis {self.axis} does not apply "
                                      f"to {type(part).__name__}")
+        # Only the wire's potential scales with the laser field: the gap is
+        # calibrated to its own peak field and the stripe has a fixed coupling.
+        model = self.template.model
+        if self.axis == "field_v_per_nm" and not isinstance(model, WireModel):
+            raise ConfigurationError(f"sweep axis {self.axis} does not apply "
+                                     f"to {type(model).__name__}")
         if len(self.values) < 2:
             raise ConfigurationError("a sweep needs at least two values")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):

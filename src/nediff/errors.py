@@ -1,8 +1,14 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package.
+
+Each class carries the command line exit code it maps to: 1 for a bad
+request (domain, configuration, state), 2 for a computation that failed.
+"""
 
 
 class NediffError(Exception):
     """Base of every error nediff raises on purpose (not a programming error)."""
+
+    exit_code = 1
 
 
 class DomainError(NediffError, ValueError):
@@ -20,9 +26,13 @@ class StateError(NediffError, RuntimeError):
 class UnsupportedPathError(NediffError, RuntimeError):
     """The requested computation path does not apply to these inputs."""
 
+    exit_code = 2
+
 
 class AnalysisError(NediffError, RuntimeError):
     """An observable could not be extracted from the data (e.g. too few peaks)."""
+
+    exit_code = 2
 
 
 class NumericalError(NediffError, RuntimeError):
@@ -31,6 +41,8 @@ class NumericalError(NediffError, RuntimeError):
     Carries the achieved error estimate so callers can decide whether the
     partial result is still usable.
     """
+
+    exit_code = 2
 
     def __init__(self, message, achieved=None, partial=None):
         super().__init__(message)

@@ -12,6 +12,7 @@ its A^2 part dropped as a global phase.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,6 +30,10 @@ KINETIC_PHASE_BOUND = 0.5
 
 #: Mass fraction tolerated within the outer 10% border of the grid.
 EDGE_MASS_TOL = 1e-6
+
+#: Size of one complex128 row block of the split step's elementwise work;
+#: the block height follows from the row length (32 rows at nx = 2048).
+BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -163,6 +168,10 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
     applies the exact kinetic (and gauge) phase between potential midpoints
     and the potential phase sampled at the midpoint time.  When given,
     snapshot_callback(t, Wavepacket) fires at every trace snapshot.
+
+    The elementwise work of each step runs in row blocks on a thread pool of
+    `scipy.fft.get_workers()` threads, so one setting sizes both the FFTs and
+    the blocks; every block computes the same expressions as the whole grid.
     """
     grid = psi0.grid
     validate_evolution(params, grid)
@@ -171,6 +180,7 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
     n = params.n_steps
     v0 = psi0.velocity
     q = ELECTRON_CHARGE
+    field = laser.field_v_per_nm
 
     kx1 = 2.0 * np.pi * np.fft.fftfreq(grid.nx, grid.dx)
     ky1 = 2.0 * np.pi * np.fft.fftfreq(grid.ny, grid.dy)
@@ -178,17 +188,35 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
     kin_full = np.exp(-1j * (HBAR * dt / (2.0 * ELECTRON_MASS)) * ksq)
     kin_half = np.exp(-1j * (HBAR * 0.5 * dt / (2.0 * ELECTRON_MASS)) * ksq)
 
-    def apply_gauge(spec, ta: float, tb: float) -> None:
-        # Vector-potential phase over [ta, tb]: one factor per k_y row.
-        if params.include_vector_potential:
-            integral = _vector_potential_integral(laser, ta, tb)
-            spec *= np.exp(1j * (q / ELECTRON_MASS) * integral * ky1)[:, None]
-
     x = grid.x
     y_col = grid.y[:, None]
     cell = grid.cell_area
     n_border_x = max(1, grid.nx // 10)
     n_border_y = max(1, grid.ny // 10)
+    height = max(1, BLOCK_BYTES // (16 * grid.nx))
+    blocks = [slice(r, r + height) for r in range(0, grid.ny, height)]
+
+    def kick(rows, psi, x_t, scale):
+        theta = model.potential(x_t, y_col[rows], field)
+        theta *= scale
+        factor = np.empty(theta.shape, dtype=np.complex128)
+        np.cos(theta, out=factor.real)
+        np.sin(theta, out=factor.imag)
+        psi[rows] *= factor
+
+    def drift(rows, spec, kin, gauge):
+        spec[rows] *= kin[rows]
+        if gauge is not None:
+            spec[rows] *= gauge[rows]
+
+    def segment(pool, spec, kin, ta: float, tb: float) -> None:
+        # Kinetic phase, then the vector-potential phase over [ta, tb]: one
+        # factor per k_y row.
+        gauge = None
+        if params.include_vector_potential:
+            integral = _vector_potential_integral(laser, ta, tb)
+            gauge = np.exp(1j * (q / ELECTRON_MASS) * integral * ky1)[:, None]
+        _run_blocks(pool, blocks, drift, spec, kin, gauge)
 
     snaps: list[tuple[float, float, float, float, float, float]] = []
 
@@ -221,40 +249,37 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
                                             t=t, k0=psi0.k0))
 
     t0 = params.t_start
-    psi = np.array(psi0.amplitudes, dtype=np.complex128, copy=True)
-    spec = _fft.fft2(psi)
-    record(t0, psi, spec)
-
-    # Leading half segment [t0, t0 + dt/2].
-    spec *= kin_half
-    apply_gauge(spec, t0, t0 + 0.5 * dt)
-
-    phase_sign = -q / HBAR  # exp(-i q Phi dt / hbar) = exp(i phase_sign * Phi * dt)
-    factor = np.empty((grid.ny, grid.nx), dtype=np.complex128)
-    for k in range(n):
-        t_mid = t0 + (k + 0.5) * dt
-        psi = _fft.ifft2(spec, overwrite_x=True)
-        theta = model.potential(x[None, :] + v0 * t_mid, y_col, laser.field_v_per_nm)
-        theta *= phase_sign * dt * math.cos(laser.omega * t_mid + laser.phase_rad)
-        np.cos(theta, out=factor.real)
-        np.sin(theta, out=factor.imag)
-        psi *= factor
-        take_snap = ((k + 1) % params.snapshot_stride == 0) or (k == n - 1)
-        # Transform in place except where record still needs psi.
-        spec = _fft.fft2(psi, overwrite_x=not take_snap)
-        if take_snap:
-            record(t_mid, psi, spec)
-        if k < n - 1:
-            spec *= kin_full
-            apply_gauge(spec, t_mid, t_mid + dt)
-
     t_end = params.t_end
-    spec *= kin_half
-    apply_gauge(spec, t0 + (n - 0.5) * dt, t_end)
+    psi = np.array(psi0.amplitudes, dtype=np.complex128, copy=True)
+    phase_sign = -q / HBAR  # exp(-i q Phi dt / hbar) = exp(i phase_sign * Phi * dt)
+    with ThreadPoolExecutor(max_workers=_fft.get_workers()) as pool:
+        spec = _fft.fft2(psi)
+        record(t0, psi, spec)
+        # Leading half segment [t0, t0 + dt/2].
+        segment(pool, spec, kin_half, t0, t0 + 0.5 * dt)
+        for k in range(n):
+            t_mid = t0 + (k + 0.5) * dt
+            psi = _fft.ifft2(spec, overwrite_x=True)
+            scale = phase_sign * dt * math.cos(laser.omega * t_mid + laser.phase_rad)
+            _run_blocks(pool, blocks, kick, psi, x[None, :] + v0 * t_mid, scale)
+            take_snap = ((k + 1) % params.snapshot_stride == 0) or (k == n - 1)
+            # Transform in place except where record still needs psi.
+            spec = _fft.fft2(psi, overwrite_x=not take_snap)
+            if take_snap:
+                record(t_mid, psi, spec)
+            if k < n - 1:
+                segment(pool, spec, kin_full, t_mid, t_mid + dt)
+        segment(pool, spec, kin_half, t0 + (n - 0.5) * dt, t_end)
     psi = _fft.ifft2(spec, overwrite_x=True)
     final = Wavepacket(grid=grid, amplitudes=psi, t=t_end, k0=psi0.k0)
     record(t_end, psi, _fft.fft2(psi))
     return final, _trace_from(snaps)
+
+
+def _run_blocks(pool, blocks, fn, *args) -> None:
+    """Run fn(rows, *args) for every row block; re-raises a block's error."""
+    for _ in pool.map(lambda rows: fn(rows, *args), blocks):
+        pass
 
 
 def _trace_from(snaps) -> EvolutionTrace:

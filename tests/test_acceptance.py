@@ -6,10 +6,12 @@ dominates the wall time; everything downstream of it shares the fixture.
 """
 
 import math
+import os
 import time
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.special
 
 from conftest import record_criterion
@@ -38,7 +40,8 @@ def fig1():
     """Full fig-1 preset with both engines; the expensive ground-truth run."""
     cfg = build_preset("fig1")
     t0 = time.perf_counter()
-    result = run_scenario(cfg)
+    with scipy.fft.set_workers(os.cpu_count()):
+        result = run_scenario(cfg)
     elapsed = time.perf_counter() - t0
     return cfg, result, elapsed
 
@@ -47,14 +50,14 @@ def fig1():
 def fig2_sweep():
     spec = build_preset("fig2")
     t0 = time.perf_counter()
-    result = run_sweep(spec)
+    result = run_sweep(spec, threads=os.cpu_count())
     return spec, result, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def fig3_sweep():
     spec = build_preset("fig3")
-    result = run_sweep(spec)
+    result = run_sweep(spec, threads=os.cpu_count())
     return spec, result
 
 

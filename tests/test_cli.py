@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from nediff import cli, errors
 from nediff.cli import main
 from nediff.core import Grid2D, gaussian_wavepacket
 from nediff.gridio import write_grid
@@ -306,3 +307,57 @@ def test_radius_sweep_on_a_gap_model_exits_one(tmp_path, capsys, text):
     assert main(["sweep", str(cfg), "--out", str(out), "--threads", "2"]) == 1
     assert "radius_nm does not apply" in capsys.readouterr().err
     assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("model", [
+    GAP_KEYS,
+    "type = stripe\ncoupling_rad = 1.0\ny_min_nm = -40.0\ny_max_nm = 40.0\n",
+], ids=["gap", "stripe"])
+def test_field_sweep_on_a_model_that_ignores_the_field_exits_one(
+        tmp_path, capsys, model):
+    text = (SMALL_RUN.replace("type = wire\nradius_nm = 10.0\n", model)
+            + "\n[sweep]\naxis = field_v_per_nm\nvalues = 0.01,0.5\n")
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "sw"
+    assert main(["sweep", str(cfg), "--out", str(out), "--threads", "1"]) == 1
+    assert "field_v_per_nm does not apply" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (errors.DomainError, 1, "error"),
+    (errors.ConfigurationError, 1, "error"),
+    (errors.StateError, 1, "error"),
+    (errors.NumericalError, 2, "numerical failure"),
+    (errors.AnalysisError, 2, "numerical failure"),
+    (errors.UnsupportedPathError, 2, "numerical failure"),
+    (FileNotFoundError, 1, "error"),
+    (IsADirectoryError, 1, "error"),
+])
+def test_error_classes_map_to_their_exit_codes(monkeypatch, capsys, error,
+                                                code, prefix):
+    def fail(args):
+        raise error("planted")
+
+    monkeypatch.setitem(cli._COMMANDS, "compare", fail)
+    assert main(["compare", "a.grid", "b.grid"]) == code
+    assert capsys.readouterr().err == f"{prefix}: planted\n"
+
+
+def test_programming_error_exits_three_with_traceback(monkeypatch, capsys):
+    def broken(args):
+        return len(None)
+
+    monkeypatch.setitem(cli._COMMANDS, "compare", broken)
+    assert main(["compare", "a.grid", "b.grid"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert "TypeError" in err
+
+
+def test_config_that_is_not_utf8_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(SMALL_RUN.replace("wire", "wire \xe9").encode("latin-1"))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "not UTF-8 text" in capsys.readouterr().err

@@ -398,8 +398,22 @@ def test_radius_axis_needs_a_model_with_a_radius(model):
     template = dataclasses.replace(parse_config(MINIMAL), model=model)
     with pytest.raises(ConfigurationError, match="radius_nm does not apply"):
         SweepSpec(template=template, axis="radius_nm", values=(5.0, 10.0))
-    for axis in ("energy_ev", "field_v_per_nm"):
-        SweepSpec(template=template, axis=axis, values=(0.1, 0.2))
+    SweepSpec(template=template, axis="energy_ev", values=(0.1, 0.2))
+
+
+@pytest.mark.parametrize("model", [
+    GapResonatorModel(separation_nm=23.0, smoothing_fwhm_nm=13.0,
+                      peak_field_v_per_nm=0.5),
+    UniformStripeModel(coupling_rad=1.0, y_min=-40.0, y_max=40.0),
+], ids=["gap", "stripe"])
+def test_field_axis_needs_a_model_that_reads_the_field(model):
+    template = dataclasses.replace(parse_config(MINIMAL), model=model)
+    with pytest.raises(ConfigurationError,
+                       match="field_v_per_nm does not apply to "
+                             + type(model).__name__):
+        SweepSpec(template=template, axis="field_v_per_nm", values=(0.1, 0.2))
+    SweepSpec(template=parse_config(MINIMAL), axis="field_v_per_nm",
+              values=(0.1, 0.2))
 
 
 @pytest.mark.parametrize("axis", list(config.SWEEP_AXES))

@@ -1,6 +1,7 @@
 """Split-step solver: conservation, convergence, equivalences."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from nediff.core import Grid2D, gaussian_wavepacket, to_momentum
 from nediff.errors import ConfigurationError, NumericalError
 from nediff.nearfield import (LaserParams, UniformStripeModel, WireModel,
                               coupling_profile)
+from nediff import numeric
 from nediff.numeric import (EvolutionParams, _vector_potential_integral,
                             choose_steps, split_step_evolve, validate_evolution)
 from nediff.units import ELECTRON_CHARGE, ELECTRON_MASS, HBAR, electron_kinematics
@@ -126,25 +128,68 @@ def reference_strang(psi0, params):
     return scipy.fft.ifft2(spec), kicked
 
 
+def block_height(nx):
+    return numeric.BLOCK_BYTES // (16 * nx)
+
+
+# One grid has fewer rows than a single row block, the other spans several.
+BLOCK_GRIDS = {
+    "one-block": Grid2D.centered(64, 32, 1.0, 1.0),
+    "four-blocks": Grid2D.centered(2048, 128, 0.5, 0.5),
+}
+
+
 class TestReferenceLoop:
+    def test_grids_cover_the_block_cases(self):
+        small, big = BLOCK_GRIDS["one-block"], BLOCK_GRIDS["four-blocks"]
+        assert small.ny < block_height(small.nx)
+        assert big.ny == 4 * block_height(big.nx)
+
     @pytest.mark.parametrize("vector_potential", [True, False])
-    def test_bitwise_equal_to_plain_strang(self, grid, packet, vector_potential):
-        params = choose_steps(LASER, WIRE, grid, -1.0, 1.0, safety=0.9,
-                              include_vector_potential=vector_potential,
-                              snapshot_stride=4)
-        assert params.n_steps > 2 * params.snapshot_stride
-        seen = []
-        final, trace = split_step_evolve(
-            packet, params, snapshot_callback=lambda t, psi: seen.append(psi))
-        ref_final, kicked = reference_strang(packet, params)
-        assert np.array_equal(final.amplitudes, ref_final)
-        # Snapshots after the kick see psi, not its in-place transform.
-        stride, n = params.snapshot_stride, params.n_steps
-        snap_steps = [k for k in range(n) if (k + 1) % stride == 0 or k == n - 1]
-        assert len(seen) == len(snap_steps) + 2
-        for k, psi in zip(snap_steps, seen[1:-1]):
-            assert np.array_equal(psi.amplitudes, kicked[k])
-        assert np.max(np.abs(trace.norm - 1.0)) < 1e-9
+    def test_bitwise_equal_to_plain_strang(self, vector_potential):
+        for g in BLOCK_GRIDS.values():
+            packet = gaussian_wavepacket(g, 100.0, 10.0, 4.0)
+            params = choose_steps(LASER, WIRE, g, -1.0, 1.0, safety=0.9,
+                                  include_vector_potential=vector_potential,
+                                  snapshot_stride=4)
+            assert params.n_steps > 2 * params.snapshot_stride
+            ref_final, kicked = reference_strang(packet, params)
+            for workers in (1, 2):
+                seen = []
+                with scipy.fft.set_workers(workers):
+                    final, trace = split_step_evolve(
+                        packet, params,
+                        snapshot_callback=lambda t, psi: seen.append(psi))
+                assert np.array_equal(final.amplitudes, ref_final)
+                # Snapshots after the kick see psi, not its in-place transform.
+                stride, n = params.snapshot_stride, params.n_steps
+                snap_steps = [k for k in range(n)
+                              if (k + 1) % stride == 0 or k == n - 1]
+                assert len(seen) == len(snap_steps) + 2
+                for k, psi in zip(snap_steps, seen[1:-1]):
+                    assert np.array_equal(psi.amplitudes, kicked[k])
+                assert np.max(np.abs(trace.norm - 1.0)) < 1e-9
+
+    def test_block_error_propagates_and_leaves_no_pool_thread(self, monkeypatch):
+        g = BLOCK_GRIDS["four-blocks"]
+        packet = gaussian_wavepacket(g, 100.0, 10.0, 4.0)
+        params = choose_steps(LASER, WIRE, g, -1.0, 1.0, safety=0.9)
+        calls = []
+        potential = WireModel.potential
+
+        def failing(self, x, y, field):
+            calls.append(1)
+            if len(calls) >= 10:  # two blocks may append before either checks
+                raise NumericalError("planted failure in one block")
+            return potential(self, x, y, field)
+
+        monkeypatch.setattr(WireModel, "potential", failing)
+        threads = threading.active_count()
+        with scipy.fft.set_workers(2), pytest.raises(NumericalError,
+                                                     match="planted"):
+            split_step_evolve(packet, params)
+        assert 10 <= len(calls) < params.n_steps * 4
+        assert threading.active_count() == threads
 
 
 class TestConservation:
