@@ -10,7 +10,7 @@ import numpy as np
 from .core import Wavepacket, fwhm_interpolated, to_momentum
 from .errors import AnalysisError, ConfigurationError, DomainError
 from .gridio import write_lines
-from .nearfield import CouplingProfile, profile_transform
+from .nearfield import CouplingProfile
 from .units import ELECTRON_MASS, HBAR
 
 #: A sideband bin must span at least this many k_x cells.
@@ -29,9 +29,6 @@ class DensityMap:
     dkx: float
     dky: float
     k0: float
-
-    def total(self) -> float:
-        return float(self.values.sum()) * self.dkx * self.dky
 
 
 def momentum_density(psi: Wavepacket) -> DensityMap:
@@ -196,31 +193,15 @@ def energy_bandwidth_fwhm(psi: Wavepacket) -> float:
     return fwhm_interpolated(e_exact, marg)
 
 
-def transverse_splitting(profile: CouplingProfile, envelope=None,
-                         method: str = "slit") -> float:
+def transverse_splitting(profile: CouplingProfile, envelope=None) -> float:
     """Transverse diffraction scale delta_ky of a coupling profile.
 
-    method "lobes" returns half the separation of the two dominant lobes of
-    the coupling transform (the literal peak splitting; clean for singly
-    humped profiles).  method "slit" locates the coupling maximum y_slit
-    (weighted by the transverse envelope when given) and returns
-    pi / (2 y_slit), the fringe half-spacing of an effective double slit at
-    +-y_slit.  The slit measure stays single-valued through the coupling
-    recurrences where individual transform lobes appear and vanish.
+    Locates the coupling maximum y_slit (weighted by the transverse envelope
+    when given) and returns pi / (2 y_slit), the fringe half-spacing of an
+    effective double slit at +-y_slit.  Unlike the separation of the lobes
+    of the coupling transform, this measure stays single-valued through the
+    coupling recurrences where individual lobes appear and vanish.
     """
-    if method == "lobes":
-        tf = profile_transform(profile)
-        mag = np.abs(tf.values)
-        positions, heights = find_peaks(tf.ky, mag**2, threshold=0.05)
-        if len(positions) < 2:
-            raise AnalysisError("coupling transform has fewer than two lobes")
-        order = np.argsort(heights)[::-1]
-        top = np.sort(positions[order[:2]])
-        if not (top[0] < 0.0 < top[1]):
-            raise AnalysisError("coupling transform lobes are not symmetric")
-        return float(0.5 * (top[1] - top[0]))
-    if method != "slit":
-        raise DomainError(f"unknown splitting method {method!r}")
     mag = np.abs(profile.coupling_cos.astype(float))
     if envelope is not None:
         mag = mag * np.abs(np.asarray(envelope))

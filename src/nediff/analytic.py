@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.special
@@ -20,13 +19,8 @@ from .core import (COVERAGE_SIGMAS, Grid2D, MomentumSpectrum, Wavepacket,
                    density_moments, from_momentum, to_momentum,
                    unitary_transform_1d)
 from .errors import ConfigurationError, DomainError, UnsupportedPathError
-from .gridio import write_lines
 from .nearfield import CouplingProfile
 from .units import ELECTRON_MASS, HBAR
-
-#: Orders with total weight below this are dropped when truncating adaptively.
-ORDER_TAIL_WEIGHT = 1e-8
-ORDER_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -81,10 +75,6 @@ class OrderDecomposition:
     spectra: np.ndarray
     delta_k: float
 
-    def populations(self) -> np.ndarray:
-        dy = float(self.y[1] - self.y[0])
-        return np.sum(np.abs(self.amplitudes) ** 2, axis=1) * dy
-
     def order_index(self, n: int) -> int:
         idx = np.nonzero(self.orders == n)[0]
         if len(idx) != 1:
@@ -110,7 +100,7 @@ def transverse_envelope(psi: Wavepacket) -> np.ndarray:
 
 
 def order_amplitudes_exact(psi: Wavepacket, profile: CouplingProfile,
-                           n_max: int | None = None) -> OrderDecomposition:
+                           n_max: int) -> OrderDecomposition:
     """Exact photon-order amplitudes for a pure cosine coupling.
 
     Requires the sine coupling to vanish (odd-potential symmetry with zero
@@ -124,16 +114,6 @@ def order_amplitudes_exact(psi: Wavepacket, profile: CouplingProfile,
         )
     gy = transverse_envelope(psi)
     c = profile.coupling_cos
-    w_env = np.abs(gy) ** 2 * psi.grid.dy
-
-    if n_max is None:
-        # Smallest truncation whose discarded weight is below the tail target;
-        # sum_n J_n^2 = 1 makes the accounting exact.
-        covered = float(np.sum(scipy.special.jv(0, c) ** 2 * w_env))
-        n_max = 0
-        while 1.0 - covered > ORDER_TAIL_WEIGHT and n_max < ORDER_CAP:
-            n_max += 1
-            covered += 2.0 * float(np.sum(scipy.special.jv(n_max, c) ** 2 * w_env))
     orders = np.arange(-n_max, n_max + 1)
     amps = np.empty((len(orders), len(gy)), dtype=np.complex128)
     for i, n in enumerate(orders):
@@ -189,31 +169,6 @@ def weak_field_order(psi: Wavepacket, profile: CouplingProfile, n: int) -> Order
     amp = (1j ** n) * (profile.coupling_cos / 2.0) ** n / math.factorial(n) * gy
     ky, vals = unitary_transform_1d(amp, profile.y)
     return OrderSpectrum(order=n, ky=ky, values=vals)
-
-
-def export_order_decomposition(dec: OrderDecomposition, outdir) -> list[str]:
-    """Write one CSV per photon order plus a manifest; returns file names."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for i, n in enumerate(dec.orders):
-        name = f"order_{int(n):+03d}.csv"
-        lines = ["ky_per_nm,intensity,phase_rad"]
-        for ky, val in zip(dec.ky, dec.spectra[i]):
-            lines.append(f"{float(ky)!r},{float(abs(val))**2!r},"
-                         f"{float(np.angle(val))!r}")
-        write_lines(outdir / name, lines)
-        written.append(name)
-    pops = dec.populations()
-    manifest = [
-        f"orders = {','.join(str(int(n)) for n in dec.orders)}",
-        f"delta_k_per_nm = {float(dec.delta_k)!r}",
-        "series_depth = exact",
-        "populations = " + ",".join(repr(float(p)) for p in pops),
-    ]
-    write_lines(outdir / "manifest.txt", manifest)
-    written.append("manifest.txt")
-    return written
 
 
 def vacuum_propagate(psi: Wavepacket, tau: float, axes: str = "xy") -> Wavepacket:

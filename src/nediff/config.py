@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import configparser
 import inspect
+import math
 import re
 from dataclasses import dataclass, replace
 
@@ -185,8 +186,15 @@ def _to_names(raw: str) -> tuple[str, ...]:
     return tuple(s.strip() for s in raw.split(",") if s.strip())
 
 
+def _to_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _to_values(raw: str) -> tuple[float, ...]:
-    return tuple(float(s) for s in raw.split(",") if s.strip())
+    return tuple(_to_float(s) for s in raw.split(",") if s.strip())
 
 
 _CENTER = {"center_x_nm": ("center", 0), "center_y_nm": ("center", 1)}
@@ -211,16 +219,17 @@ _GRID = {"dx_nm": "dx", "dy_nm": "dy"}
 #: [electron], [laser] and [numeric] keys are the fields of their dataclass.
 _KEYS = {
     "scenario": {"preset": str, "engine": str, "outputs": _to_names},
-    "electron": {"energy_ev": float, "fwhm_x_nm": float, "bandwidth_ev": float,
-                 "fwhm_y_nm": float, "fwhm_y_radius_scale": float,
-                 "center_x_nm": float, "center_y_nm": float,
-                 "prepropagation_fs": float, "prepropagation_axes": str},
-    "laser": {"wavelength_nm": float, "field_v_per_nm": float,
-              "phase_rad": float},
-    "model": {"type": str, **{key: float for _, attrs in _MODELS.values()
+    "electron": {"energy_ev": _to_float, "fwhm_x_nm": _to_float,
+                 "bandwidth_ev": _to_float, "fwhm_y_nm": _to_float,
+                 "fwhm_y_radius_scale": _to_float, "center_x_nm": _to_float,
+                 "center_y_nm": _to_float, "prepropagation_fs": _to_float,
+                 "prepropagation_axes": str},
+    "laser": {"wavelength_nm": _to_float, "field_v_per_nm": _to_float,
+              "phase_rad": _to_float},
+    "model": {"type": str, **{key: _to_float for _, attrs in _MODELS.values()
                               for key in attrs}},
-    "grid": {"nx": int, "ny": int, "dx_nm": float, "dy_nm": float},
-    "numeric": {"window_fs": float, "dt_fs": float, "safety": float,
+    "grid": {"nx": int, "ny": int, "dx_nm": _to_float, "dy_nm": _to_float},
+    "numeric": {"window_fs": _to_float, "dt_fs": _to_float, "safety": _to_float,
                 "vector_potential": _to_bool, "snapshot_stride": int},
     "sweep": {"preset": str, "axis": str, "values": _to_values, "engine": str},
 }

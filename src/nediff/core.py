@@ -325,13 +325,6 @@ def temporal_spread(psi: Wavepacket) -> float:
     return width / psi.velocity
 
 
-def mean_momentum(psi: Wavepacket) -> tuple[float, float]:
-    """Density-weighted mean of (k_x, k_y) including the carrier."""
-    spec = to_momentum(psi)
-    _, means, _ = density_moments(spec.density(), spec.kx, spec.ky)
-    return means
-
-
 def unitary_transform_1d(values: np.ndarray, y: np.ndarray):
     """Unitary continuum Fourier transform over the last axis, y -> k_y.
 

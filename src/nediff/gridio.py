@@ -39,13 +39,16 @@ def write_grid(path, psi: Wavepacket) -> None:
 
 def read_grid(path) -> Wavepacket:
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
+        header = fh.readline().decode("ascii", errors="replace").split()
         if not header or header[0] != MAGIC:
             raise ConfigurationError(f"{path}: not a {MAGIC} grid dump")
         if len(header) != 10:
             raise ConfigurationError(f"{path}: malformed header")
-        nx, ny = int(header[1]), int(header[2])
-        dx, dy, x0, y0, t, k0, _e0 = (float(v) for v in header[3:])
+        try:
+            nx, ny = int(header[1]), int(header[2])
+            dx, dy, x0, y0, t, k0, _e0 = (float(v) for v in header[3:])
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}: malformed header ({exc})") from exc
         raw = fh.read()
     expected = nx * ny * 16
     if len(raw) != expected:

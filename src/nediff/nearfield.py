@@ -16,8 +16,8 @@ from functools import cached_property
 import numpy as np
 import scipy.integrate
 
-from .core import _SQRT8LN2, unitary_transform_1d
-from .errors import ConfigurationError, DomainError, NumericalError, StateError, UnsupportedPathError
+from .core import _SQRT8LN2
+from .errors import DomainError, NumericalError, StateError, UnsupportedPathError
 from .gridio import write_lines
 from .quadrature import adaptive_quad
 from .units import C0, ELECTRON_CHARGE, HBAR
@@ -46,17 +46,6 @@ class LaserParams:
         return 2.0 * math.pi * C0 / self.wavelength_nm
 
 
-def retardation_phase(eps: complex) -> float:
-    """Phase lag of the induced near field relative to the incident laser.
-
-    Taken as the argument of the complex response ratio (eps-1)/(eps+1).
-    """
-    eps = complex(eps)
-    if eps == -1.0:
-        raise DomainError("permittivity -1 is a pole of the response")
-    return float(np.angle((eps - 1.0) / (eps + 1.0)))
-
-
 @dataclass(frozen=True)
 class WireModel:
     """Infinite wire of radius R perpendicular to the simulation plane.
@@ -75,15 +64,6 @@ class WireModel:
             raise DomainError("wire radius must be positive")
         if not 0.0 <= self.response <= 1.0:
             raise DomainError("response factor must be in [0, 1]")
-
-    @classmethod
-    def from_permittivity(cls, eps: complex, radius_nm: float,
-                          center: tuple[float, float] = (0.0, 0.0)) -> "WireModel":
-        eps = complex(eps)
-        if eps == -1.0:
-            raise DomainError("permittivity -1 is a pole of the response")
-        beta = abs((eps - 1.0) / (eps + 1.0))
-        return cls(radius_nm=radius_nm, response=beta, center=center)
 
     def potential(self, x, y, field_v_per_nm: float):
         """Static envelope of the near-field potential, in volts.
@@ -252,10 +232,6 @@ class UniformStripeModel:
             "no potential; use the analytic engine"
         )
 
-    @property
-    def extent_hint(self) -> float:
-        return max(abs(self.y_min), abs(self.y_max))
-
 
 NearFieldModel = WireModel | GapResonatorModel | UniformStripeModel
 
@@ -330,45 +306,29 @@ def _oscillatory_tails(model, field, ys, x_lo, x_hi, delta_k, phase, tol):
     return cos_tot, sin_tot
 
 
-def coupling_integrals(model: NearFieldModel, laser: LaserParams, v0: float, y,
-                       x_bounds: tuple[float, float] | None = None):
-    """Cosine and sine coupling integrals at transverse positions y, in rad.
+def coupling_integrals(model: NearFieldModel, laser: LaserParams, v0: float,
+                       ys: np.ndarray, tails: bool = False):
+    """Cosine and sine coupling integrals at the transverse positions ys, in rad.
 
     Evaluates the trajectory integrals of Phi0(x, y) against
-    cos/sin(delta_k x + phase), scaled by -q/(hbar v0).  Pass infinite
-    x_bounds to include the oscillatory tails exactly; the default window
-    truncates them, which is adequate for mask construction.
+    cos/sin(delta_k x + phase), scaled by -q/(hbar v0), over the window of
+    `default_x_bounds`.  tails=True adds the oscillatory tails beyond it
+    exactly; the truncated window is adequate for mask construction.
     """
     if not v0 > 0.0:
         raise DomainError("electron velocity must be positive")
     delta_k = laser.omega / v0
-    ys = np.atleast_1d(np.asarray(y, dtype=float))
-    scalar = np.ndim(y) == 0
+    ys = np.asarray(ys, dtype=float)
 
     if isinstance(model, UniformStripeModel):
         inside = (ys >= model.y_min) & (ys <= model.y_max)
         c = np.where(inside, model.coupling_rad, 0.0)
-        s = np.zeros_like(c)
-        if scalar:
-            return float(c[0]), float(s[0])
-        return c, s
+        return c, np.zeros_like(c)
 
     prefactor = -ELECTRON_CHARGE / (HBAR * v0)
     phase = laser.phase_rad
     field = laser.field_v_per_nm
-    if x_bounds is None:
-        x_lo, x_hi = default_x_bounds(model, delta_k)
-        infinite = False
-    else:
-        x_lo, x_hi = x_bounds
-        infinite = math.isinf(x_lo) or math.isinf(x_hi)
-        if infinite:
-            if not (math.isinf(x_lo) and math.isinf(x_hi)):
-                raise ConfigurationError("x bounds must be both finite or both infinite")
-            x_lo, x_hi = default_x_bounds(model, delta_k)
-    if not x_hi > x_lo:
-        raise ConfigurationError(f"empty integration window ({x_lo}, {x_hi})")
-
+    x_lo, x_hi = default_x_bounds(model, delta_k)
     max_panel = math.pi / (4.0 * delta_k)
 
     def integrand_cos(xs):
@@ -382,51 +342,27 @@ def coupling_integrals(model: NearFieldModel, laser: LaserParams, v0: float, y,
     # The tolerance is on the coupling in rad; the quadrature runs on the
     # bare potential integral, so rescale by the prefactor magnitude.
     raw_tol = COUPLING_TOL / abs(prefactor)
-    core_tol = raw_tol / 2.0 if infinite else raw_tol
+    core_tol = raw_tol / 2.0 if tails else raw_tol
     c_core, _ = adaptive_quad(integrand_cos, x_lo, x_hi, core_tol, max_panel=max_panel)
     s_core, _ = adaptive_quad(integrand_sin, x_lo, x_hi, core_tol, max_panel=max_panel)
 
-    if infinite:
+    if tails:
         c_tail, s_tail = _oscillatory_tails(
             model, field, ys, x_lo, x_hi, delta_k, phase, raw_tol)
         c_core = c_core + c_tail
         s_core = s_core + s_tail
-
-    c = prefactor * c_core
-    s = prefactor * s_core
-    if scalar:
-        return float(c[0]), float(s[0])
-    return c, s
+    return prefactor * c_core, prefactor * s_core
 
 
 def coupling_profile(model: NearFieldModel, laser: LaserParams, v0: float,
-                     y_grid: np.ndarray,
-                     x_bounds: tuple[float, float] | None = None) -> CouplingProfile:
+                     y_grid: np.ndarray) -> CouplingProfile:
     """Sample the coupling integrals on a uniform transverse grid."""
     ys = np.asarray(y_grid, dtype=float)
-    c, s = coupling_integrals(model, laser, v0, ys, x_bounds=x_bounds)
+    c, s = coupling_integrals(model, laser, v0, ys)
     return CouplingProfile(
-        y=ys, coupling_cos=np.asarray(c), coupling_sin=np.asarray(s),
+        y=ys, coupling_cos=c, coupling_sin=s,
         delta_k=laser.omega / v0, model=model, laser=laser, v0=v0,
     )
-
-
-@dataclass(frozen=True)
-class ProfileTransform:
-    """Unitary 1D Fourier transform of the cosine coupling profile."""
-
-    ky: np.ndarray
-    values: np.ndarray
-    dky: float
-
-
-def profile_transform(profile: CouplingProfile) -> ProfileTransform:
-    """Transverse spectrum of the cosine coupling; odd and imaginary for an
-    odd real profile."""
-    ys = profile.y
-    ky, vals = unitary_transform_1d(profile.coupling_cos, ys)
-    return ProfileTransform(ky=ky, values=vals,
-                            dky=2.0 * np.pi / (len(ys) * float(ys[1] - ys[0])))
 
 
 def _fmt(v: float) -> str:

@@ -93,7 +93,8 @@ def adaptive_quad(f, a: float, b: float, tol: float, max_panel: float | None = N
     n_panels = n0
     counter = n0
     total_err = float(errs.sum())
-    while total_err > tol and n_panels < max_panels:
+    # Written as `not <=` so a NaN estimate never counts as converged.
+    while not total_err <= tol and n_panels < max_panels:
         neg_err, _, lo, hi, _val = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         (v1, v2), (e1, e2) = _panel_eval(f, np.array([lo, mid]), np.array([mid, hi]))
@@ -103,7 +104,7 @@ def adaptive_quad(f, a: float, b: float, tol: float, max_panel: float | None = N
         counter += 2
         n_panels += 1
     total = sum(item[4] for item in heap)
-    if total_err > tol:
+    if not total_err <= tol:
         raise NumericalError(
             f"quadrature did not converge to {tol:g} with {max_panels} panels",
             achieved=total_err,

@@ -361,3 +361,32 @@ def test_config_that_is_not_utf8_exits_one(tmp_path, capsys):
     cfg.write_bytes(SMALL_RUN.replace("wire", "wire \xe9").encode("latin-1"))
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new", [
+    ("wavelength_nm = 2000.0", "wavelength_nm = inf"),
+    ("field_v_per_nm = 0.2", "field_v_per_nm = nan"),
+    ("field_v_per_nm = 0.2", "field_v_per_nm = 0.2\nphase_rad = nan"),
+], ids=["wavelength-inf", "field-nan", "phase-nan"])
+def test_non_finite_config_number_exits_one_before_writing(tmp_path, capsys,
+                                                           old, new):
+    text = SMALL_RUN.replace(old, new)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    line = text.splitlines().index(new.splitlines()[-1]) + 1
+    assert f"(line {line}): not a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [b"NEDIFF1 a b c d e f g h i\n",
+                                     b"\xff\xfe not a grid\n"],
+                         ids=["bad-numbers", "not-ascii"])
+def test_malformed_grid_dump_exits_one(tmp_path, capsys, content):
+    bad = tmp_path / "bad.grid"
+    bad.write_bytes(content)
+    assert main(["render", str(bad)]) == 1
+    assert main(["compare", str(bad), str(bad)]) == 1
+    assert capsys.readouterr().err.count("error: ") == 2
+    assert not (tmp_path / "bad.grid.pgm").exists()

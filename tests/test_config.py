@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import math
+import re
 
 import pytest
 
@@ -284,6 +285,24 @@ def test_invalid_value_line_is_inside_its_section():
     line = _line_number(text, "center_x_nm = abc")
     with pytest.raises(ConfigurationError, match=rf"\[model\] center_x_nm .*\(line {line}\)"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("wavelength_nm", "inf"), ("field_v_per_nm", "nan"), ("energy_ev", "-inf"),
+    ("radius_nm", "nan"), ("dx_nm", "inf"),
+])
+def test_non_finite_number_is_rejected_with_its_line(key, value):
+    text = re.sub(rf"^{key} = .*$", f"{key} = {value}", MINIMAL, flags=re.M)
+    line = _line_number(text, f"{key} = {value}")
+    with pytest.raises(ConfigurationError,
+                       match=rf"{key} = '{value}' \(line {line}\): not a finite"):
+        parse_config(text)
+
+
+def test_non_finite_sweep_value_is_rejected():
+    text = MINIMAL + "\n[sweep]\naxis = radius_nm\nvalues = 5,nan,20\n"
+    with pytest.raises(ConfigurationError, match="values = '5,nan,20'"):
+        parse_sweep_config(text)
 
 
 def test_unknown_key_line_is_inside_its_section():

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from nediff.core import (Grid2D, Wavepacket, check_coverage, from_momentum,
-                         fwhm_interpolated, gaussian_wavepacket, mean_momentum,
+from nediff.core import (Grid2D, Wavepacket, check_coverage, density_moments,
+                         from_momentum, fwhm_interpolated, gaussian_wavepacket,
                          temporal_spread, to_momentum)
 from nediff.errors import ConfigurationError, DomainError
 from nediff.gridio import read_grid, write_grid
@@ -90,7 +90,8 @@ def test_gaussian_density_fwhm_matches_request(fig1_style_packet):
 
 
 def test_gaussian_mean_momentum(fig1_style_packet):
-    kx, ky = mean_momentum(fig1_style_packet)
+    spec = to_momentum(fig1_style_packet)
+    _, (kx, ky), _ = density_moments(spec.density(), spec.kx, spec.ky)
     k0 = fig1_style_packet.k0
     assert abs(kx - k0) <= 1e-6 * k0
     assert abs(ky) <= 1e-6 * k0
@@ -177,6 +178,8 @@ def test_grid_dump_round_trip(tmp_path, fig1_style_packet):
 
 def test_grid_dump_rejects_garbage(tmp_path):
     path = tmp_path / "bad.grid"
-    path.write_bytes(b"NOPE 1 2 3\n")
-    with pytest.raises(ConfigurationError):
-        read_grid(path)
+    for content in (b"NOPE 1 2 3\n", b"NEDIFF1 a b c d e f g h i\n",
+                    b"\xffNEDIFF1 2 2 1 1 0 0 0 1 1\n"):
+        path.write_bytes(content)
+        with pytest.raises(ConfigurationError):
+            read_grid(path)

@@ -1,11 +1,14 @@
-"""Import structure of the package: no cycles, no deferred intra-package imports."""
+"""Import structure of the package: no cycles, no deferred intra-package
+imports, no public name that nothing reaches."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nediff"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "nediff"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 
 
@@ -74,3 +77,41 @@ def test_no_function_level_package_imports(name):
         for node, dep in _intra_imports(func):
             pytest.fail(f"{name}.py:{node.lineno} imports {dep!r} inside "
                         f"function {func.name!r}")
+
+
+def _defined_names(tree: ast.Module):
+    """Public names bound at module level: functions, classes, constants."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from (n for n in names if not n.startswith("_"))
+
+
+def _referenced_names(tree: ast.AST) -> set[str]:
+    """Names read anywhere in the tree, bare or as an attribute."""
+    return ({n.id for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def test_every_public_name_is_used_outside_unit_tests():
+    # The package root only re-exports, so its imports reach nothing.
+    used = set()
+    for name in MODULES:
+        if name != "__init__":
+            used |= _referenced_names(_parse(name))
+    acceptance = Path(__file__).with_name("test_acceptance.py")
+    used |= _referenced_names(ast.parse(acceptance.read_text(encoding="utf-8")))
+    # Entry points, such as nediff = "nediff.cli:main".
+    project = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    used |= set(re.findall(r'"nediff\.\w+:(\w+)"', project))
+    unused = [f"{name}.{defined}" for name in MODULES
+              for defined in _defined_names(_parse(name)) if defined not in used]
+    assert not unused, ("public names that only unit tests reach: "
+                        + ", ".join(unused))

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from nediff.core import unitary_transform_1d
 from nediff.errors import (ConfigurationError, DomainError, StateError,
                            UnsupportedPathError)
-from nediff.nearfield import (CouplingProfile, GapResonatorModel, LaserParams,
+from nediff.nearfield import (GapResonatorModel, LaserParams,
                               UniformStripeModel, WireModel,
                               calibrate_gap_amplitude, coupling_integrals,
-                              coupling_profile, export_profile_csv,
-                              profile_transform, retardation_phase)
+                              coupling_profile, export_profile_csv)
 from nediff.units import C0, HBAR, electron_kinematics
 
 FIG1_LASER = LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2)
@@ -75,25 +75,11 @@ class TestWirePotential:
         assert induced == pytest.approx(e_l * FIG1_WIRE.response, rel=1e-3)
         assert (e_l + induced) / e_l == pytest.approx(1.5, rel=1e-3)
 
-    def test_from_permittivity(self):
-        wire = WireModel.from_permittivity(3.0 + 0.0j, 10.0)
-        assert wire.response == pytest.approx(0.5, rel=1e-12)
-        with pytest.raises(DomainError):
-            WireModel.from_permittivity(-1.0 + 0.0j, 10.0)
-
     def test_validation(self):
         with pytest.raises(DomainError):
             WireModel(radius_nm=0.0)
         with pytest.raises(DomainError):
             WireModel(radius_nm=5.0, response=1.5)
-
-
-def test_retardation_phase():
-    assert retardation_phase(3.0) == 0.0
-    assert retardation_phase(1.0) == 0.0
-    assert retardation_phase(1j) == pytest.approx(math.pi / 2.0, rel=1e-12)
-    with pytest.raises(DomainError):
-        retardation_phase(-1.0)
 
 
 class TestGapResonator:
@@ -180,15 +166,14 @@ class TestGapResonator:
 class TestCouplingIntegrals:
     def test_wire_on_axis_is_zero(self):
         _, v0 = electron_kinematics(100.0)
-        c, s = coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, 0.0)
-        assert c == 0.0 and s == 0.0
+        c, s = coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, np.array([0.0]))
+        assert c[0] == 0.0 and s[0] == 0.0
 
     def test_wire_closed_form_oracle_infinite_bounds(self):
         # Moderate phase mismatch keeps the oracle's dynamic range benign.
         v0 = FIG1_LASER.omega / 0.02
         ys = np.linspace(10.5, 100.0, 25)
-        c, s = coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, ys,
-                                  x_bounds=(-math.inf, math.inf))
+        c, s = coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, ys, tails=True)
         oracle = closed_form_wire_coupling(ys, FIG1_LASER, FIG1_WIRE, v0)
         assert np.max(np.abs(c - oracle) / np.abs(oracle)) < 1e-8
         assert np.max(np.abs(s)) < 1e-10
@@ -209,8 +194,8 @@ class TestCouplingIntegrals:
     def test_linear_in_field(self):
         _, v0 = electron_kinematics(100.0)
         laser2 = LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.4)
-        c1, _ = coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, 15.0)
-        c2, _ = coupling_integrals(FIG1_WIRE, laser2, v0, 15.0)
+        c1, _ = coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, np.array([15.0]))
+        c2, _ = coupling_integrals(FIG1_WIRE, laser2, v0, np.array([15.0]))
         assert c2 == pytest.approx(2.0 * c1, rel=1e-14)
 
     def test_truncation_tail_bound(self):
@@ -220,8 +205,7 @@ class TestCouplingIntegrals:
         dk = 0.02
         ys = np.array([15.0, 40.0, 80.0])
         c_fin, _ = coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, ys)
-        c_inf, _ = coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, ys,
-                                      x_bounds=(-math.inf, math.inf))
+        c_inf, _ = coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, ys, tails=True)
         x_half = max(40.0 * FIG1_WIRE.radius_nm, 10.0 / dk)
         pref = FIG1_LASER.field_v_per_nm * FIG1_WIRE.response * \
             FIG1_WIRE.radius_nm**2 / (HBAR * v0)
@@ -236,14 +220,6 @@ class TestCouplingIntegrals:
         assert np.all(s == 0.0)
         with pytest.raises(UnsupportedPathError):
             stripe.potential(0.0, 0.0, 0.2)
-
-    def test_rejects_bad_window(self):
-        _, v0 = electron_kinematics(100.0)
-        with pytest.raises(ConfigurationError):
-            coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, 5.0, x_bounds=(10.0, -10.0))
-        with pytest.raises(ConfigurationError):
-            coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, 5.0,
-                               x_bounds=(-math.inf, 100.0))
 
 
 @pytest.fixture(scope="module")
@@ -277,8 +253,7 @@ class TestCouplingProfile:
         _, v0 = electron_kinematics(100.0)
         r = FIG1_WIRE.radius_nm
         ys = np.linspace(2 * r, 6 * r, 33)
-        c, _ = coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, ys,
-                                  x_bounds=(-math.inf, math.inf))
+        c, _ = coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, ys, tails=True)
         delta_k = FIG1_LASER.omega / v0
         slope = np.polyfit(ys, np.log(np.abs(c)), 1)[0]
         assert slope == pytest.approx(-delta_k, rel=0.02)
@@ -291,31 +266,28 @@ class TestCouplingProfile:
         # Wide enough that the exponential tail at the one unpaired edge cell
         # sits below the 1e-9 parity target.
         ys = np.linspace(-160.0, 158.75, 256)
-        prof = coupling_profile(FIG1_WIRE, FIG1_LASER, v0, ys,
-                                x_bounds=(-math.inf, math.inf))
-        tf = profile_transform(prof)
-        vals = tf.values
+        c, _ = coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, ys, tails=True)
+        ky, vals = unitary_transform_1d(c, ys)
         scale = float(np.max(np.abs(vals)))
         assert float(np.max(np.abs(vals.real))) < 1e-9 * scale
         assert float(np.max(np.abs(vals[1:] + vals[1:][::-1]))) < 1e-9 * scale
-        izero = int(np.argmin(np.abs(tf.ky)))
+        izero = int(np.argmin(np.abs(ky)))
         assert abs(vals[izero]) < 1e-9 * scale
 
     def test_transform_parseval(self, fig1_profile):
-        tf = profile_transform(fig1_profile)
+        ky, vals = unitary_transform_1d(fig1_profile.coupling_cos, fig1_profile.y)
         dy = fig1_profile.y[1] - fig1_profile.y[0]
-        lhs = float(np.sum(np.abs(tf.values) ** 2)) * tf.dky
+        lhs = float(np.sum(np.abs(vals) ** 2)) * (ky[1] - ky[0])
         rhs = float(np.sum(fig1_profile.coupling_cos ** 2)) * dy
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_transform_has_two_symmetric_lobes(self, fig1_profile):
         from nediff.analysis import find_peaks
-        tf = profile_transform(fig1_profile)
-        mag2 = np.abs(tf.values) ** 2
-        pos, heights = find_peaks(tf.ky, mag2, threshold=0.2)
+        ky, vals = unitary_transform_1d(fig1_profile.coupling_cos, fig1_profile.y)
+        pos, heights = find_peaks(ky, np.abs(vals) ** 2, threshold=0.2)
         top = pos[np.argsort(heights)[::-1][:2]]
         assert top.min() < 0.0 < top.max()
-        assert abs(top.max() + top.min()) < 2 * tf.dky
+        assert abs(top.max() + top.min()) < 2 * (ky[1] - ky[0])
 
     def test_csv_export(self, fig1_profile, tmp_path):
         path = tmp_path / "profile.csv"
@@ -330,10 +302,6 @@ class TestCouplingProfile:
         assert np.allclose(data[:, 0], fig1_profile.y)
         assert np.allclose(data[:, 1], fig1_profile.coupling_cos)
 
-    def test_nonuniform_grid_rejected(self, fig1_profile):
-        bad = CouplingProfile(
-            y=np.array([0.0, 1.0, 3.0]), coupling_cos=np.zeros(3),
-            coupling_sin=np.zeros(3), delta_k=fig1_profile.delta_k,
-            model=FIG1_WIRE, laser=FIG1_LASER, v0=5.93)
+    def test_nonuniform_grid_rejected(self):
         with pytest.raises(ConfigurationError):
-            profile_transform(bad)
+            unitary_transform_1d(np.zeros(3), np.array([0.0, 1.0, 3.0]))

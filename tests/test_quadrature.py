@@ -70,3 +70,11 @@ def test_initial_split_beyond_budget_fails_before_evaluating():
     with pytest.raises(NumericalError, match="initial panels"):
         adaptive_quad(f, 0.0, 100.0, tol=1e-10, max_panel=0.01, max_panels=4096)
     assert calls == []
+
+
+def test_nan_integrand_is_not_converged():
+    # A NaN error estimate compares false against the tolerance either way.
+    with pytest.raises(NumericalError) as info:
+        adaptive_quad(lambda x: np.full_like(x, np.nan), 0.0, 1.0, tol=1e-10,
+                      max_panels=16)
+    assert math.isnan(info.value.achieved)

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from nediff.analysis import momentum_density
-from nediff.analytic import export_order_decomposition, order_amplitudes_exact
 from nediff.config import ElectronSpec, NumericSpec, ScenarioConfig, build_preset
-from nediff.core import Grid2D, gaussian_wavepacket
+from nediff.core import Grid2D
 from nediff.gridio import read_grid
-from nediff.nearfield import LaserParams, WireModel, coupling_profile
+from nediff.nearfield import LaserParams, WireModel
 from nediff.scenario import build_initial_state, run_scenario
-from nediff.units import electron_kinematics
 
 
 def small_config(engine="analytic", field=0.2, outputs=None, numeric=None):
@@ -59,24 +57,3 @@ def test_numeric_snapshot_dumps(tmp_path):
     first = read_grid(snaps[0])
     assert first.t == result.trace.t[0]
     assert first.amplitudes.shape == (cfg.grid.ny, cfg.grid.nx)
-
-
-def test_order_decomposition_export(tmp_path):
-    grid = Grid2D.centered(512, 256, 0.5, 0.5)
-    psi = gaussian_wavepacket(grid, 100.0, 40.0, 16.0)
-    _, v0 = electron_kinematics(100.0)
-    profile = coupling_profile(WireModel(radius_nm=10.0, response=0.5),
-                               LaserParams(wavelength_nm=2000.0,
-                                           field_v_per_nm=0.2),
-                               v0, grid.y)
-    dec = order_amplitudes_exact(psi, profile)
-    written = export_order_decomposition(dec, tmp_path)
-    assert "manifest.txt" in written
-    manifest = (tmp_path / "manifest.txt").read_text()
-    assert "delta_k_per_nm" in manifest
-    n0 = tmp_path / "order_+00.csv"
-    assert n0.exists()
-    data = np.genfromtxt(n0, delimiter=",", skip_header=1)
-    dky = dec.ky[1] - dec.ky[0]
-    pop0 = float(data[:, 1].sum() * dky)
-    assert pop0 == pytest.approx(dec.populations()[dec.order_index(0)], rel=1e-9)
