@@ -331,20 +331,16 @@ def coupling_integrals(model: NearFieldModel, laser: LaserParams, v0: float,
     x_lo, x_hi = default_x_bounds(model, delta_k)
     max_panel = math.pi / (4.0 * delta_k)
 
-    def integrand_cos(xs):
+    def integrand(xs):
         pot = model.potential(xs[:, None], ys[None, :], field)
-        return pot * np.cos(delta_k * xs + phase)[:, None]
-
-    def integrand_sin(xs):
-        pot = model.potential(xs[:, None], ys[None, :], field)
-        return pot * np.sin(delta_k * xs + phase)[:, None]
+        arg = delta_k * xs + phase
+        return pot * np.cos(arg)[:, None], pot * np.sin(arg)[:, None]
 
     # The tolerance is on the coupling in rad; the quadrature runs on the
     # bare potential integral, so rescale by the prefactor magnitude.
     raw_tol = COUPLING_TOL / abs(prefactor)
     core_tol = raw_tol / 2.0 if tails else raw_tol
-    c_core, _ = adaptive_quad(integrand_cos, x_lo, x_hi, core_tol, max_panel=max_panel)
-    s_core, _ = adaptive_quad(integrand_sin, x_lo, x_hi, core_tol, max_panel=max_panel)
+    (c_core, s_core), _ = adaptive_quad(integrand, x_lo, x_hi, core_tol, max_panel)
 
     if tails:
         c_tail, s_tail = _oscillatory_tails(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from nediff.config import build_preset
 from nediff.core import unitary_transform_1d
 from nediff.errors import (ConfigurationError, DomainError, StateError,
                            UnsupportedPathError)
@@ -13,6 +14,7 @@ from nediff.nearfield import (GapResonatorModel, LaserParams,
                               UniformStripeModel, WireModel,
                               calibrate_gap_amplitude, coupling_integrals,
                               coupling_profile, export_profile_csv)
+from nediff.quadrature import SPLIT_BATCH
 from nediff.units import C0, HBAR, electron_kinematics
 
 FIG1_LASER = LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2)
@@ -220,6 +222,38 @@ class TestCouplingIntegrals:
         assert np.all(s == 0.0)
         with pytest.raises(UnsupportedPathError):
             stripe.potential(0.0, 0.0, 0.2)
+
+
+def _record_potential_calls(monkeypatch, cls):
+    """Abscissae of each call to cls.potential, one array per call."""
+    calls = []
+    potential = cls.potential
+
+    def recorded(self, x, y, field):
+        calls.append(np.array(x, dtype=float).ravel())
+        return potential(self, x, y, field)
+
+    monkeypatch.setattr(cls, "potential", recorded)
+    return calls
+
+
+def test_both_kernels_share_every_potential_evaluation(monkeypatch):
+    calls = _record_potential_calls(monkeypatch, WireModel)
+    _, v0 = electron_kinematics(100.0)
+    coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, np.array([-25.0, 0.0, 12.0, 40.0]))
+    xs = np.concatenate(calls)
+    assert len(np.unique(xs)) == len(xs)
+
+
+def test_initial_split_is_evaluated_in_bounded_batches(monkeypatch):
+    # 607 initial panels (9,105 abscissae) on the fig4 gap's 1024-row grid.
+    cfg = build_preset("fig4-limited")
+    gap = calibrate_gap_amplitude(cfg.model)
+    calls = _record_potential_calls(monkeypatch, GapResonatorModel)
+    _, v0 = electron_kinematics(cfg.electron.energy_ev)
+    coupling_integrals(gap, cfg.laser, v0, cfg.grid.y)
+    assert sum(len(x) for x in calls) > 15 * SPLIT_BATCH
+    assert max(len(x) for x in calls) <= 15 * SPLIT_BATCH
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
-"""Property tests of the round trips: config text, grid dumps, momentum
-transform and time reversal of the evolution window."""
+"""Property tests of the round trips (config text, grid dumps, momentum
+transform, time reversal of the evolution window) and of the shared panel
+evaluations of the multi-component quadrature."""
 
 import tempfile
 from pathlib import Path
@@ -16,6 +17,7 @@ from nediff.gridio import read_grid, write_grid
 from nediff.nearfield import (GapResonatorModel, LaserParams, UniformStripeModel,
                               WireModel)
 from nediff.numeric import EvolutionParams
+from nediff.quadrature import adaptive_quad
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -147,3 +149,53 @@ def test_time_reversal_is_an_involution(params):
     assert (back.t_start, back.t_end, back.dt) == (params.t_end, params.t_start,
                                                    -params.dt)
     assert back.reversed() == params
+
+
+def damped_wave(rate, freq, phases):
+    """x -> exp(-rate x) cos(freq x + phases), one column per phase."""
+    return lambda x: np.exp(-rate * x)[:, None] * np.cos(
+        freq * x[:, None] + phases[None, :])
+
+
+@st.composite
+def damped_wave_pairs(draw):
+    """Two damped waves whose frequencies differ by at least half, so that
+    their panel trees differ, and an initial panel width that leaves the
+    faster one to be refined.  Returns (f1, f2, max_panel)."""
+    freq = draw(st.floats(min_value=0.5, max_value=20.0))
+    ratio = draw(st.floats(min_value=1.5, max_value=4.0))
+    waves = tuple(
+        damped_wave(draw(st.floats(min_value=0.05, max_value=2.0)), f,
+                    np.array(draw(st.lists(finite(-3.0, 3.0), min_size=1,
+                                           max_size=4))))
+        for f in (freq, ratio * freq))
+    periods = draw(st.floats(min_value=0.25, max_value=2.0))
+    return waves + (periods * 2.0 * np.pi / freq,)
+
+
+def _recording(f, batches):
+    def g(xs):
+        batches.append(xs.tobytes())
+        return f(xs)
+    return g
+
+
+@PROPERTY_SETTINGS
+@given(damped_wave_pairs(), st.sampled_from([1e-13, 1e-11, 1e-9]))
+def test_components_keep_their_own_panel_trees(waves, tol):
+    # Two components share every evaluation, yet each gets the bits it gets
+    # alone, and no batch of abscissae reaches f twice.
+    f1, f2, max_panel = waves
+    upper = 10.0
+    kwargs = dict(tol=tol, max_panel=max_panel)
+    batches, alone1, alone2 = [], [], []
+    (v1, v2), (e1, e2) = adaptive_quad(
+        _recording(lambda x: (f1(x), f2(x)), batches), 0.0, upper, **kwargs)
+    (w1,), (d1,) = adaptive_quad(_recording(lambda x: (f1(x),), alone1),
+                                 0.0, upper, **kwargs)
+    (w2,), (d2,) = adaptive_quad(_recording(lambda x: (f2(x),), alone2),
+                                 0.0, upper, **kwargs)
+    assert np.array_equal(v1, w1) and np.array_equal(v2, w2)
+    assert (e1, e2) == (d1, d2)
+    assert len(batches) == len(set(batches))
+    assert set(batches) == set(alone1) | set(alone2)
