@@ -9,7 +9,6 @@ import numpy as np
 
 from .core import Wavepacket, fwhm_interpolated, to_momentum
 from .errors import AnalysisError, ConfigurationError, DomainError
-from .gridio import write_lines
 from .nearfield import CouplingProfile
 from .units import ELECTRON_MASS, HBAR
 
@@ -76,19 +75,12 @@ class SidebandTable:
     orders: np.ndarray
     populations: np.ndarray
     ky_spread: np.ndarray
-    delta_k: float
 
     def population(self, n: int) -> float:
         idx = np.nonzero(self.orders == n)[0]
         if len(idx) != 1:
             raise DomainError(f"order {n} not in table")
         return float(self.populations[idx[0]])
-
-    def write_csv(self, path) -> None:
-        lines = ["order,population,ky_spread_per_nm"]
-        for n, p, s in zip(self.orders, self.populations, self.ky_spread):
-            lines.append(f"{int(n)},{repr(float(p))},{repr(float(s))}")
-        write_lines(path, lines)
 
 
 def sideband_populations(dmap: DensityMap, k0: float, delta_k: float) -> SidebandTable:
@@ -116,8 +108,7 @@ def sideband_populations(dmap: DensityMap, k0: float, delta_k: float) -> Sideban
         m = float(mass_x[sel].sum())
         pops[i] = m
         spread[i] = math.sqrt(float(ky2_x[sel].sum()) / m) if m > 0.0 else 0.0
-    return SidebandTable(orders=orders, populations=pops, ky_spread=spread,
-                         delta_k=delta_k)
+    return SidebandTable(orders=orders, populations=pops, ky_spread=spread)
 
 
 def find_peaks(coords: np.ndarray, values: np.ndarray,

@@ -28,8 +28,6 @@ class PhaseMask:
     """Interaction phase sampled on a grid."""
 
     values: np.ndarray
-    delta_k: float
-    profile: CouplingProfile
     grid: Grid2D
 
 
@@ -49,8 +47,7 @@ def build_phase_mask(profile: CouplingProfile, grid: Grid2D) -> PhaseMask:
             profile.y, grid.y, rtol=0.0, atol=1e-12):
         raise ConfigurationError(
             "coupling profile is not sampled on the grid's y axis")
-    return PhaseMask(values=mask_phase(profile, grid.x),
-                     delta_k=profile.delta_k, profile=profile, grid=grid)
+    return PhaseMask(values=mask_phase(profile, grid.x), grid=grid)
 
 
 def apply_interaction(psi: Wavepacket, mask: PhaseMask) -> Wavepacket:
@@ -73,7 +70,6 @@ class OrderDecomposition:
     amplitudes: np.ndarray
     ky: np.ndarray
     spectra: np.ndarray
-    delta_k: float
 
     def order_index(self, n: int) -> int:
         idx = np.nonzero(self.orders == n)[0]
@@ -121,7 +117,7 @@ def order_amplitudes_exact(psi: Wavepacket, profile: CouplingProfile,
         amps[i] = (1j ** abs(n)) * scipy.special.jv(abs(n), c) * gy
     ky, spectra = unitary_transform_1d(amps, profile.y)
     return OrderDecomposition(orders=orders, y=profile.y.copy(), amplitudes=amps,
-                              ky=ky, spectra=spectra, delta_k=profile.delta_k)
+                              ky=ky, spectra=spectra)
 
 
 def order_series_taylor(coupling: float, n: int, l_max: int) -> complex:
@@ -183,8 +179,6 @@ def vacuum_propagate(psi: Wavepacket, tau: float, axes: str = "xy") -> Wavepacke
     """
     if axes not in ("xy", "x"):
         raise DomainError(f"axes must be 'xy' or 'x', got {axes!r}")
-    if tau == 0.0:
-        return psi
     spec = to_momentum(psi)
     _check_dispersal_fits(psi, spec, tau, axes=axes)
     kp_x = spec.kx - psi.k0

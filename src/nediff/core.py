@@ -336,6 +336,6 @@ def unitary_transform_1d(values: np.ndarray, y: np.ndarray):
         raise ConfigurationError("profile must be sampled on a uniform y grid")
     dy = float(steps[0])
     ky = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(len(y), dy))
-    out = np.fft.fftshift(np.fft.fft(values, axis=-1), axes=-1)
+    out = np.fft.fftshift(_fft.fft(values, axis=-1), axes=-1)
     out = out * (dy / math.sqrt(2.0 * math.pi)) * np.exp(-1j * ky * y[0])
     return ky, out

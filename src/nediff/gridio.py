@@ -4,7 +4,8 @@ Grid dump format: one ASCII header line
     NEDIFF1 nx ny dx dy x0 y0 t k0 E0\n
 followed by little-endian float64 (re, im) pairs, row-major over y then x.
 Text artifacts (CSV, config echoes, summaries) are UTF-8 with LF line ends
-on every platform, so reruns are byte-identical.
+on every platform, so reruns are byte-identical.  Every CSV artifact goes
+through `write_csv`: `# ` comment lines, a header row, then one line per row.
 """
 
 from __future__ import annotations
@@ -21,6 +22,15 @@ def write_lines(path, lines) -> None:
     """Write text lines as UTF-8, each terminated by a single LF."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_csv(path, header, rows, comments=()) -> None:
+    """CSV artifact; a string cell is written as given, any other as
+    repr(float(v)), which reads back bit for bit."""
+    lines = [f"# {c}" for c in comments] + [",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else repr(float(v)) for v in row)
+              for row in rows]
+    write_lines(path, lines)
 
 
 def write_grid(path, psi: Wavepacket) -> None:

@@ -18,7 +18,6 @@ import scipy.integrate
 
 from .core import _SQRT8LN2
 from .errors import DomainError, NumericalError, StateError, UnsupportedPathError
-from .gridio import write_lines
 from .quadrature import adaptive_quad
 from .units import C0, ELECTRON_CHARGE, HBAR
 
@@ -267,42 +266,39 @@ def default_x_bounds(model: NearFieldModel, delta_k: float) -> tuple[float, floa
     return (-half, half)
 
 
-def _oscillatory_tails(model, field, ys, x_lo, x_hi, delta_k, phase, tol):
-    """Semi-infinite continuations of the two trajectory integrals.
+def _oscillatory_tails(model, field, ys, half, delta_k, phase, tol):
+    """Continuations of the two trajectory integrals beyond |x| = half.
 
     Uses Fourier-weighted quadrature (QUADPACK QAWF) per transverse sample;
     this handles the algebraically decaying, oscillating tails that a plain
-    truncation cannot reach at tight tolerances.
+    truncation cannot reach at tight tolerances.  Both tails fold onto
+    [half, inf): the even part f(u) + f(-u) carries the cosine transform C,
+    the odd part f(u) - f(-u) the sine transform S.
     """
     cphi, sphi = math.cos(phase), math.sin(phase)
     cos_tot = np.zeros(len(ys))
     sin_tot = np.zeros(len(ys))
-    eps = tol / 4.0
+    eps = tol / 2.0
+
+    def folded(u, yv, sign):
+        right, left = model.potential(np.array([u, -u]), yv, field)
+        return right + sign * left
+
     for i, yv in enumerate(ys):
-        def f_right(x):
-            return model.potential(x, yv, field)
-
-        def f_left(u):
-            return model.potential(-u, yv, field)
-
-        c_p, ec1 = scipy.integrate.quad(
-            f_right, x_hi, np.inf, weight="cos", wvar=delta_k, epsabs=eps, limlst=200)
-        s_p, ec2 = scipy.integrate.quad(
-            f_right, x_hi, np.inf, weight="sin", wvar=delta_k, epsabs=eps, limlst=200)
-        c_m, ec3 = scipy.integrate.quad(
-            f_left, -x_lo, np.inf, weight="cos", wvar=delta_k, epsabs=eps, limlst=200)
-        s_m, ec4 = scipy.integrate.quad(
-            f_left, -x_lo, np.inf, weight="sin", wvar=delta_k, epsabs=eps, limlst=200)
-        achieved = max(ec1, ec2, ec3, ec4)
+        c, ec = scipy.integrate.quad(folded, half, np.inf, args=(yv, 1.0), weight="cos",
+                                     wvar=delta_k, epsabs=eps, limlst=200)
+        s, es = scipy.integrate.quad(folded, half, np.inf, args=(yv, -1.0), weight="sin",
+                                     wvar=delta_k, epsabs=eps, limlst=200)
+        achieved = max(ec, es)
         if achieved > 10.0 * eps:
             raise NumericalError(
                 f"oscillatory tail integral did not converge at y={yv:g}",
                 achieved=achieved,
             )
-        # cos-kernel integrand: cos(dk x + phase); sin-kernel: sin(dk x + phase).
-        # Left tails carry x -> -u, flipping the sign of the sine transforms.
-        cos_tot[i] = cphi * (c_p + c_m) - sphi * (s_p - s_m)
-        sin_tot[i] = sphi * (c_p + c_m) + cphi * (s_p - s_m)
+        # cos(dk x + phase) = cphi cos(dk x) - sphi sin(dk x), and likewise
+        # sin(dk x + phase) = sphi cos(dk x) + cphi sin(dk x).
+        cos_tot[i] = cphi * c - sphi * s
+        sin_tot[i] = sphi * c + cphi * s
     return cos_tot, sin_tot
 
 
@@ -344,7 +340,7 @@ def coupling_integrals(model: NearFieldModel, laser: LaserParams, v0: float,
 
     if tails:
         c_tail, s_tail = _oscillatory_tails(
-            model, field, ys, x_lo, x_hi, delta_k, phase, raw_tol)
+            model, field, ys, x_hi, delta_k, phase, raw_tol)
         c_core = c_core + c_tail
         s_core = s_core + s_tail
     return prefactor * c_core, prefactor * s_core
@@ -360,22 +356,3 @@ def coupling_profile(model: NearFieldModel, laser: LaserParams, v0: float,
         delta_k=laser.omega / v0, model=model, laser=laser, v0=v0,
     )
 
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
-def export_profile_csv(profile: CouplingProfile, path) -> None:
-    """CSV export with a comment header recording the provenance."""
-    lines = [
-        f"# model: {profile.model!r}",
-        f"# laser: wavelength_nm={_fmt(profile.laser.wavelength_nm)} "
-        f"field_v_per_nm={_fmt(profile.laser.field_v_per_nm)} "
-        f"phase_rad={_fmt(profile.laser.phase_rad)}",
-        f"# v0_nm_fs: {_fmt(profile.v0)}",
-        f"# delta_k_per_nm: {_fmt(profile.delta_k)}",
-        "y_nm,I1_rad,I2_rad",
-    ]
-    for yv, c, s in zip(profile.y, profile.coupling_cos, profile.coupling_sin):
-        lines.append(f"{_fmt(yv)},{_fmt(c)},{_fmt(s)}")
-    write_lines(path, lines)

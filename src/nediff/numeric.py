@@ -20,7 +20,6 @@ import scipy.fft as _fft
 
 from .core import Grid2D, Wavepacket, density_moments
 from .errors import ConfigurationError, NumericalError
-from .gridio import write_lines
 from .nearfield import LaserParams, NearFieldModel, UniformStripeModel
 from .units import ELECTRON_CHARGE, ELECTRON_MASS, HBAR
 
@@ -40,7 +39,6 @@ BLOCK_BYTES = 1 << 20
 class EvolutionParams:
     """Time stepping description for one interaction run."""
 
-    dt: float
     n_steps: int
     t_start: float
     t_end: float
@@ -54,18 +52,17 @@ class EvolutionParams:
             raise ConfigurationError("need at least one step")
         if self.t_end == self.t_start:
             raise ConfigurationError("evolution window must have nonzero length")
-        # dt is signed; t_end < t_start runs the conjugated steps backward.
-        expected = (self.t_end - self.t_start) / self.n_steps
-        if not math.isclose(self.dt, expected, rel_tol=1e-12, abs_tol=0.0):
-            raise ConfigurationError(
-                f"dt {self.dt!r} inconsistent with window and step count "
-                f"(expected {expected!r})")
         if self.snapshot_stride < 1:
             raise ConfigurationError("snapshot stride must be >= 1")
 
+    @property
+    def dt(self) -> float:
+        """Signed step; t_end < t_start runs the conjugated steps backward."""
+        return (self.t_end - self.t_start) / self.n_steps
+
     def reversed(self) -> "EvolutionParams":
         """Parameters retracing this window backward (conjugated steps)."""
-        return replace(self, t_start=self.t_end, t_end=self.t_start, dt=-self.dt)
+        return replace(self, t_start=self.t_end, t_end=self.t_start)
 
 
 @dataclass(frozen=True)
@@ -78,13 +75,6 @@ class EvolutionTrace:
     kx_mean: np.ndarray
     ky_mean: np.ndarray
     energy_ev: np.ndarray
-
-    def write_csv(self, path) -> None:
-        lines = ["t_fs,norm,x_mean_nm,kx_mean_per_nm,ky_mean_per_nm,energy_mean_ev"]
-        for row in zip(self.t, self.norm, self.x_mean, self.kx_mean,
-                       self.ky_mean, self.energy_ev):
-            lines.append(",".join(repr(float(v)) for v in row))
-        write_lines(path, lines)
 
 
 def _phase_bounds(laser: LaserParams, model: NearFieldModel, grid: Grid2D):
@@ -144,7 +134,7 @@ def choose_steps(laser: LaserParams, model: NearFieldModel, grid: Grid2D,
     else:
         n = max(1, int(round(window / dt)))
     params = EvolutionParams(
-        dt=window / n, n_steps=n, t_start=t_start, t_end=t_end,
+        n_steps=n, t_start=t_start, t_end=t_end,
         laser=laser, model=model,
         include_vector_potential=include_vector_potential,
         snapshot_stride=snapshot_stride,

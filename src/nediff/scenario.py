@@ -21,8 +21,7 @@ from .core import (Wavepacket, bandwidth_to_fwhm_x, check_coverage,
                    gaussian_wavepacket)
 from .errors import AnalysisError, ConfigurationError, NediffError
 from .nearfield import (CouplingProfile, GapResonatorModel, UniformStripeModel,
-                        calibrate_gap_amplitude, coupling_profile,
-                        export_profile_csv)
+                        calibrate_gap_amplitude, coupling_profile)
 from .numeric import EvolutionTrace, choose_steps, split_step_evolve
 from .render import render_heatmap
 from .units import electron_kinematics
@@ -144,14 +143,6 @@ def run_scenario(cfg: ScenarioConfig, outdir=None) -> ScenarioResult:
     return result
 
 
-def _write_crosscut_csv(cut: Crosscut, path) -> None:
-    lines = [f"# axis: {cut.axis}", f"# fixed_value_per_nm: {float(cut.value)!r}",
-             "k_per_nm,density"]
-    for c, d in zip(cut.coords, cut.density):
-        lines.append(f"{float(c)!r},{float(d)!r}")
-    gridio.write_lines(path, lines)
-
-
 def write_artifacts(result: ScenarioResult, outdir) -> list[str]:
     """Write the configured artifact bundle; returns the relative file names."""
     outdir = Path(outdir)
@@ -164,9 +155,25 @@ def write_artifacts(result: ScenarioResult, outdir) -> list[str]:
         written.append(name)
         return outdir / name
 
+    def write_cut(cut: Crosscut, name: str) -> None:
+        gridio.write_csv(emit(name), ("k_per_nm", "density"),
+                         zip(cut.coords, cut.density),
+                         comments=(f"axis: {cut.axis}",
+                                   f"fixed_value_per_nm: {float(cut.value)!r}"))
+
     gridio.write_lines(emit("config.txt"), serialize_config(cfg).splitlines())
     if "profile" in wanted:
-        export_profile_csv(result.profile, emit("profile.csv"))
+        p = result.profile
+        laser = p.laser
+        gridio.write_csv(
+            emit("profile.csv"), ("y_nm", "I1_rad", "I2_rad"),
+            zip(p.y, p.coupling_cos, p.coupling_sin),
+            comments=(f"model: {p.model!r}",
+                      f"laser: wavelength_nm={float(laser.wavelength_nm)!r} "
+                      f"field_v_per_nm={float(laser.field_v_per_nm)!r} "
+                      f"phase_rad={float(laser.phase_rad)!r}",
+                      f"v0_nm_fs: {float(p.v0)!r}",
+                      f"delta_k_per_nm: {float(p.delta_k)!r}"))
     if "grids" in wanted:
         gridio.write_grid(emit("initial.grid"), result.psi_initial)
     for label, out in (("analytic", result.analytic), ("numeric", result.numeric)):
@@ -178,18 +185,26 @@ def write_artifacts(result: ScenarioResult, outdir) -> list[str]:
             render_heatmap(out.density, emit(f"density_{label}.pgm"),
                            colormap="log")
         if "populations" in wanted and out.sidebands is not None:
-            out.sidebands.write_csv(emit(f"populations_{label}.csv"))
+            table = out.sidebands
+            gridio.write_csv(
+                emit(f"populations_{label}.csv"),
+                ("order", "population", "ky_spread_per_nm"),
+                ((str(int(n)), pop, spread) for n, pop, spread in
+                 zip(table.orders, table.populations, table.ky_spread)))
         if "crosscuts" in wanted:
-            _write_crosscut_csv(crosscut(out.density, "kx", 0.0),
-                                emit(f"crosscut_{label}_kx_ky0.csv"))
+            write_cut(crosscut(out.density, "kx", 0.0),
+                      f"crosscut_{label}_kx_ky0.csv")
             for n in (0, 1, 2):
                 kxn = out.psi.k0 + n * result.delta_k
                 if out.density.kx[0] <= kxn <= out.density.kx[-1]:
-                    _write_crosscut_csv(
-                        crosscut(out.density, "ky", kxn),
-                        emit(f"crosscut_{label}_ky_n{n}.csv"))
+                    write_cut(crosscut(out.density, "ky", kxn),
+                              f"crosscut_{label}_ky_n{n}.csv")
     if result.trace is not None and "trace" in wanted:
-        result.trace.write_csv(emit("trace.csv"))
+        tr = result.trace
+        gridio.write_csv(
+            emit("trace.csv"), ("t_fs", "norm", "x_mean_nm", "kx_mean_per_nm",
+                                "ky_mean_per_nm", "energy_mean_ev"),
+            zip(tr.t, tr.norm, tr.x_mean, tr.kx_mean, tr.ky_mean, tr.energy_ev))
     if result.rel_l2_densities is not None and "compare" in wanted:
         gridio.write_lines(emit("compare.txt"), [
             f"relative_l2_momentum_density = {float(result.rel_l2_densities)!r}"])
@@ -276,16 +291,11 @@ class SweepResult:
             argmin = self.ground_state_minimum()
         except AnalysisError:
             argmin = math.nan
-        lines = [",".join(header)]
-        for i, p in enumerate(self.points):
-            row = [repr(float(p.parameter))]
-            row += [repr(float(v)) for v in pops[i]]
-            row += [repr(float(p.depletion)), repr(float(p.alpha_max_deg)),
-                    repr(float(p.delta_kx)), repr(float(p.delta_ky))]
-            row.append("1" if p.parameter == argmin else "0")
-            row.append(p.error.replace(",", ";"))
-            lines.append(",".join(row))
-        gridio.write_lines(path, lines)
+        rows = [[p.parameter, *pops[i], p.depletion, p.alpha_max_deg,
+                 p.delta_kx, p.delta_ky, "1" if p.parameter == argmin else "0",
+                 p.error.replace(",", ";")]
+                for i, p in enumerate(self.points)]
+        gridio.write_csv(path, header, rows)
 
 
 def run_sweep_point(spec: SweepSpec, value: float) -> SweepPoint:

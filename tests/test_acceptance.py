@@ -363,8 +363,8 @@ def test_criterion_11_conservation_suite(fig1):
 
     def run(dt):
         n = int(round(16.0 / dt))
-        params = EvolutionParams(dt=16.0 / n, n_steps=n, t_start=-8.0,
-                                 t_end=8.0, laser=laser, model=wire)
+        params = EvolutionParams(n_steps=n, t_start=-8.0, t_end=8.0,
+                                 laser=laser, model=wire)
         out, _ = split_step_evolve(psi, params)
         return momentum_density(out).values
 

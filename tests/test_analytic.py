@@ -257,10 +257,6 @@ class TestWeakFieldOrder:
 
 
 class TestVacuumPropagate:
-    def test_zero_time_identity(self, packet):
-        out = vacuum_propagate(packet, 0.0)
-        assert out is packet
-
     def test_norm_preserved(self, packet):
         out = vacuum_propagate(packet, 37.0)
         assert out.norm() == pytest.approx(packet.norm(), abs=1e-12)

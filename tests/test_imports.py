@@ -79,6 +79,14 @@ def test_no_function_level_package_imports(name):
                         f"function {func.name!r}")
 
 
+def test_only_the_artifact_writers_import_gridio():
+    # gridio.write_csv owns the CSV layout; the physics modules compute.
+    writers = {"render", "scenario", "cli"}
+    importers = {name for name, deps in _graph().items() if "gridio" in deps}
+    assert importers <= writers, ("gridio imported outside render, scenario and "
+                                  "cli: " + ", ".join(sorted(importers - writers)))
+
+
 def _defined_names(tree: ast.Module):
     """Public names bound at module level: functions, classes, constants."""
     for node in tree.body:

@@ -1,6 +1,7 @@
 """Near-field models and coupling integrals."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from nediff.errors import (ConfigurationError, DomainError, StateError,
 from nediff.nearfield import (GapResonatorModel, LaserParams,
                               UniformStripeModel, WireModel,
                               calibrate_gap_amplitude, coupling_integrals,
-                              coupling_profile, export_profile_csv)
+                              coupling_profile)
 from nediff.quadrature import SPLIT_BATCH
+from nediff.scenario import ScenarioResult, write_artifacts
 from nediff.units import C0, HBAR, electron_kinematics
 
 FIG1_LASER = LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2)
@@ -324,8 +326,13 @@ class TestCouplingProfile:
         assert abs(top.max() + top.min()) < 2 * (ky[1] - ky[0])
 
     def test_csv_export(self, fig1_profile, tmp_path):
+        cfg = replace(build_preset("fig1"), outputs=("profile",))
+        result = ScenarioResult(
+            config=cfg, psi_initial=None, profile=fig1_profile, analytic=None,
+            numeric=None, trace=None, delta_k=fig1_profile.delta_k,
+            rel_l2_densities=None)
+        write_artifacts(result, tmp_path)
         path = tmp_path / "profile.csv"
-        export_profile_csv(fig1_profile, path)
         lines = path.read_text().splitlines()
         comments = [ln for ln in lines if ln.startswith("#")]
         assert any("delta_k" in ln for ln in comments)

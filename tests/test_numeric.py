@@ -2,6 +2,7 @@
 
 import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import scipy.fft
 
 from nediff.analytic import apply_interaction, build_phase_mask, vacuum_propagate
 from nediff.analysis import momentum_density, rel_l2, sideband_populations
+from nediff.config import build_preset
 from nediff.core import Grid2D, gaussian_wavepacket, to_momentum
 from nediff.errors import ConfigurationError, NumericalError
 from nediff.nearfield import (LaserParams, UniformStripeModel, WireModel,
@@ -16,6 +18,7 @@ from nediff.nearfield import (LaserParams, UniformStripeModel, WireModel,
 from nediff import numeric
 from nediff.numeric import (EvolutionParams, _vector_potential_integral,
                             choose_steps, split_step_evolve, validate_evolution)
+from nediff.scenario import ScenarioResult, write_artifacts
 from nediff.units import ELECTRON_CHARGE, ELECTRON_MASS, HBAR, electron_kinematics
 
 LASER = LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2)
@@ -70,15 +73,10 @@ class TestChooseSteps:
 
 class TestValidation:
     def test_oversized_dt_rejected_before_stepping(self, grid, packet):
-        params = EvolutionParams(dt=4.0, n_steps=5, t_start=-10.0, t_end=10.0,
+        params = EvolutionParams(n_steps=5, t_start=-10.0, t_end=10.0,
                                  laser=LASER, model=WIRE)
         with pytest.raises(ConfigurationError):
             split_step_evolve(packet, params)
-
-    def test_inconsistent_dt_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EvolutionParams(dt=0.5, n_steps=10, t_start=0.0, t_end=10.0,
-                            laser=LASER, model=WIRE)
 
     def test_edge_proximity_abort(self):
         g = Grid2D.centered(256, 128, 0.5, 0.5)
@@ -226,8 +224,8 @@ class TestConvergence:
     def _run(self, packet, grid, dt):
         window = 16.0
         n = int(round(window / dt))
-        params = EvolutionParams(dt=window / n, n_steps=n, t_start=-8.0,
-                                 t_end=8.0, laser=LASER, model=WIRE)
+        params = EvolutionParams(n_steps=n, t_start=-8.0, t_end=8.0,
+                                 laser=LASER, model=WIRE)
         psi, _ = split_step_evolve(packet, params)
         return momentum_density(psi).values
 
@@ -250,8 +248,8 @@ class TestConvergence:
 
         def run(dt):
             n = int(round(window / dt))
-            params = EvolutionParams(dt=window / n, n_steps=n, t_start=-4.0,
-                                     t_end=4.0, laser=weak, model=WIRE)
+            params = EvolutionParams(n_steps=n, t_start=-4.0, t_end=4.0,
+                                     laser=weak, model=WIRE)
             out, _ = split_step_evolve(psi, params)
             return momentum_density(out).values
 
@@ -292,8 +290,12 @@ class TestAgainstAnalyticModel:
 
 def test_trace_csv(tmp_path, evolved):
     _, _, trace = evolved
+    cfg = replace(build_preset("fig1"), outputs=("trace",))
+    result = ScenarioResult(
+        config=cfg, psi_initial=None, profile=None, analytic=None, numeric=None,
+        trace=trace, delta_k=math.nan, rel_l2_densities=None)
+    write_artifacts(result, tmp_path)
     path = tmp_path / "trace.csv"
-    trace.write_csv(path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t_fs,norm,x_mean_nm,kx_mean_per_nm,ky_mean_per_nm,energy_mean_ev"
     data = np.genfromtxt(path, delimiter=",", skip_header=1)

@@ -1,7 +1,9 @@
-"""Property tests of the round trips (config text, grid dumps, momentum
-transform, time reversal of the evolution window) and of the shared panel
-evaluations of the multi-component quadrature."""
+"""Property tests of the round trips (config text, grid dumps, CSV cells,
+momentum transform, time reversal of the evolution window) and of the shared
+panel evaluations of the multi-component quadrature."""
 
+import csv
+import struct
 import tempfile
 from pathlib import Path
 
@@ -13,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 from nediff.config import (OUTPUT_KINDS, ElectronSpec, NumericSpec,
                            ScenarioConfig, parse_config, serialize_config)
 from nediff.core import Grid2D, Wavepacket, from_momentum, to_momentum
-from nediff.gridio import read_grid, write_grid
+from nediff.gridio import read_grid, write_csv, write_grid
 from nediff.nearfield import (GapResonatorModel, LaserParams, UniformStripeModel,
                               WireModel)
 from nediff.numeric import EvolutionParams
@@ -122,6 +124,41 @@ def test_grid_dump_round_trip_is_bitwise(psi):
     assert back.amplitudes.tobytes() == psi.amplitudes.tobytes()
 
 
+def csv_text(exclude):
+    return st.text(st.characters(exclude_categories=("Cs",),
+                                 exclude_characters=exclude), min_size=1)
+
+
+cell_text = csv_text(',"\r\n\x00')
+csv_cells = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([0.0, -0.0]),
+    st.integers(min_value=-2**53, max_value=2**53), cell_text)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(cell_text, min_size=1, max_size=6), st.data())
+def test_csv_cells_read_back(header, data):
+    rows = data.draw(st.lists(st.lists(csv_cells, min_size=len(header),
+                                       max_size=len(header)), max_size=8))
+    comments = data.draw(st.lists(csv_text("\r\n"), max_size=3))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        write_csv(path, header, rows, comments=comments)
+        text = path.read_bytes().decode("utf-8")
+    assert text.endswith("\n")
+    lines = text[:-1].split("\n")
+    assert lines[:len(comments)] == [f"# {c}" for c in comments]
+    parsed = list(csv.reader(lines[len(comments):]))
+    assert parsed[0] == header and len(parsed) == len(rows) + 1
+    for got, row in zip(parsed[1:], rows):
+        assert len(got) == len(row)
+        for cell, v in zip(got, row):
+            if isinstance(v, str):
+                assert cell == v
+            else:
+                assert struct.pack("<d", float(cell)) == struct.pack("<d", float(v))
+
+
 @PROPERTY_SETTINGS
 @given(wavepackets(magnitude=1.0))
 def test_momentum_transform_round_trip(psi):
@@ -136,8 +173,8 @@ def evolution_params(draw):
     t_end = t_start + draw(st.sampled_from([-1.0, 1.0])) * draw(positive())
     n_steps = draw(st.integers(min_value=1, max_value=10**5))
     return EvolutionParams(
-        dt=(t_end - t_start) / n_steps, n_steps=n_steps, t_start=t_start,
-        t_end=t_end, laser=LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2),
+        n_steps=n_steps, t_start=t_start, t_end=t_end,
+        laser=LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2),
         model=draw(wires), include_vector_potential=draw(st.booleans()),
         snapshot_stride=draw(st.integers(min_value=1, max_value=1000)))
 
