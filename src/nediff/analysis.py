@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Wavepacket, fwhm_interpolated, to_momentum
+from .core import Wavepacket, fwhm_interpolated, momentum_blocks, to_momentum
 from .errors import AnalysisError, ConfigurationError, DomainError
 from .nearfield import CouplingProfile
 from .units import ELECTRON_MASS, HBAR
@@ -31,9 +31,17 @@ class DensityMap:
 
 
 def momentum_density(psi: Wavepacket) -> DensityMap:
-    spec = to_momentum(psi)
-    return DensityMap(values=spec.density(), kx=spec.kx, ky=spec.ky,
-                      dkx=spec.dkx, dky=spec.dky, k0=spec.k0)
+    """|to_momentum(psi)|^2, squared a row block at a time; the complex
+    spectrum is never kept."""
+    g = psi.grid
+    rho = np.empty((g.ny, g.nx))
+
+    def square(rows, block):
+        np.add(block.real**2, block.imag**2, out=rho[rows])
+
+    momentum_blocks(psi, square)
+    return DensityMap(values=rho, kx=psi.k0 + g.kx, ky=g.ky.copy(),
+                      dkx=g.dkx, dky=g.dky, k0=psi.k0)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ import numpy as np
 import scipy.special
 
 from .core import (COVERAGE_SIGMAS, Grid2D, MomentumSpectrum, Wavepacket,
-                   density_moments, from_momentum, to_momentum,
-                   unitary_transform_1d)
+                   _run_blocks, block_pool, density_moments, from_momentum,
+                   row_blocks, to_momentum, unitary_transform_1d)
 from .errors import ConfigurationError, DomainError, UnsupportedPathError
 from .nearfield import CouplingProfile
 from .units import ELECTRON_MASS, HBAR
@@ -25,36 +25,56 @@ from .units import ELECTRON_MASS, HBAR
 
 @dataclass(frozen=True)
 class PhaseMask:
-    """Interaction phase sampled on a grid."""
+    """Interaction phase C(y) cos(dk x) + S(y) sin(dk x) on a grid, kept as
+    its 1D factors and evaluated a row block at a time."""
 
-    values: np.ndarray
+    coupling_cos: np.ndarray
+    coupling_sin: np.ndarray
+    cos_x: np.ndarray
+    sin_x: np.ndarray
     grid: Grid2D
 
+    def phase(self, rows: slice) -> np.ndarray:
+        """The phase on the given grid rows, shape (rows, nx)."""
+        return (self.coupling_cos[rows, None] * self.cos_x[None, :]
+                + self.coupling_sin[rows, None] * self.sin_x[None, :])
 
-def mask_phase(profile: CouplingProfile, x) -> np.ndarray:
-    """Phase dphi at arbitrary longitudinal positions, shape (ny, len(x))."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    arg = profile.delta_k * xs
-    return (
-        profile.coupling_cos[:, None] * np.cos(arg)[None, :]
-        + profile.coupling_sin[:, None] * np.sin(arg)[None, :]
-    )
+    @property
+    def values(self) -> np.ndarray:
+        """The phase on the whole grid."""
+        return self.phase(slice(None))
 
 
 def build_phase_mask(profile: CouplingProfile, grid: Grid2D) -> PhaseMask:
-    """Sample the interaction phase on the full grid."""
+    """The interaction phase on the grid; no full-grid array is built."""
     if len(profile.y) != grid.ny or not np.allclose(
             profile.y, grid.y, rtol=0.0, atol=1e-12):
         raise ConfigurationError(
             "coupling profile is not sampled on the grid's y axis")
-    return PhaseMask(values=mask_phase(profile, grid.x), grid=grid)
+    arg = profile.delta_k * grid.x
+    return PhaseMask(coupling_cos=profile.coupling_cos,
+                     coupling_sin=profile.coupling_sin,
+                     cos_x=np.cos(arg), sin_x=np.sin(arg), grid=grid)
 
 
 def apply_interaction(psi: Wavepacket, mask: PhaseMask) -> Wavepacket:
-    """Multiply the envelope by the unimodular interaction factor."""
+    """Multiply the envelope by the unimodular interaction factor, by row block."""
     if mask.grid != psi.grid:
         raise ConfigurationError("mask and wavepacket live on different grids")
-    return psi.with_amplitudes(psi.amplitudes * np.exp(1j * mask.values))
+    amps = psi.amplitudes
+    out = np.empty(amps.shape, dtype=np.complex128)
+
+    def interact(rows):
+        # exp first, then psi in place: the factor must be the left operand of
+        # the in-place multiply to keep the bits (signed zeros included) of
+        # psi * exp(1j * phase); np.multiply(psi, e, out=e) flips some.
+        factor = out[rows]
+        np.exp(1j * mask.phase(rows), out=factor)
+        factor *= amps[rows]
+
+    with block_pool() as pool:
+        _run_blocks(pool, row_blocks(psi.grid), interact)
+    return psi.with_amplitudes(out)
 
 
 @dataclass(frozen=True)

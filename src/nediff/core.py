@@ -10,6 +10,8 @@ k_x = k0 + kappa_x, where kappa is the envelope frequency.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -23,6 +25,9 @@ _SQRT8LN2 = math.sqrt(8.0 * math.log(2.0))  # FWHM / sigma for a Gaussian densit
 _FOUR_LN2 = 4.0 * math.log(2.0)
 #: A packet must fit inside its grid to this many standard deviations.
 COVERAGE_SIGMAS = 4.0
+#: Size of one complex128 row block of grid-wide elementwise work; the block
+#: height follows from the row length (32 rows at nx = 2048).
+BLOCK_BYTES = 1 << 20
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -169,6 +174,71 @@ def _axis_phases(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
     return px, py
 
 
+def row_blocks(grid: Grid2D) -> list[slice]:
+    """Row slices of about BLOCK_BYTES of complex128 each, covering the grid."""
+    height = max(1, BLOCK_BYTES // (16 * grid.nx))
+    return [slice(r, min(r + height, grid.ny)) for r in range(0, grid.ny, height)]
+
+
+@contextmanager
+def block_pool():
+    """Thread pool for row-block work, sized by `scipy.fft.get_workers()`.
+
+    With one worker it yields None and the blocks run inline, so a sweep
+    point (one FFT worker on a sweep pool thread) starts no nested pool.
+    """
+    workers = _fft.get_workers()
+    if workers == 1:
+        yield None
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield pool
+
+
+def _run_blocks(pool, blocks, fn, *args) -> list:
+    """fn(rows, *args) for every row block, inline when pool is None;
+    returns the results in block order and re-raises a block's error."""
+    if pool is None:
+        return [fn(rows, *args) for rows in blocks]
+    return list(pool.map(lambda rows: fn(rows, *args), blocks))
+
+
+def momentum_blocks(psi: Wavepacket, fn, out: np.ndarray | None = None) -> None:
+    """Transform the envelope and hand each row block of the spectrum, in
+    the normalization of :func:`to_momentum`, to fn(rows, block).
+
+    The block is out[rows], or a scratch buffer when out is None: fftshift
+    by index copies, then the scale, the x phases and the y phases, each
+    applied in place in the order of the full-grid expression.
+    """
+    g = psi.grid
+    raw = _fft.fft2(psi.amplitudes)
+    scale = g.cell_area / (2.0 * np.pi)
+    px, py = _axis_phases(g)
+    hy, hx = g.ny // 2, g.nx // 2  # power-of-two counts: shifts by half
+
+    def shifted(rows):
+        if out is None:
+            block = np.empty((rows.stop - rows.start, g.nx), dtype=np.complex128)
+        else:
+            block = out[rows]
+        # Output row i holds input row (i + hy) mod ny; split where that wraps.
+        for lo, hi in ((rows.start, min(rows.stop, hy)),
+                       (max(rows.start, hy), rows.stop)):
+            if lo < hi:
+                src = lo + hy if lo < hy else lo - hy
+                dst = block[lo - rows.start:hi - rows.start]
+                dst[:, :hx] = raw[src:src + hi - lo, hx:]
+                dst[:, hx:] = raw[src:src + hi - lo, :hx]
+        block *= scale
+        block *= px[None, :]
+        block *= py[rows, None]
+        fn(rows, block)
+
+    with block_pool() as pool:
+        _run_blocks(pool, row_blocks(g), shifted)
+
+
 def to_momentum(psi: Wavepacket) -> MomentumSpectrum:
     """Forward transform of the envelope, x -> k with an exp(-i k x) kernel.
 
@@ -176,11 +246,8 @@ def to_momentum(psi: Wavepacket) -> MomentumSpectrum:
     peaks at k_x = k0.
     """
     g = psi.grid
-    raw = _fft.fft2(psi.amplitudes)
-    vals = np.fft.fftshift(raw) * (g.cell_area / (2.0 * np.pi))
-    px, py = _axis_phases(g)
-    vals = vals * px[None, :]
-    vals *= py[:, None]
+    vals = np.empty((g.ny, g.nx), dtype=np.complex128)
+    momentum_blocks(psi, lambda rows, block: None, out=vals)
     return MomentumSpectrum(
         values=vals,
         kx=psi.k0 + g.kx,

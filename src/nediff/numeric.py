@@ -12,13 +12,13 @@ its A^2 part dropped as a global phase.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fft as _fft
 
-from .core import Grid2D, Wavepacket, density_moments
+from .core import (Grid2D, Wavepacket, _run_blocks, block_pool, density_moments,
+                   row_blocks)
 from .errors import ConfigurationError, NumericalError
 from .nearfield import LaserParams, NearFieldModel, UniformStripeModel
 from .units import ELECTRON_CHARGE, ELECTRON_MASS, HBAR
@@ -29,10 +29,6 @@ KINETIC_PHASE_BOUND = 0.5
 
 #: Mass fraction tolerated within the outer 10% border of the grid.
 EDGE_MASS_TOL = 1e-6
-
-#: Size of one complex128 row block of the split step's elementwise work;
-#: the block height follows from the row length (32 rows at nx = 2048).
-BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -159,9 +155,11 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
     and the potential phase sampled at the midpoint time.  When given,
     snapshot_callback(t, Wavepacket) fires at every trace snapshot.
 
-    The elementwise work of each step runs in row blocks on a thread pool of
-    `scipy.fft.get_workers()` threads, so one setting sizes both the FFTs and
-    the blocks; every block computes the same expressions as the whole grid.
+    The elementwise work of each step runs in row blocks on the block pool
+    (`core.block_pool`), so one setting sizes both the FFTs and the blocks;
+    every block computes the same expressions as the whole grid.  Each kick
+    block also sums its mass in the outer 10% border, and every step checks
+    the total against EDGE_MASS_TOL of the initial mass.
     """
     grid = psi0.grid
     validate_evolution(params, grid)
@@ -183,16 +181,29 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
     cell = grid.cell_area
     n_border_x = max(1, grid.nx // 10)
     n_border_y = max(1, grid.ny // 10)
-    height = max(1, BLOCK_BYTES // (16 * grid.nx))
-    blocks = [slice(r, r + height) for r in range(0, grid.ny, height)]
+    blocks = row_blocks(grid)
 
-    def kick(rows, psi, x_t, scale):
+    def border_mass(rows, a) -> float:
+        # Mass of a = psi[rows] in the outer 10% strips: whole rows within
+        # n_border_y of the top or bottom edge, the edge columns elsewhere.
+        h = rows.stop - rows.start
+        top = min(max(n_border_y - rows.start, 0), h)
+        bottom = max(min(grid.ny - n_border_y - rows.start, h), top)
+        mass = 0.0
+        for part in (a[:top], a[bottom:], a[top:bottom, :n_border_x],
+                     a[top:bottom, -n_border_x:]):
+            re_im = part.view(np.float64)  # (re, im) pairs; no temporary
+            mass += float(np.einsum("ij,ij->", re_im, re_im))
+        return mass
+
+    def kick(rows, psi, x_t, scale) -> float:
         theta = model.potential(x_t, y_col[rows], field)
         theta *= scale
         factor = np.empty(theta.shape, dtype=np.complex128)
         np.cos(theta, out=factor.real)
         np.sin(theta, out=factor.imag)
         psi[rows] *= factor
+        return border_mass(rows, psi[rows])
 
     def drift(rows, spec, kin, gauge):
         spec[rows] *= kin[rows]
@@ -210,7 +221,21 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
 
     snaps: list[tuple[float, float, float, float, float, float]] = []
 
-    def record(t, psi_r, spec_raw):
+    def check_border(t, border: float, mass: float) -> None:
+        # A NaN or inf anywhere reaches every cell after one transform, so
+        # the border sum catches non-finite amplitudes too.
+        if border <= EDGE_MASS_TOL * mass:
+            return
+        if not math.isfinite(border):
+            raise NumericalError(f"non-finite amplitudes at t={t:g} fs",
+                                 partial=_trace_from(snaps))
+        raise NumericalError(
+            f"wavepacket reached the outer 10% grid border at t={t:g} fs "
+            f"(border mass fraction {border / mass:.3g})",
+            partial=_trace_from(snaps),
+        )
+
+    def record(t, psi_r, spec_raw) -> float:
         rho = psi_r.real**2 + psi_r.imag**2
         mass, (x_mean, _), _ = density_moments(rho, x, grid.y)
         norm = math.sqrt(mass * cell)
@@ -219,15 +244,7 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
                 f"non-finite amplitudes at t={t:g} fs",
                 partial=_trace_from(snaps),
             )
-        border = (float(rho[:, :n_border_x].sum()) + float(rho[:, -n_border_x:].sum())
-                  + float(rho[:n_border_y, n_border_x:-n_border_x].sum())
-                  + float(rho[-n_border_y:, n_border_x:-n_border_x].sum()))
-        if border / mass > EDGE_MASS_TOL:
-            raise NumericalError(
-                f"wavepacket reached the outer 10% grid border at t={t:g} fs "
-                f"(border mass fraction {border / mass:.3g})",
-                partial=_trace_from(snaps),
-            )
+        check_border(t, border_mass(slice(0, grid.ny), psi_r), mass)
         rho_k = spec_raw.real**2 + spec_raw.imag**2
         mass_k, (kx_mean, ky_mean), _ = density_moments(rho_k, kx1, ky1)
         e_mean = (HBAR**2 / (2.0 * ELECTRON_MASS)) * float(
@@ -237,21 +254,26 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
         if snapshot_callback is not None:
             snapshot_callback(t, Wavepacket(grid=grid, amplitudes=psi_r.copy(),
                                             t=t, k0=psi0.k0))
+        return mass
 
     t0 = params.t_start
     t_end = params.t_end
-    psi = np.array(psi0.amplitudes, dtype=np.complex128, copy=True)
+    psi = np.array(psi0.amplitudes, dtype=np.complex128, order="C", copy=True)
     phase_sign = -q / HBAR  # exp(-i q Phi dt / hbar) = exp(i phase_sign * Phi * dt)
-    with ThreadPoolExecutor(max_workers=_fft.get_workers()) as pool:
+    with block_pool() as pool:
         spec = _fft.fft2(psi)
-        record(t0, psi, spec)
+        mass0 = record(t0, psi, spec)
         # Leading half segment [t0, t0 + dt/2].
         segment(pool, spec, kin_half, t0, t0 + 0.5 * dt)
         for k in range(n):
             t_mid = t0 + (k + 0.5) * dt
             psi = _fft.ifft2(spec, overwrite_x=True)
             scale = phase_sign * dt * math.cos(laser.omega * t_mid + laser.phase_rad)
-            _run_blocks(pool, blocks, kick, psi, x[None, :] + v0 * t_mid, scale)
+            border = _run_blocks(pool, blocks, kick, psi, x[None, :] + v0 * t_mid,
+                                 scale)
+            # Every step, not only at snapshots: wrap-around between two
+            # snapshots would otherwise go unseen.
+            check_border(t_mid, sum(border), mass0)
             take_snap = ((k + 1) % params.snapshot_stride == 0) or (k == n - 1)
             # Transform in place except where record still needs psi.
             spec = _fft.fft2(psi, overwrite_x=not take_snap)
@@ -264,12 +286,6 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
     final = Wavepacket(grid=grid, amplitudes=psi, t=t_end, k0=psi0.k0)
     record(t_end, psi, _fft.fft2(psi))
     return final, _trace_from(snaps)
-
-
-def _run_blocks(pool, blocks, fn, *args) -> None:
-    """Run fn(rows, *args) for every row block; re-raises a block's error."""
-    for _ in pool.map(lambda rows: fn(rows, *args), blocks):
-        pass
 
 
 def _trace_from(snaps) -> EvolutionTrace:

@@ -1,6 +1,7 @@
 """Observables and scan metrics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from nediff.analysis import (Crosscut, DensityMap, crosscut, deflection_angle,
                              transverse_splitting)
 from nediff.analytic import apply_interaction, build_phase_mask
 from nediff import scenario
-from nediff.config import ElectronSpec, ScenarioConfig, SweepSpec
-from nediff.core import (Grid2D, bandwidth_to_fwhm_x, gaussian_wavepacket,
-                         unitary_transform_1d)
+from nediff.config import ElectronSpec, ScenarioConfig, SweepSpec, build_preset
+from nediff.core import (BLOCK_BYTES, Grid2D, bandwidth_to_fwhm_x,
+                         gaussian_wavepacket, to_momentum, unitary_transform_1d)
 from nediff.errors import AnalysisError, ConfigurationError, DomainError
 from nediff.nearfield import (LaserParams, UniformStripeModel, WireModel,
                               coupling_profile)
@@ -65,6 +66,52 @@ class TestMomentumDensity:
         top = np.sort(flat)[-2:]
         assert top[-1] * dmap.dkx * dmap.dky == pytest.approx(1.0, rel=1e-12)
         assert top[-2] < 1e-20 * top[-1]
+
+    def test_bits_equal_full_grid_expression(self, grid):
+        # Sine coupling from a nonzero laser phase; a narrow packet whose
+        # tails underflow to zero.  Compared as integers, so signed zeros
+        # count, not only values.
+        _, v0 = electron_kinematics(100.0)
+        laser = LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2, phase_rad=0.7)
+        profile = coupling_profile(WIRE, laser, v0, grid.y)
+        assert profile.max_sin > 0.1
+        packet = gaussian_wavepacket(grid, 100.0, 4.0, 2.0)
+        assert np.count_nonzero(packet.amplitudes == 0.0) > grid.nx * grid.ny // 4
+        assert 16 * grid.nx * grid.ny > BLOCK_BYTES  # several row blocks
+        psi = apply_interaction(packet, build_phase_mask(profile, grid))
+        g = psi.grid
+        spec = np.fft.fftshift(scipy.fft.fft2(psi.amplitudes)) * (
+            g.cell_area / (2.0 * np.pi))
+        spec = spec * np.exp(-1j * g.kx * g.x0)[None, :]
+        spec *= np.exp(-1j * g.ky * g.y0)[:, None]
+        for workers in (1, 2):
+            with scipy.fft.set_workers(workers):
+                dmap = momentum_density(psi)
+                values = to_momentum(psi).values
+            assert np.array_equal(values.view(np.uint64), spec.view(np.uint64))
+            assert np.array_equal(dmap.values.view(np.uint64),
+                                  (spec.real**2 + spec.imag**2).view(np.uint64))
+
+    def test_fig2_point_peak_memory(self):
+        # The analytic stages of one fig2 sweep point stream their row
+        # blocks: above the input packet they hold the interacted packet,
+        # the raw transform and the density, not a full-grid phase mask,
+        # exponential or kept spectrum (about 4 complex grids).
+        cfg = build_preset("fig2").point(600.0)
+        psi0 = scenario.build_initial_state(cfg)
+        _, v0 = electron_kinematics(cfg.electron.energy_ev)
+        profile = coupling_profile(cfg.model, cfg.laser, v0, cfg.grid.y)
+        with scipy.fft.set_workers(1):
+            tracemalloc.start()
+            try:
+                base, _ = tracemalloc.get_traced_memory()
+                psi = apply_interaction(psi0, build_phase_mask(profile, cfg.grid))
+                dmap = momentum_density(psi)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert dmap.values.shape == psi0.amplitudes.shape
+        assert (peak - base) / psi0.amplitudes.nbytes <= 2.75
 
 
 class TestCrosscut:

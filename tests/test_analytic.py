@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.special
 
-from nediff.analytic import (apply_interaction, build_phase_mask, mask_phase,
+from nediff.analytic import (apply_interaction, build_phase_mask,
                              order_amplitudes_exact, order_series_taylor,
                              transverse_envelope, vacuum_propagate,
                              weak_field_order)
-from nediff.core import (Grid2D, bandwidth_to_fwhm_x, chirp_flight_time,
+from nediff.core import (BLOCK_BYTES, Grid2D, bandwidth_to_fwhm_x, chirp_flight_time,
                          gaussian_wavepacket, temporal_spread, to_momentum)
 from nediff.errors import ConfigurationError, DomainError, UnsupportedPathError
 from nediff.nearfield import (LaserParams, UniformStripeModel, WireModel,
@@ -59,11 +60,12 @@ class TestPhaseMask:
                     + wire_profile.coupling_sin[:, None] * np.sin(arg)[None, :])
         assert np.max(np.abs(mask.values - expected)) < 1e-12
 
-    def test_periodicity(self, wire_profile):
-        xs = np.linspace(-30.0, 30.0, 13)
+    def test_periodicity(self, wire_profile, small_grid):
         period = 2.0 * math.pi / wire_profile.delta_k
-        a = mask_phase(wire_profile, xs)
-        b = mask_phase(wire_profile, xs + period)
+        g = small_grid
+        shifted = Grid2D(g.nx, g.ny, g.dx, g.dy, g.x0 + period, g.y0)
+        a = build_phase_mask(wire_profile, g).values
+        b = build_phase_mask(wire_profile, shifted).values
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_odd_under_y_reflection(self, wire_profile, small_grid):
@@ -100,6 +102,28 @@ class TestApplyInteraction:
             target = i0 + n * dk_cells
             window = marg[int(target) - 2:int(target) + 3]
             assert window.max() > 0.01 * marg.max()
+
+    def test_bits_equal_full_grid_expression(self, small_grid):
+        # A wire driven at a nonzero laser phase has a sine coupling, and a
+        # narrow packet's tails underflow to zero, where the operand order of
+        # the complex multiply decides the sign of zero imaginary parts.
+        g = small_grid
+        _, v0 = electron_kinematics(100.0)
+        laser = LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2, phase_rad=0.7)
+        profile = coupling_profile(WIRE, laser, v0, g.y)
+        assert profile.max_sin > 0.1
+        psi = gaussian_wavepacket(g, 100.0, 4.0, 2.0)
+        assert np.count_nonzero(psi.amplitudes == 0.0) > g.nx * g.ny // 4
+        assert 16 * g.nx * g.ny > BLOCK_BYTES  # several row blocks
+        arg = profile.delta_k * g.x
+        phase = (profile.coupling_cos[:, None] * np.cos(arg)[None, :]
+                 + profile.coupling_sin[:, None] * np.sin(arg)[None, :])
+        expected = psi.amplitudes * np.exp(1j * phase)
+        for workers in (1, 2):
+            with scipy.fft.set_workers(workers):
+                out = apply_interaction(psi, build_phase_mask(profile, g))
+            assert np.array_equal(out.amplitudes.view(np.uint64),
+                                  expected.view(np.uint64))
 
     def test_wrong_grid_rejected(self, packet, wire_profile, small_grid):
         mask = build_phase_mask(wire_profile, small_grid)

@@ -123,3 +123,10 @@ def test_every_public_name_is_used_outside_unit_tests():
               for defined in _defined_names(_parse(name)) if defined not in used]
     assert not unused, ("public names that only unit tests reach: "
                         + ", ".join(unused))
+
+
+def test_one_block_runner():
+    # Row blocks run on core's block pool; the sweep pool is the only other.
+    users = {name for name in MODULES
+             if "ThreadPoolExecutor" in (PACKAGE / f"{name}.py").read_text(encoding="utf-8")}
+    assert users == {"core", "scenario"}

@@ -15,7 +15,7 @@ from nediff.core import Grid2D, gaussian_wavepacket, to_momentum
 from nediff.errors import ConfigurationError, NumericalError
 from nediff.nearfield import (LaserParams, UniformStripeModel, WireModel,
                               coupling_profile)
-from nediff import numeric
+from nediff import core, numeric
 from nediff.numeric import (EvolutionParams, _vector_potential_integral,
                             choose_steps, split_step_evolve, validate_evolution)
 from nediff.scenario import ScenarioResult, write_artifacts
@@ -87,6 +87,54 @@ class TestValidation:
         assert excinfo.value.partial is not None  # trace up to the abort
 
 
+class TestBorderCheckEveryStep:
+    # 128 x 64 cells; an envelope momentum offset kappa moves the packet at
+    # hbar kappa / m across the periodic x border and back to the centre
+    # after one lap, so only the steps between snapshots see it there.
+    GRID = Grid2D.centered(128, 64, 0.5, 1.0)
+    KAPPA = 3.0
+    WEAK = LaserParams(wavelength_nm=2000.0, field_v_per_nm=1e-3)
+
+    def run(self, kappa):
+        g = self.GRID
+        packet = gaussian_wavepacket(g, 100.0, 8.0, 8.0)
+        psi = packet.with_amplitudes(
+            packet.amplitudes * np.exp(1j * kappa * g.x)[None, :])
+        lap = g.extent_x * ELECTRON_MASS / (HBAR * self.KAPPA)
+        params = choose_steps(self.WEAK, WIRE, g, -0.5 * lap, 0.5 * lap,
+                              safety=0.9, snapshot_stride=10**6)
+        return params, psi
+
+    def test_wrap_between_snapshots_raises(self):
+        params, psi = self.run(self.KAPPA)
+        with pytest.raises(NumericalError, match="outer 10% grid border") as info:
+            split_step_evolve(psi, params)
+        partial = info.value.partial
+        assert list(partial.t) == [params.t_start]  # before the next snapshot
+
+    def test_packet_at_rest_passes(self):
+        params, psi = self.run(0.0)
+        final, trace = split_step_evolve(psi, params)
+        assert len(trace.t) == 3  # start, last step, end: no snapshot between
+        assert abs(trace.x_mean[-1]) < 1e-6
+
+    def test_non_finite_kick_raises_at_its_step(self, monkeypatch):
+        params, psi = self.run(0.0)
+        calls = []
+        potential = WireModel.potential
+
+        def poisoned(self, x, y, field):
+            calls.append(1)
+            out = potential(self, x, y, field)
+            return out * math.nan if len(calls) == 3 else out
+
+        monkeypatch.setattr(WireModel, "potential", poisoned)
+        t_step = params.t_start + 2.5 * params.dt  # the third kick
+        with pytest.raises(NumericalError,
+                           match=f"non-finite amplitudes at t={t_step:g} fs"):
+            split_step_evolve(psi, params)
+
+
 def reference_strang(psi0, params):
     """Plain Strang loop: fresh arrays everywhere, every step's psi kept."""
     grid, laser, dt = psi0.grid, params.laser, params.dt
@@ -127,7 +175,7 @@ def reference_strang(psi0, params):
 
 
 def block_height(nx):
-    return numeric.BLOCK_BYTES // (16 * nx)
+    return core.BLOCK_BYTES // (16 * nx)
 
 
 # One grid has fewer rows than a single row block, the other spans several.
