@@ -10,14 +10,13 @@ as a truncated power series, and in the single-path weak-field limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.special
 
-from .core import (COVERAGE_SIGMAS, Grid2D, MomentumSpectrum, Wavepacket,
-                   _run_blocks, block_pool, density_moments, from_momentum,
-                   row_blocks, to_momentum, unitary_transform_1d)
+from .core import (Grid2D, Wavepacket, _run_blocks, block_pool, check_coverage,
+                   from_momentum, row_blocks, to_momentum, unitary_transform_1d)
 from .errors import ConfigurationError, DomainError, UnsupportedPathError
 from .nearfield import CouplingProfile
 from .units import ELECTRON_MASS, HBAR
@@ -200,30 +199,12 @@ def vacuum_propagate(psi: Wavepacket, tau: float, axes: str = "xy") -> Wavepacke
     if axes not in ("xy", "x"):
         raise DomainError(f"axes must be 'xy' or 'x', got {axes!r}")
     spec = to_momentum(psi)
-    _check_dispersal_fits(psi, spec, tau, axes=axes)
+    check_coverage(psi, tau, spec, axes)
     kp_x = spec.kx - psi.k0
-    ksq = kp_x[None, :] ** 2
+    phase = kp_x[None, :] ** 2
     if axes == "xy":
-        ksq = ksq + spec.ky[:, None] ** 2
-    phase = (-HBAR * tau / (2.0 * ELECTRON_MASS)) * ksq
-    vals = spec.values * np.exp(1j * phase)
-    return from_momentum(MomentumSpectrum(
-        values=vals, kx=spec.kx, ky=spec.ky, dkx=spec.dkx, dky=spec.dky,
-        k0=spec.k0, t=psi.t + tau, grid=psi.grid))
-
-
-def _check_dispersal_fits(psi: Wavepacket, spec: MomentumSpectrum, tau: float,
-                          axes: str = "xy") -> None:
-    # Projected width per axis: sigma(tau) = hypot(sigma_x, hbar sigma_k tau / m).
-    g = psi.grid
-    _, means, sigs = density_moments(psi.density(), g.x, g.y)
-    _, _, sigs_k = density_moments(spec.density(), spec.kx - psi.k0, spec.ky)
-    coords = (g.x, g.y) if axes == "xy" else (g.x,)
-    for c, mean, sig, sig_k in zip(coords, means, sigs, sigs_k):
-        sig_final = math.hypot(sig, HBAR * sig_k * tau / ELECTRON_MASS)
-        if (mean - COVERAGE_SIGMAS * sig_final < c[0]
-                or mean + COVERAGE_SIGMAS * sig_final > c[-1]):
-            raise ConfigurationError(
-                f"packet would outgrow the grid during {tau:g} fs of free "
-                f"flight (projected sigma {sig_final:.3g} nm)"
-            )
+        phase = phase + spec.ky[:, None] ** 2
+    phase *= -HBAR * tau / (2.0 * ELECTRON_MASS)
+    # Rebinding spec frees the unpropagated spectrum before the inverse.
+    spec = replace(spec, values=spec.values * np.exp(1j * phase), t=psi.t + tau)
+    return from_momentum(spec)

@@ -7,8 +7,8 @@ written, 2 on numerical failures and on sweeps in which no point succeeded,
 are deterministic.  --threads sets the scipy.fft worker count for run and
 preset, which also sizes the thread pool that runs the split step's
 elementwise work in row blocks, and the number of concurrent points (one
-worker each) for sweeps.  --snapshot-stride applies only to a single
-scenario with a [numeric] section and is an error otherwise.
+worker each) for sweeps.  run, sweep and preset differ only in where their
+config comes from; --engine sets the engine of a scenario or of a sweep.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import scipy.fft
 
 from . import gridio
 from .analysis import momentum_density, rel_l2
-from .config import (PRESET_NAMES, SweepSpec, build_preset, parse_config,
-                     parse_sweep_config, serialize_config)
+from .config import (ENGINES, PRESET_NAMES, SweepSpec, build_preset,
+                     parse_config, parse_sweep_config, serialize_config)
 from .errors import AnalysisError, ConfigurationError, NediffError
 from .render import render_heatmap
 from .scenario import resolve_output_root, run_scenario, run_sweep
@@ -60,12 +60,10 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
-        p.add_argument("--engine", default=None,
-                       choices=("analytic", "numeric", "both"))
+        p.add_argument("--engine", default=None, choices=ENGINES)
 
     p_run = sub.add_parser("run", help="run one scenario config")
     p_run.add_argument("config")
-    p_run.add_argument("--snapshot-stride", type=_positive_int, default=None)
     common(p_run)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep config")
@@ -74,7 +72,6 @@ def _build_parser() -> _Parser:
 
     p_preset = sub.add_parser("preset", help="run a built-in preset")
     p_preset.add_argument("name", choices=PRESET_NAMES)
-    p_preset.add_argument("--snapshot-stride", type=_positive_int, default=None)
     common(p_preset)
 
     p_cmp = sub.add_parser("compare", help="L2/max metrics between two grid dumps")
@@ -91,25 +88,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _out_dir(args, default_name: str) -> Path:
-    out = args.out if args.out is not None else default_name
-    return resolve_output_root(out)
-
-
-def _apply_overrides(cfg, args):
-    """Apply --engine and --snapshot-stride to a scenario config or sweep spec."""
+def _execute(cfg, args, default_out: str) -> int:
+    """Run a scenario config or a sweep spec with --engine, --out and --threads."""
     if args.engine:
         cfg = replace(cfg, engine=args.engine)
-    stride = getattr(args, "snapshot_stride", None)
-    if stride is not None:
-        if getattr(cfg, "numeric", None) is None:
-            raise ConfigurationError("--snapshot-stride applies only to a "
-                                     "single scenario with a [numeric] section")
-        cfg = replace(cfg, numeric=replace(cfg.numeric, snapshot_stride=stride))
-    return cfg
-
-
-def _run_and_report(cfg, outdir: Path) -> int:
+    outdir = resolve_output_root(args.out if args.out is not None else default_out)
+    if isinstance(cfg, SweepSpec):
+        return _run_sweep_spec(cfg, outdir, args.threads)
     result = run_scenario(cfg, outdir=outdir)
     print(f"wrote artifacts to {outdir}")
     if result.rel_l2_densities is not None:
@@ -148,24 +133,17 @@ def _read_config(path) -> str:
 
 
 def _cmd_run(args) -> int:
-    text = _read_config(args.config)
-    cfg = _apply_overrides(parse_config(text), args)
-    return _run_and_report(cfg, _out_dir(args, Path(args.config).stem + ".out"))
+    cfg = parse_config(_read_config(args.config))
+    return _execute(cfg, args, Path(args.config).stem + ".out")
 
 
 def _cmd_sweep(args) -> int:
-    text = _read_config(args.config)
-    spec = _apply_overrides(parse_sweep_config(text), args)
-    outdir = _out_dir(args, Path(args.config).stem + ".out")
-    return _run_sweep_spec(spec, outdir, args.threads)
+    spec = parse_sweep_config(_read_config(args.config))
+    return _execute(spec, args, Path(args.config).stem + ".out")
 
 
 def _cmd_preset(args) -> int:
-    preset = _apply_overrides(build_preset(args.name), args)
-    outdir = _out_dir(args, args.name + ".out")
-    if isinstance(preset, SweepSpec):
-        return _run_sweep_spec(preset, outdir, args.threads)
-    return _run_and_report(preset, outdir)
+    return _execute(build_preset(args.name), args, args.name + ".out")
 
 
 def _cmd_compare(args) -> int:

@@ -155,14 +155,16 @@ class SweepSpec:
             raise ConfigurationError("a sweep needs at least two values")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ConfigurationError("sweep values must be strictly increasing")
-        # Every point runs the template on this engine; reject what it would.
-        replace(self.template, engine=self.engine)
+        # The template runs on the sweep engine, so that its serialization
+        # records the engine every point runs.
+        object.__setattr__(self, "template",
+                           replace(self.template, engine=self.engine))
 
     def point(self, value: float) -> ScenarioConfig:
-        """The template with the axis set to value, on the sweep engine."""
+        """The template with the axis set to value."""
         field = SWEEP_AXES[self.axis]
         part = replace(getattr(self.template, field), **{self.axis: value})
-        return replace(self.template, engine=self.engine, **{field: part})
+        return replace(self.template, **{field: part})
 
 
 def _fmt(v) -> str:
@@ -420,6 +422,10 @@ def parse_sweep_config(text: str) -> SweepSpec:
     sections = _read(text, ("sweep",) + _SCENARIO_SECTIONS)
     if "sweep" not in sections:
         raise ConfigurationError("missing required section [sweep]")
+    if "engine" in sections.get("scenario", {}):
+        raise ConfigurationError(
+            "a sweep runs on its [sweep] engine; remove [scenario] engine"
+            f"{_where(text, 'scenario', 'engine')}")
     sweep = dict(sections["sweep"])
     name = sweep.pop("preset", None)
     if name is None:
@@ -450,7 +456,6 @@ def _fig1_scenario() -> ScenarioConfig:
 
 def _fig2_sweep() -> SweepSpec:
     template = ScenarioConfig(
-        engine="analytic",
         electron=ElectronSpec(energy_ev=100.0, fwhm_x_nm=500.0, fwhm_y_nm=20.0),
         laser=LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.5),
         model=WireModel(radius_nm=10.0, response=0.5),
@@ -469,7 +474,6 @@ def _fig3_sweep() -> SweepSpec:
     # transit-recurrence band (21..29 nm), inside which the coupling maximum
     # leaves the wire surface and no single transverse scale exists.
     template = ScenarioConfig(
-        engine="analytic",
         electron=ElectronSpec(energy_ev=100.0, fwhm_x_nm=60.0,
                               fwhm_y_radius_scale=2.0),
         laser=LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2),

@@ -23,9 +23,8 @@ from .errors import ConfigurationError, NumericalError
 from .nearfield import LaserParams, NearFieldModel, UniformStripeModel
 from .units import ELECTRON_CHARGE, ELECTRON_MASS, HBAR
 
-#: Invariant bounds on the per-step phases.
-POTENTIAL_PHASE_BOUND = 0.1
-KINETIC_PHASE_BOUND = 0.5
+#: Invariant bounds on the per-step phases, in rad.
+PHASE_BOUNDS = {"potential": 0.1, "kinetic": 0.5}
 
 #: Mass fraction tolerated within the outer 10% border of the grid.
 EDGE_MASS_TOL = 1e-6
@@ -73,9 +72,11 @@ class EvolutionTrace:
     energy_ev: np.ndarray
 
 
-def _phase_bounds(laser: LaserParams, model: NearFieldModel, grid: Grid2D):
-    """Peak interaction energy, k^2 at the grid corner, and the steps dt_pot
-    and dt_kin at which the potential and kinetic phases reach their bounds."""
+def _phase_bounds(laser: LaserParams, model: NearFieldModel, grid: Grid2D
+                  ) -> dict[str, float]:
+    """The step at which each per-step phase reaches its bound: the
+    potential phase at the peak interaction energy and the kinetic phase at
+    the grid corner."""
     if isinstance(model, UniformStripeModel):
         raise ConfigurationError(
             "the uniform stripe model is synthetic and has no potential; "
@@ -83,26 +84,22 @@ def _phase_bounds(laser: LaserParams, model: NearFieldModel, grid: Grid2D):
         )
     v_peak = abs(ELECTRON_CHARGE) * model.peak_potential(laser.field_v_per_nm)
     kmax_sq = (math.pi / grid.dx) ** 2 + (math.pi / grid.dy) ** 2
-    dt_pot = POTENTIAL_PHASE_BOUND * HBAR / v_peak if v_peak > 0.0 else math.inf
-    dt_kin = KINETIC_PHASE_BOUND * 2.0 * ELECTRON_MASS / (HBAR * kmax_sq)
-    return v_peak, kmax_sq, dt_pot, dt_kin
+    return {
+        "potential": (PHASE_BOUNDS["potential"] * HBAR / v_peak
+                      if v_peak > 0.0 else math.inf),
+        "kinetic": PHASE_BOUNDS["kinetic"] * 2.0 * ELECTRON_MASS / (HBAR * kmax_sq),
+    }
 
 
 def validate_evolution(params: EvolutionParams, grid: Grid2D) -> None:
     """Check the per-step phase bounds before any stepping happens."""
-    v_peak, kmax_sq, _, _ = _phase_bounds(params.laser, params.model, grid)
-    v_phase = abs(params.dt) * v_peak / HBAR
-    if v_phase > POTENTIAL_PHASE_BOUND * (1.0 + 1e-12):
-        raise ConfigurationError(
-            f"potential phase per step {v_phase:.3g} rad exceeds the "
-            f"{POTENTIAL_PHASE_BOUND} rad bound; reduce dt"
-        )
-    k_phase = abs(params.dt) * HBAR * kmax_sq / (2.0 * ELECTRON_MASS)
-    if k_phase > KINETIC_PHASE_BOUND * (1.0 + 1e-12):
-        raise ConfigurationError(
-            f"kinetic phase per step {k_phase:.3g} rad exceeds the "
-            f"{KINETIC_PHASE_BOUND} rad bound; reduce dt"
-        )
+    for name, dt_max in _phase_bounds(params.laser, params.model, grid).items():
+        if abs(params.dt) > dt_max * (1.0 + 1e-12):
+            bound = PHASE_BOUNDS[name]
+            raise ConfigurationError(
+                f"{name} phase per step {bound * abs(params.dt) / dt_max:.3g} "
+                f"rad exceeds the {bound} rad bound; reduce dt"
+            )
 
 
 def choose_steps(laser: LaserParams, model: NearFieldModel, grid: Grid2D,
@@ -121,9 +118,8 @@ def choose_steps(laser: LaserParams, model: NearFieldModel, grid: Grid2D,
     window = t_end - t_start
     if not window > 0.0:
         raise ConfigurationError("evolution window must have positive length")
-    _, _, dt_pot, dt_kin = _phase_bounds(laser, model, grid)
     if dt is None:
-        dt0 = safety * min(dt_pot, dt_kin)
+        dt0 = safety * min(_phase_bounds(laser, model, grid).values())
         if not dt0 > 0.0 or not math.isfinite(window / dt0):
             raise ConfigurationError("cannot choose a positive time step")
         n = max(1, int(math.ceil(window / dt0 - 1e-12)))

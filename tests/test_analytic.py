@@ -1,6 +1,7 @@
 """Phase-mask engine, photon orders, series identities, free flight."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from nediff.analytic import (apply_interaction, build_phase_mask,
                              order_amplitudes_exact, order_series_taylor,
                              transverse_envelope, vacuum_propagate,
                              weak_field_order)
+from nediff.config import build_preset
 from nediff.core import (BLOCK_BYTES, Grid2D, bandwidth_to_fwhm_x, chirp_flight_time,
                          gaussian_wavepacket, temporal_spread, to_momentum)
 from nediff.errors import ConfigurationError, DomainError, UnsupportedPathError
@@ -323,3 +325,44 @@ class TestVacuumPropagate:
     def test_axes_validation(self, packet):
         with pytest.raises(DomainError):
             vacuum_propagate(packet, 10.0, axes="y")
+
+    @pytest.mark.parametrize("axes", ["x", "xy"])
+    def test_bits_equal_full_grid_expression(self, packet, axes):
+        # The grid is large enough for NumPy to reuse temporaries, which
+        # reorders the operands of a complex multiply and so its bits.
+        g = packet.grid
+        assert 16 * g.nx * g.ny > 256 * 1024
+        tau = 30.0
+        spec = to_momentum(packet)
+        ksq = (spec.kx - packet.k0)[None, :] ** 2
+        if axes == "xy":
+            ksq = ksq + spec.ky[:, None] ** 2
+        vals = spec.values * np.exp(1j * ((-HBAR * tau / (2.0 * ELECTRON_MASS)) * ksq))
+        vals = vals * np.conj(np.exp(-1j * g.kx * g.x0))[None, :]
+        vals = vals * np.conj(np.exp(-1j * g.ky * g.y0))[:, None]
+        expected = scipy.fft.ifft2(np.fft.ifftshift(vals)
+                                   / (g.cell_area / (2.0 * np.pi)))
+        out = vacuum_propagate(packet, tau, axes=axes)
+        assert out.t == packet.t + tau
+        assert np.array_equal(out.amplitudes.view(np.uint64),
+                              expected.view(np.uint64))
+
+    @pytest.mark.parametrize("axes, bound", [("x", 3.25), ("xy", 3.75)])
+    def test_fig4_chirped_peak_memory(self, axes, bound):
+        # The chirped fig4 flight keeps the spectrum, its propagated copy and
+        # the inverse transform's buffer; xy adds a real full-grid phase.
+        cfg = build_preset("fig4-chirped")
+        e = cfg.electron
+        fwhm_x = bandwidth_to_fwhm_x(e.bandwidth_ev, e.energy_ev)
+        psi = gaussian_wavepacket(cfg.grid, e.energy_ev, fwhm_x, e.fwhm_y_nm)
+        tau = e.prepropagation_fs if axes == "x" else 200.0
+        with scipy.fft.set_workers(1):
+            tracemalloc.start()
+            try:
+                base, _ = tracemalloc.get_traced_memory()
+                out = vacuum_propagate(psi, tau, axes=axes)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert out.norm() == pytest.approx(1.0, abs=1e-12)
+        assert (peak - base) / psi.amplitudes.nbytes <= bound

@@ -35,11 +35,8 @@ dx_nm = 0.5
 dy_nm = 0.5
 """
 
-SMALL_SWEEP = SMALL_RUN.replace("[scenario]", "[unused_placeholder]", 0) + """
-[sweep]
-axis = radius_nm
-values = 6,10,14
-"""
+#: A sweep template: a sweep's engine is its [sweep] engine.
+SWEEP_TEMPLATE = SMALL_RUN.replace("engine = analytic\n", "")
 
 
 @pytest.fixture()
@@ -160,7 +157,7 @@ def test_render_rejects_bad_args(tmp_path):
 
 def test_sweep_cli(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(SMALL_RUN + "\n[sweep]\naxis = radius_nm\nvalues = 6,10,14\n",
+    cfg.write_text(SWEEP_TEMPLATE + "\n[sweep]\naxis = radius_nm\nvalues = 6,10,14\n",
                    encoding="utf-8")
     out = tmp_path / "sw"
     assert main(["sweep", str(cfg), "--out", str(out), "--threads", "1"]) == 0
@@ -188,32 +185,23 @@ def test_seedless_flag_rejected(run_config, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_snapshot_stride_without_numeric_section_rejected(run_config, tmp_path,
-                                                          capsys):
-    out = tmp_path / "o"
-    assert main(["run", str(run_config), "--out", str(out),
-                 "--snapshot-stride", "5"]) == 1
-    assert "--snapshot-stride" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_snapshot_stride_on_sweep_preset_rejected(tmp_path, capsys):
-    out = tmp_path / "o"
-    assert main(["preset", "fig2", "--out", str(out),
-                 "--snapshot-stride", "5"]) == 1
-    assert "--snapshot-stride" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_snapshot_stride_overrides_numeric_section(tmp_path):
-    cfg = tmp_path / "num.cfg"
-    cfg.write_text(SMALL_RUN.replace("engine = analytic", "engine = numeric")
-                   .replace("populations,profile,summary", "trace")
-                   + "\n[numeric]\nwindow_fs = 3.0\nsafety = 0.9\n",
-                   encoding="utf-8")
-    out = tmp_path / "o"
-    assert main(["run", str(cfg), "--out", str(out), "--snapshot-stride", "7"]) == 0
-    assert "snapshot_stride = 7" in (out / "config.txt").read_text().splitlines()
+def test_numeric_snapshot_stride_sets_the_trace_stride(tmp_path):
+    times = {}
+    for stride in (1, 7):
+        cfg = tmp_path / f"num{stride}.cfg"
+        cfg.write_text(SMALL_RUN.replace("engine = analytic", "engine = numeric")
+                       .replace("populations,profile,summary", "trace")
+                       + "\n[numeric]\nwindow_fs = 3.0\nsafety = 0.9\n"
+                       f"snapshot_stride = {stride}\n", encoding="utf-8")
+        out = tmp_path / f"o{stride}"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "config.txt").read_text().splitlines()
+        assert f"snapshot_stride = {stride}" in lines
+        times[stride] = np.loadtxt(out / "trace.csv", delimiter=",",
+                                   skiprows=1, usecols=0)
+    # Rows: the start, every stride-th step, the last step and the end.
+    assert len(times[1]) > 20
+    assert np.array_equal(times[7][1:-2], times[1][7:-2:7])
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])
@@ -222,17 +210,6 @@ def test_threads_below_one_is_usage_error(run_config, tmp_path, capsys, threads)
                  "--threads", threads]) == 1
     err = capsys.readouterr().err
     assert "--threads" in err and "usage" in err.lower()
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("stride", ["0", "-1"])
-def test_snapshot_stride_below_one_is_usage_error(run_config, tmp_path, capsys,
-                                                  stride):
-    assert main(["run", str(run_config), "--out", str(tmp_path / "o"),
-                 "--snapshot-stride", stride]) == 1
-    err = capsys.readouterr().err
-    assert "--snapshot-stride" in err and "usage" in err.lower()
-    assert "[numeric]" not in err
     assert not (tmp_path / "o").exists()
 
 
@@ -258,7 +235,7 @@ def test_numeric_run_identical_across_thread_counts(tmp_path):
 
 def test_sweep_with_no_successful_point_exits_two(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(SMALL_RUN + "\n[sweep]\naxis = radius_nm\nvalues = -2,-1\n",
+    cfg.write_text(SWEEP_TEMPLATE + "\n[sweep]\naxis = radius_nm\nvalues = -2,-1\n",
                    encoding="utf-8")
     out = tmp_path / "sw"
     assert main(["sweep", str(cfg), "--out", str(out), "--threads", "2"]) == 2
@@ -269,8 +246,9 @@ def test_sweep_with_no_successful_point_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("text", [
     "[sweep]\npreset = fig3\nengine = magic\n",
     "[sweep]\npreset = fig3\nengine = numeric\n",
-    SMALL_RUN + "\n[sweep]\naxis = radius_nm\nvalues = 6,10\nengine = numeric\n",
-], ids=["preset-magic", "preset-numeric", "template-numeric"])
+    SWEEP_TEMPLATE + "\n[sweep]\naxis = radius_nm\nvalues = 6,10\nengine = numeric\n",
+    SMALL_RUN + "\n[sweep]\naxis = radius_nm\nvalues = 6,10\n",
+], ids=["preset-magic", "preset-numeric", "template-numeric", "scenario-engine"])
 def test_sweep_with_bad_engine_exits_one(tmp_path, capsys, text):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(text, encoding="utf-8")
@@ -278,6 +256,40 @@ def test_sweep_with_bad_engine_exits_one(tmp_path, capsys, text):
     assert main(["sweep", str(cfg), "--out", str(out), "--threads", "1"]) == 1
     assert "engine" in capsys.readouterr().err
     assert not (out / "sweep.csv").exists()
+
+
+#: A fig1 template cut to a small grid and a short numeric window.
+FIG1_SWEEP = """[scenario]
+preset = fig1
+
+[electron]
+fwhm_x_nm = 40.0
+fwhm_y_nm = 16.0
+
+[grid]
+nx = 512
+ny = 256
+dx_nm = 0.5
+dy_nm = 0.5
+
+[numeric]
+window_fs = 3.0
+
+[sweep]
+axis = radius_nm
+values = 6,10
+"""
+
+
+@pytest.mark.parametrize("engine", [None, "numeric"])
+def test_sweep_template_records_the_engine_its_points_ran(tmp_path, engine):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(FIG1_SWEEP, encoding="utf-8")
+    out = tmp_path / "sw"
+    argv = ["sweep", str(cfg), "--out", str(out), "--threads", "1"]
+    assert main(argv + (["--engine", engine] if engine else [])) == 0
+    lines = (out / "template.txt").read_text().splitlines()
+    assert f"engine = {engine or 'analytic'}" in lines
 
 
 def test_sweep_preset_engine_override_validated(tmp_path, capsys):
@@ -295,7 +307,7 @@ peak_field_v_per_nm = 0.5
 
 
 @pytest.mark.parametrize("text", [
-    SMALL_RUN.replace("type = wire\nradius_nm = 10.0\n", GAP_KEYS)
+    SWEEP_TEMPLATE.replace("type = wire\nradius_nm = 10.0\n", GAP_KEYS)
     + "\n[sweep]\naxis = radius_nm\nvalues = 6,10\n",
     "[sweep]\npreset = fig3\n\n[model]\n" + GAP_KEYS
     + "\n[electron]\nfwhm_y_nm = 20.0\n",
@@ -315,7 +327,7 @@ def test_radius_sweep_on_a_gap_model_exits_one(tmp_path, capsys, text):
 ], ids=["gap", "stripe"])
 def test_field_sweep_on_a_model_that_ignores_the_field_exits_one(
         tmp_path, capsys, model):
-    text = (SMALL_RUN.replace("type = wire\nradius_nm = 10.0\n", model)
+    text = (SWEEP_TEMPLATE.replace("type = wire\nradius_nm = 10.0\n", model)
             + "\n[sweep]\naxis = field_v_per_nm\nvalues = 0.01,0.5\n")
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(text, encoding="utf-8")

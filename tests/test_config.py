@@ -139,8 +139,12 @@ def test_sweep_preset_in_run_config_rejected():
         parse_config("[scenario]\npreset = fig2\n")
 
 
+#: A sweep template: a sweep's engine is its [sweep] engine.
+SWEEP_TEMPLATE = MINIMAL.replace("engine = analytic\n", "")
+
+
 def test_parse_sweep_config_explicit():
-    text = MINIMAL + "\n[sweep]\naxis = radius_nm\nvalues = 5,10,20\n"
+    text = SWEEP_TEMPLATE + "\n[sweep]\naxis = radius_nm\nvalues = 5,10,20\n"
     spec = parse_sweep_config(text)
     assert spec.axis == "radius_nm"
     assert spec.values == (5.0, 10.0, 20.0)
@@ -339,7 +343,7 @@ def test_sweep_engine_is_validated_against_the_template(engine):
     with pytest.raises(ConfigurationError, match="engine"):
         parse_sweep_config(f"[sweep]\npreset = fig3\nengine = {engine}\n")
     with pytest.raises(ConfigurationError, match="engine"):
-        parse_sweep_config(MINIMAL + f"\n[sweep]\naxis = radius_nm\n"
+        parse_sweep_config(SWEEP_TEMPLATE + f"\n[sweep]\naxis = radius_nm\n"
                            f"values = 5,10\nengine = {engine}\n")
 
 
@@ -351,13 +355,25 @@ def test_sweep_preset_numeric_engine_with_numeric_overlay():
 
 
 def test_sweep_template_from_scenario_preset():
-    spec = parse_sweep_config("[scenario]\npreset = fig1\nengine = analytic\n"
+    spec = parse_sweep_config("[scenario]\npreset = fig1\n"
                               "\n[sweep]\naxis = radius_nm\nvalues = 5,10\n")
     assert spec.template == dataclasses.replace(build_preset("fig1"),
                                                 engine="analytic")
     with pytest.raises(ConfigurationError, match="preset"):
         parse_sweep_config("[scenario]\npreset = fig1\n"
                            "\n[sweep]\npreset = fig2\n")
+
+
+@pytest.mark.parametrize("text", [
+    MINIMAL + "\n[sweep]\naxis = radius_nm\nvalues = 5,10\n",
+    "[scenario]\nengine = analytic\n\n[sweep]\npreset = fig2\n",
+], ids=["template", "preset"])
+def test_scenario_engine_in_a_sweep_is_rejected(text):
+    line = _line_number(text, "engine = analytic")
+    with pytest.raises(ConfigurationError,
+                       match=rf"\[sweep\] engine; remove \[scenario\] engine "
+                             rf"\(line {line}\)"):
+        parse_sweep_config(text)
 
 
 def test_default_section_is_an_unknown_section():
@@ -440,6 +456,7 @@ def test_point_sets_only_its_axis_and_the_sweep_engine(axis):
     template = parse_config(MINIMAL.replace("engine = analytic", "engine = both")
                             + "\n[numeric]\nwindow_fs = 10.0\n")
     spec = SweepSpec(template=template, axis=axis, values=(0.25, 0.5))
+    assert spec.template == dataclasses.replace(template, engine="analytic")
     cfg = spec.point(0.5)
     field = config.SWEEP_AXES[axis]
     assert getattr(getattr(cfg, field), axis) == 0.5
