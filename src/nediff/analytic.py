@@ -38,12 +38,6 @@ class PhaseMask:
         return (self.coupling_cos[rows, None] * self.cos_x[None, :]
                 + self.coupling_sin[rows, None] * self.sin_x[None, :])
 
-    @property
-    def values(self) -> np.ndarray:
-        """The phase on the whole grid."""
-        return self.phase(slice(None))
-
-
 def build_phase_mask(profile: CouplingProfile, grid: Grid2D) -> PhaseMask:
     """The interaction phase on the grid; no full-grid array is built."""
     if len(profile.y) != grid.ny or not np.allclose(

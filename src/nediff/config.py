@@ -26,6 +26,7 @@ from .core import Grid2D, chirp_flight_time
 from .errors import ConfigurationError, DomainError
 from .nearfield import (GapResonatorModel, LaserParams, NearFieldModel,
                         UniformStripeModel, WireModel)
+from .numeric import NumericSpec
 from .units import electron_kinematics
 
 ENGINES = ("analytic", "numeric", "both")
@@ -80,27 +81,6 @@ class ElectronSpec:
 
 
 @dataclass(frozen=True)
-class NumericSpec:
-    """Options for the split-step engine."""
-
-    window_fs: float
-    dt_fs: float | None = None
-    safety: float = 0.5
-    vector_potential: bool = True
-    snapshot_stride: int = 50
-
-    def __post_init__(self):
-        if not self.window_fs > 0.0:
-            raise ConfigurationError("numeric.window_fs must be positive")
-        if self.dt_fs is not None and not self.dt_fs > 0.0:
-            raise ConfigurationError("numeric.dt_fs must be positive")
-        if not 0.0 < self.safety <= 1.0:
-            raise ConfigurationError("numeric.safety must be in (0, 1]")
-        if self.snapshot_stride < 1:
-            raise ConfigurationError("numeric.snapshot_stride must be >= 1")
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     """One fully resolved simulation run."""
 
@@ -119,9 +99,14 @@ class ScenarioConfig:
         for kind in self.outputs:
             if kind not in OUTPUT_KINDS:
                 raise ConfigurationError(f"unknown output kind {kind!r}")
-        if self.engine in ("numeric", "both") and self.numeric is None:
-            raise ConfigurationError(
-                "the numeric engine requires a [numeric] section")
+        if self.engine in ("numeric", "both"):
+            if self.numeric is None:
+                raise ConfigurationError(
+                    "the numeric engine requires a [numeric] section")
+            if isinstance(self.model, UniformStripeModel):
+                raise ConfigurationError(
+                    "the uniform stripe model has no potential and runs only "
+                    "on the analytic engine")
         if self.electron.fwhm_y_radius_scale is not None and not isinstance(
                 self.model, WireModel):
             raise ConfigurationError(

@@ -163,10 +163,6 @@ class MomentumSpectrum:
         v = self.values
         return v.real**2 + v.imag**2
 
-    def norm(self) -> float:
-        return math.sqrt(float(np.sum(self.density())) * self.dkx * self.dky)
-
-
 def _axis_phases(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
     # Phase factors referencing the DFT to the physical cell-center coordinates.
     px = np.exp(-1j * grid.kx * grid.x0)

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.integrate
 
 from .core import _SQRT8LN2
-from .errors import DomainError, NumericalError, StateError, UnsupportedPathError
+from .errors import DomainError, NumericalError, StateError
 from .quadrature import adaptive_quad
 from .units import C0, ELECTRON_CHARGE, HBAR
 
@@ -214,7 +214,8 @@ class UniformStripeModel:
     """Synthetic model with a constant cosine coupling over a y interval.
 
     It bypasses the potential integrals entirely and exists to reduce the 2D
-    problem to the known one-dimensional sideband limit in tests.
+    problem to the known one-dimensional sideband limit in tests.  Having no
+    potential, it runs only on the analytic engine.
     """
 
     coupling_rad: float
@@ -224,13 +225,6 @@ class UniformStripeModel:
     def __post_init__(self):
         if not self.y_max > self.y_min:
             raise DomainError("stripe interval must have positive length")
-
-    def potential(self, x, y, field_v_per_nm: float | None = None):
-        raise UnsupportedPathError(
-            "the uniform stripe is a synthetic analytic-engine model and has "
-            "no potential; use the analytic engine"
-        )
-
 
 NearFieldModel = WireModel | GapResonatorModel | UniformStripeModel
 

@@ -29,6 +29,31 @@ PHASE_BOUNDS = {"potential": 0.1, "kinetic": 0.5}
 #: Mass fraction tolerated within the outer 10% border of the grid.
 EDGE_MASS_TOL = 1e-6
 
+#: The trace.csv header, and the order in which `record` fills a row.
+TRACE_COLUMNS = ("t_fs", "norm", "x_mean_nm", "kx_mean_per_nm",
+                 "ky_mean_per_nm", "energy_mean_ev")
+
+
+@dataclass(frozen=True)
+class NumericSpec:
+    """Options for the split-step engine: the [numeric] config section."""
+
+    window_fs: float
+    dt_fs: float | None = None
+    safety: float = 0.5
+    vector_potential: bool = True
+    snapshot_stride: int = 50
+
+    def __post_init__(self):
+        if not self.window_fs > 0.0:
+            raise ConfigurationError("numeric.window_fs must be positive")
+        if self.dt_fs is not None and not self.dt_fs > 0.0:
+            raise ConfigurationError("numeric.dt_fs must be positive")
+        if not 0.0 < self.safety <= 1.0:
+            raise ConfigurationError("numeric.safety must be in (0, 1]")
+        if self.snapshot_stride < 1:
+            raise ConfigurationError("numeric.snapshot_stride must be >= 1")
+
 
 @dataclass(frozen=True)
 class EvolutionParams:
@@ -39,8 +64,8 @@ class EvolutionParams:
     t_end: float
     laser: LaserParams
     model: NearFieldModel
-    include_vector_potential: bool = True
-    snapshot_stride: int = 50
+    include_vector_potential: bool
+    snapshot_stride: int
 
     def __post_init__(self):
         if self.n_steps < 1:
@@ -62,14 +87,12 @@ class EvolutionParams:
 
 @dataclass(frozen=True)
 class EvolutionTrace:
-    """Per-snapshot observables recorded during the evolution."""
+    """Per-snapshot observables: one row per snapshot, in TRACE_COLUMNS order."""
 
-    t: np.ndarray
-    norm: np.ndarray
-    x_mean: np.ndarray
-    kx_mean: np.ndarray
-    ky_mean: np.ndarray
-    energy_ev: np.ndarray
+    rows: np.ndarray
+
+    def __getitem__(self, column: str) -> np.ndarray:
+        return self.rows[:, TRACE_COLUMNS.index(column)]
 
 
 def _phase_bounds(laser: LaserParams, model: NearFieldModel, grid: Grid2D
@@ -102,34 +125,29 @@ def validate_evolution(params: EvolutionParams, grid: Grid2D) -> None:
             )
 
 
-def choose_steps(laser: LaserParams, model: NearFieldModel, grid: Grid2D,
-                 t_start: float, t_end: float, safety: float = 0.5,
-                 include_vector_potential: bool = True,
-                 snapshot_stride: int = 50,
-                 dt: float | None = None) -> EvolutionParams:
-    """Largest time step satisfying both phase bounds, with a safety factor.
+def choose_steps(spec: NumericSpec, laser: LaserParams, model: NearFieldModel,
+                 grid: Grid2D) -> EvolutionParams:
+    """Steps over the window centred on t = 0: the largest time step that
+    satisfies both phase bounds, times the safety factor, then shrunk so an
+    integer number of steps covers the window.
 
-    The step is then shrunk so an integer number of steps covers the window.
-    A requested `dt` instead splits the window into the nearest whole number
-    of steps of that size; the phase bounds are then checked, not imposed.
+    A requested `dt_fs` instead splits the window into the nearest whole
+    number of steps of that size; the phase bounds are then checked, not
+    imposed.
     """
-    if not 0.0 < safety <= 1.0:
-        raise ConfigurationError("safety factor must be in (0, 1]")
-    window = t_end - t_start
-    if not window > 0.0:
-        raise ConfigurationError("evolution window must have positive length")
-    if dt is None:
-        dt0 = safety * min(_phase_bounds(laser, model, grid).values())
+    window = spec.window_fs
+    if spec.dt_fs is None:
+        dt0 = spec.safety * min(_phase_bounds(laser, model, grid).values())
         if not dt0 > 0.0 or not math.isfinite(window / dt0):
             raise ConfigurationError("cannot choose a positive time step")
         n = max(1, int(math.ceil(window / dt0 - 1e-12)))
     else:
-        n = max(1, int(round(window / dt)))
+        n = max(1, int(round(window / spec.dt_fs)))
+    half = 0.5 * window
     params = EvolutionParams(
-        n_steps=n, t_start=t_start, t_end=t_end,
-        laser=laser, model=model,
-        include_vector_potential=include_vector_potential,
-        snapshot_stride=snapshot_stride,
+        n_steps=n, t_start=-half, t_end=half, laser=laser, model=model,
+        include_vector_potential=spec.vector_potential,
+        snapshot_stride=spec.snapshot_stride,
     )
     validate_evolution(params, grid)
     return params
@@ -215,7 +233,7 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
             gauge = np.exp(1j * (q / ELECTRON_MASS) * integral * ky1)[:, None]
         _run_blocks(pool, blocks, drift, spec, kin, gauge)
 
-    snaps: list[tuple[float, float, float, float, float, float]] = []
+    snaps: list[tuple[float, ...]] = []
 
     def check_border(t, border: float, mass: float) -> None:
         # A NaN or inf anywhere reaches every cell after one transform, so
@@ -246,6 +264,7 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
         e_mean = (HBAR**2 / (2.0 * ELECTRON_MASS)) * float(
             (rho_k * ((psi0.k0 + kx1[None, :]) ** 2 + ky1[:, None] ** 2)).sum()
         ) / mass_k
+        # One trace row, in TRACE_COLUMNS order.
         snaps.append((t, norm, x_mean, psi0.k0 + kx_mean, ky_mean, e_mean))
         if snapshot_callback is not None:
             snapshot_callback(t, Wavepacket(grid=grid, amplitudes=psi_r.copy(),
@@ -285,8 +304,5 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
 
 
 def _trace_from(snaps) -> EvolutionTrace:
-    arr = np.array(snaps, dtype=float).reshape(-1, 6)
     return EvolutionTrace(
-        t=arr[:, 0], norm=arr[:, 1], x_mean=arr[:, 2], kx_mean=arr[:, 3],
-        ky_mean=arr[:, 4], energy_ev=arr[:, 5],
-    )
+        rows=np.array(snaps, dtype=float).reshape(-1, len(TRACE_COLUMNS)))

@@ -22,7 +22,8 @@ from .core import (Wavepacket, bandwidth_to_fwhm_x, check_coverage,
 from .errors import AnalysisError, ConfigurationError, NediffError
 from .nearfield import (CouplingProfile, GapResonatorModel, UniformStripeModel,
                         calibrate_gap_amplitude, coupling_profile)
-from .numeric import EvolutionTrace, choose_steps, split_step_evolve
+from .numeric import (TRACE_COLUMNS, EvolutionTrace, choose_steps,
+                      split_step_evolve)
 from .render import render_heatmap
 from .units import electron_kinematics
 
@@ -49,7 +50,6 @@ class ScenarioResult:
     analytic: EngineOutput | None
     numeric: EngineOutput | None
     trace: EvolutionTrace | None
-    delta_k: float
     rel_l2_densities: float | None
 
     def primary(self) -> EngineOutput:
@@ -109,12 +109,7 @@ def run_scenario(cfg: ScenarioConfig, outdir=None) -> ScenarioResult:
         psi_a = apply_interaction(psi0, mask)
         analytic_out = _engine_output(psi_a, delta_k)
     if cfg.engine in ("numeric", "both"):
-        nu = cfg.numeric
-        half = 0.5 * nu.window_fs
-        params = choose_steps(cfg.laser, model, cfg.grid, -half, half,
-                              safety=nu.safety,
-                              include_vector_potential=nu.vector_potential,
-                              snapshot_stride=nu.snapshot_stride, dt=nu.dt_fs)
+        params = choose_steps(cfg.numeric, cfg.laser, model, cfg.grid)
         snapshot_callback = None
         if outdir is not None and "snapshots" in cfg.outputs:
             snap_dir = Path(outdir) / "snapshots"
@@ -136,37 +131,32 @@ def run_scenario(cfg: ScenarioConfig, outdir=None) -> ScenarioResult:
     result = ScenarioResult(
         config=cfg, psi_initial=psi0, profile=profile,
         analytic=analytic_out, numeric=numeric_out, trace=trace,
-        delta_k=delta_k, rel_l2_densities=distance,
+        rel_l2_densities=distance,
     )
     if outdir is not None:
         write_artifacts(result, outdir)
     return result
 
 
-def write_artifacts(result: ScenarioResult, outdir) -> list[str]:
-    """Write the configured artifact bundle; returns the relative file names."""
+def write_artifacts(result: ScenarioResult, outdir) -> None:
+    """Write the configured artifact bundle."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     cfg = result.config
     wanted = set(cfg.outputs)
-    written: list[str] = []
-
-    def emit(name: str):
-        written.append(name)
-        return outdir / name
 
     def write_cut(cut: Crosscut, name: str) -> None:
-        gridio.write_csv(emit(name), ("k_per_nm", "density"),
+        gridio.write_csv(outdir / name, ("k_per_nm", "density"),
                          zip(cut.coords, cut.density),
                          comments=(f"axis: {cut.axis}",
                                    f"fixed_value_per_nm: {float(cut.value)!r}"))
 
-    gridio.write_lines(emit("config.txt"), serialize_config(cfg).splitlines())
+    gridio.write_lines(outdir / "config.txt", serialize_config(cfg).splitlines())
     if "profile" in wanted:
         p = result.profile
         laser = p.laser
         gridio.write_csv(
-            emit("profile.csv"), ("y_nm", "I1_rad", "I2_rad"),
+            outdir / "profile.csv", ("y_nm", "I1_rad", "I2_rad"),
             zip(p.y, p.coupling_cos, p.coupling_sin),
             comments=(f"model: {p.model!r}",
                       f"laser: wavelength_nm={float(laser.wavelength_nm)!r} "
@@ -175,19 +165,19 @@ def write_artifacts(result: ScenarioResult, outdir) -> list[str]:
                       f"v0_nm_fs: {float(p.v0)!r}",
                       f"delta_k_per_nm: {float(p.delta_k)!r}"))
     if "grids" in wanted:
-        gridio.write_grid(emit("initial.grid"), result.psi_initial)
+        gridio.write_grid(outdir / "initial.grid", result.psi_initial)
     for label, out in (("analytic", result.analytic), ("numeric", result.numeric)):
         if out is None:
             continue
         if "grids" in wanted:
-            gridio.write_grid(emit(f"{label}.grid"), out.psi)
+            gridio.write_grid(outdir / f"{label}.grid", out.psi)
         if "density" in wanted:
-            render_heatmap(out.density, emit(f"density_{label}.pgm"),
+            render_heatmap(out.density, outdir / f"density_{label}.pgm",
                            colormap="log")
         if "populations" in wanted and out.sidebands is not None:
             table = out.sidebands
             gridio.write_csv(
-                emit(f"populations_{label}.csv"),
+                outdir / f"populations_{label}.csv",
                 ("order", "population", "ky_spread_per_nm"),
                 ((str(int(n)), pop, spread) for n, pop, spread in
                  zip(table.orders, table.populations, table.ky_spread)))
@@ -195,22 +185,17 @@ def write_artifacts(result: ScenarioResult, outdir) -> list[str]:
             write_cut(crosscut(out.density, "kx", 0.0),
                       f"crosscut_{label}_kx_ky0.csv")
             for n in (0, 1, 2):
-                kxn = out.psi.k0 + n * result.delta_k
+                kxn = out.psi.k0 + n * result.profile.delta_k
                 if out.density.kx[0] <= kxn <= out.density.kx[-1]:
                     write_cut(crosscut(out.density, "ky", kxn),
                               f"crosscut_{label}_ky_n{n}.csv")
     if result.trace is not None and "trace" in wanted:
-        tr = result.trace
-        gridio.write_csv(
-            emit("trace.csv"), ("t_fs", "norm", "x_mean_nm", "kx_mean_per_nm",
-                                "ky_mean_per_nm", "energy_mean_ev"),
-            zip(tr.t, tr.norm, tr.x_mean, tr.kx_mean, tr.ky_mean, tr.energy_ev))
+        gridio.write_csv(outdir / "trace.csv", TRACE_COLUMNS, result.trace.rows)
     if result.rel_l2_densities is not None and "compare" in wanted:
-        gridio.write_lines(emit("compare.txt"), [
+        gridio.write_lines(outdir / "compare.txt", [
             f"relative_l2_momentum_density = {float(result.rel_l2_densities)!r}"])
     if "summary" in wanted:
-        gridio.write_lines(emit("summary.txt"), _summary_lines(result))
-    return written
+        gridio.write_lines(outdir / "summary.txt", _summary_lines(result))
 
 
 def _summary_lines(result: ScenarioResult) -> list[str]:
@@ -220,13 +205,12 @@ def _summary_lines(result: ScenarioResult) -> list[str]:
         f"engine = {cfg.engine}",
         f"k0_per_nm = {k0!r}",
         f"v0_nm_fs = {v0!r}",
-        f"delta_k_per_nm = {float(result.delta_k)!r}",
+        f"delta_k_per_nm = {float(result.profile.delta_k)!r}",
     ]
-    out = result.analytic or result.numeric
-    if out is not None:
-        lines.append(f"max_deflection_deg = {max_deflection(out.density)!r}")
-        if out.sidebands is not None:
-            lines.append(f"p0 = {out.sidebands.population(0)!r}")
+    out = result.primary()
+    lines.append(f"max_deflection_deg = {max_deflection(out.density)!r}")
+    if out.sidebands is not None:
+        lines.append(f"p0 = {out.sidebands.population(0)!r}")
     if result.rel_l2_densities is not None:
         lines.append(f"rel_l2_densities = {float(result.rel_l2_densities)!r}")
     return lines

@@ -25,7 +25,8 @@ from nediff.analytic import (apply_interaction, build_phase_mask,
 from nediff.core import Grid2D, gaussian_wavepacket, temporal_spread, to_momentum
 from nediff.nearfield import (LaserParams, UniformStripeModel, WireModel,
                               coupling_integrals, coupling_profile)
-from nediff.numeric import EvolutionParams, choose_steps, split_step_evolve
+from nediff.numeric import (EvolutionParams, NumericSpec, choose_steps,
+                            split_step_evolve)
 from nediff.config import build_preset
 from nediff.scenario import build_initial_state, run_scenario, run_sweep
 from nediff.units import HBAR, electron_kinematics
@@ -79,9 +80,7 @@ def test_criterion_01_analytic_numeric_agreement(fig1):
 @pytest.mark.slow
 def test_criterion_01_step_budget(fig1):
     cfg, result, _ = fig1
-    half = 0.5 * cfg.numeric.window_fs
-    params = choose_steps(cfg.laser, cfg.model, cfg.grid, -half, half,
-                          safety=cfg.numeric.safety)
+    params = choose_steps(cfg.numeric, cfg.laser, cfg.model, cfg.grid)
     assert params.n_steps <= 3000
     assert (cfg.grid.nx, cfg.grid.ny) == (2048, 1024)
 
@@ -95,7 +94,7 @@ def test_criterion_02_sideband_spacing(fig1, fig2_sweep):
     marginal = Crosscut(axis="kx", value=math.nan, coords=dmap.kx,
                         density=dmap.values.sum(axis=0) * dmap.dky)
     spacing = peak_spacing(marginal)
-    ok_fig1 = abs(spacing - result.delta_k) <= cfg.grid.dkx
+    ok_fig1 = abs(spacing - result.profile.delta_k) <= cfg.grid.dkx
 
     spec, sweep, _ = fig2_sweep
     errs = []
@@ -109,7 +108,7 @@ def test_criterion_02_sideband_spacing(fig1, fig2_sweep):
         2, "extracted sideband spacing equals omega/v0 within one grid cell "
            "(fig1 and all fig2 energies)",
         bool(ok_fig1 and ok_fig2),
-        f"fig1 |err| = {abs(spacing - result.delta_k):.2e}, "
+        f"fig1 |err| = {abs(spacing - result.profile.delta_k):.2e}, "
         f"fig2 max |err| = {max(errs):.2e}")
     assert ok_fig1
     assert ok_fig2
@@ -224,7 +223,7 @@ def test_criterion_07_parity_and_fringe_shift(fig1):
     cfg, result, _ = fig1
     dmap = result.analytic.density
     k0 = result.analytic.psi.k0
-    dk = result.delta_k
+    dk = result.profile.delta_k
 
     # Odd orders carry a node on the axis.
     node_ok = True
@@ -351,7 +350,7 @@ def test_criterion_10_gap_resonator_scenarios():
 @pytest.mark.slow
 def test_criterion_11_conservation_suite(fig1):
     cfg, result, _ = fig1
-    norm_drift = float(np.max(np.abs(result.trace.norm - 1.0)))
+    norm_drift = float(np.max(np.abs(result.trace["norm"] - 1.0)))
     norm_ok = norm_drift <= 1e-9
     analytic_norm_ok = abs(result.analytic.psi.norm() - 1.0) <= 1e-9
 
@@ -364,7 +363,9 @@ def test_criterion_11_conservation_suite(fig1):
     def run(dt):
         n = int(round(16.0 / dt))
         params = EvolutionParams(n_steps=n, t_start=-8.0, t_end=8.0,
-                                 laser=laser, model=wire)
+                                 laser=laser, model=wire,
+                                 include_vector_potential=True,
+                                 snapshot_stride=50)
         out, _ = split_step_evolve(psi, params)
         return momentum_density(out).values
 
@@ -375,8 +376,8 @@ def test_criterion_11_conservation_suite(fig1):
     order2_ok = 2.0 < ratio < 8.0
 
     free_wire = WireModel(radius_nm=10.0, response=0.0)
-    params = choose_steps(laser, free_wire, grid, -10.0, 10.0, safety=0.9,
-                          include_vector_potential=False)
+    spec = NumericSpec(window_fs=20.0, safety=0.9, vector_potential=False)
+    params = choose_steps(spec, laser, free_wire, grid)
     psi_free, trace_free = split_step_evolve(psi, params)
     psi_vac = vacuum_propagate(psi, 20.0)
     free_err = float(np.max(np.abs(to_momentum(psi_free).values

@@ -53,26 +53,26 @@ class TestPhaseMask:
         stripe = UniformStripeModel(coupling_rad=0.0, y_min=-1.0, y_max=1.0)
         prof = coupling_profile(stripe, LASER, v0, small_grid.y)
         mask = build_phase_mask(prof, small_grid)
-        assert np.all(mask.values == 0.0)
+        assert np.all(mask.phase(slice(None)) == 0.0)
 
     def test_pointwise_factorization(self, wire_profile, small_grid):
         mask = build_phase_mask(wire_profile, small_grid)
         arg = wire_profile.delta_k * small_grid.x
         expected = (wire_profile.coupling_cos[:, None] * np.cos(arg)[None, :]
                     + wire_profile.coupling_sin[:, None] * np.sin(arg)[None, :])
-        assert np.max(np.abs(mask.values - expected)) < 1e-12
+        assert np.max(np.abs(mask.phase(slice(None)) - expected)) < 1e-12
 
     def test_periodicity(self, wire_profile, small_grid):
         period = 2.0 * math.pi / wire_profile.delta_k
         g = small_grid
         shifted = Grid2D(g.nx, g.ny, g.dx, g.dy, g.x0 + period, g.y0)
-        a = build_phase_mask(wire_profile, g).values
-        b = build_phase_mask(wire_profile, shifted).values
+        a = build_phase_mask(wire_profile, g).phase(slice(None))
+        b = build_phase_mask(wire_profile, shifted).phase(slice(None))
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_odd_under_y_reflection(self, wire_profile, small_grid):
         mask = build_phase_mask(wire_profile, small_grid)
-        v = mask.values
+        v = mask.phase(slice(None))
         assert np.max(np.abs(v[1:] + v[1:][::-1])) < 1e-9
 
     def test_grid_mismatch_rejected(self, wire_profile):

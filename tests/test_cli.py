@@ -38,6 +38,8 @@ dy_nm = 0.5
 #: A sweep template: a sweep's engine is its [sweep] engine.
 SWEEP_TEMPLATE = SMALL_RUN.replace("engine = analytic\n", "")
 
+STRIPE_KEYS = "type = stripe\ncoupling_rad = 1.0\ny_min_nm = -40.0\ny_max_nm = 40.0\n"
+
 
 @pytest.fixture()
 def run_config(tmp_path):
@@ -248,7 +250,11 @@ def test_sweep_with_no_successful_point_exits_two(tmp_path, capsys):
     "[sweep]\npreset = fig3\nengine = numeric\n",
     SWEEP_TEMPLATE + "\n[sweep]\naxis = radius_nm\nvalues = 6,10\nengine = numeric\n",
     SMALL_RUN + "\n[sweep]\naxis = radius_nm\nvalues = 6,10\n",
-], ids=["preset-magic", "preset-numeric", "template-numeric", "scenario-engine"])
+    SWEEP_TEMPLATE.replace("type = wire\nradius_nm = 10.0\n", STRIPE_KEYS)
+    + "\n[numeric]\nwindow_fs = 3.0\n"
+    + "\n[sweep]\naxis = energy_ev\nvalues = 100,200\nengine = numeric\n",
+], ids=["preset-magic", "preset-numeric", "template-numeric", "scenario-engine",
+        "stripe-numeric"])
 def test_sweep_with_bad_engine_exits_one(tmp_path, capsys, text):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(text, encoding="utf-8")
@@ -256,6 +262,46 @@ def test_sweep_with_bad_engine_exits_one(tmp_path, capsys, text):
     assert main(["sweep", str(cfg), "--out", str(out), "--threads", "1"]) == 1
     assert "engine" in capsys.readouterr().err
     assert not (out / "sweep.csv").exists()
+
+
+def test_stripe_run_on_the_numeric_engine_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "stripe.cfg"
+    cfg.write_text(SMALL_RUN.replace("type = wire\nradius_nm = 10.0\n", STRIPE_KEYS)
+                   + "\n[numeric]\nwindow_fs = 3.0\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out), "--engine", "numeric"]) == 1
+    assert "analytic engine" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["run", str(cfg), "--out", str(out)]) == 0  # analytic runs
+
+
+#: SMALL_RUN on the numeric engine with a trace row at every step.
+DT_RUN = (SMALL_RUN.replace("engine = analytic", "engine = numeric")
+          .replace("populations,profile,summary", "trace")
+          + "\n[numeric]\nwindow_fs = 3.0\nsnapshot_stride = 1\n")
+
+
+def test_numeric_dt_fs_sets_the_step_count(tmp_path):
+    # 3.0 / 0.0476 = 63.03: the nearest whole number of steps, not the ceiling.
+    cfg = tmp_path / "dt.cfg"
+    cfg.write_text(DT_RUN + "dt_fs = 0.0476\nvector_potential = false\n",
+                   encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out), "--threads", "1"]) == 0
+    rows = (out / "trace.csv").read_text().splitlines()[1:]
+    assert len(rows) == 1 + 63 + 1  # the start, every step, the end
+    assert rows[0].split(",")[0] == repr(-1.5)
+    assert rows[-1].split(",")[0] == repr(1.5)
+
+
+def test_numeric_dt_fs_above_the_potential_bound_exits_one(tmp_path, capsys):
+    # The wire's potential bound here is 0.066 fs, the grid's kinetic one 0.11 fs.
+    cfg = tmp_path / "dt.cfg"
+    cfg.write_text(DT_RUN + "dt_fs = 0.09\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    assert "potential phase per step" in capsys.readouterr().err
+    assert not out.exists()
 
 
 #: A fig1 template cut to a small grid and a short numeric window.
@@ -323,7 +369,7 @@ def test_radius_sweep_on_a_gap_model_exits_one(tmp_path, capsys, text):
 
 @pytest.mark.parametrize("model", [
     GAP_KEYS,
-    "type = stripe\ncoupling_rad = 1.0\ny_min_nm = -40.0\ny_max_nm = 40.0\n",
+    STRIPE_KEYS,
 ], ids=["gap", "stripe"])
 def test_field_sweep_on_a_model_that_ignores_the_field_exits_one(
         tmp_path, capsys, model):

@@ -8,12 +8,13 @@ import re
 import pytest
 
 from nediff import config
-from nediff.config import (PRESET_NAMES, ElectronSpec, NumericSpec,
-                           ScenarioConfig, SweepSpec, build_preset, parse_config,
+from nediff.config import (PRESET_NAMES, ElectronSpec, ScenarioConfig,
+                           SweepSpec, build_preset, parse_config,
                            parse_sweep_config, serialize_config)
 from nediff.core import Grid2D, bandwidth_to_fwhm_x, chirp_flight_time
 from nediff.errors import ConfigurationError
 from nediff.nearfield import GapResonatorModel, LaserParams, UniformStripeModel, WireModel
+from nediff.numeric import NumericSpec
 from nediff.units import electron_kinematics
 
 MINIMAL = """

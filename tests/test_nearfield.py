@@ -9,8 +9,7 @@ import scipy.integrate
 
 from nediff.config import build_preset
 from nediff.core import unitary_transform_1d
-from nediff.errors import (ConfigurationError, DomainError, StateError,
-                           UnsupportedPathError)
+from nediff.errors import ConfigurationError, DomainError, StateError
 from nediff.nearfield import (GapResonatorModel, LaserParams,
                               UniformStripeModel, WireModel,
                               calibrate_gap_amplitude, coupling_integrals,
@@ -222,8 +221,6 @@ class TestCouplingIntegrals:
         c, s = coupling_integrals(stripe, FIG1_LASER, v0, np.array([0.0, 4.9, 5.1]))
         assert np.allclose(c, [1.3, 1.3, 0.0])
         assert np.all(s == 0.0)
-        with pytest.raises(UnsupportedPathError):
-            stripe.potential(0.0, 0.0, 0.2)
 
 
 def _record_potential_calls(monkeypatch, cls):
@@ -329,8 +326,7 @@ class TestCouplingProfile:
         cfg = replace(build_preset("fig1"), outputs=("profile",))
         result = ScenarioResult(
             config=cfg, psi_initial=None, profile=fig1_profile, analytic=None,
-            numeric=None, trace=None, delta_k=fig1_profile.delta_k,
-            rel_l2_densities=None)
+            numeric=None, trace=None, rel_l2_densities=None)
         write_artifacts(result, tmp_path)
         path = tmp_path / "profile.csv"
         lines = path.read_text().splitlines()

@@ -10,14 +10,15 @@ import scipy.fft
 
 from nediff.analytic import apply_interaction, build_phase_mask, vacuum_propagate
 from nediff.analysis import momentum_density, rel_l2, sideband_populations
-from nediff.config import ElectronSpec, NumericSpec, ScenarioConfig, build_preset
+from nediff.config import ElectronSpec, ScenarioConfig, build_preset
 from nediff.core import Grid2D, gaussian_wavepacket, to_momentum
 from nediff.errors import ConfigurationError, NumericalError
 from nediff.nearfield import (GapResonatorModel, LaserParams,
                               UniformStripeModel, WireModel, coupling_profile)
 from nediff import core, numeric
-from nediff.numeric import (EvolutionParams, _vector_potential_integral,
-                            choose_steps, split_step_evolve, validate_evolution)
+from nediff.numeric import (TRACE_COLUMNS, EvolutionParams, NumericSpec,
+                            _vector_potential_integral, choose_steps,
+                            split_step_evolve, validate_evolution)
 from nediff.scenario import ScenarioResult, run_scenario, write_artifacts
 from nediff.units import ELECTRON_CHARGE, ELECTRON_MASS, HBAR, electron_kinematics
 
@@ -37,51 +38,57 @@ def packet(grid):
 
 @pytest.fixture(scope="module")
 def evolved(grid, packet):
-    params = choose_steps(LASER, WIRE, grid, -20.0, 20.0, safety=0.9)
+    params = choose_steps(NumericSpec(window_fs=40.0, safety=0.9), LASER, WIRE,
+                          grid)
     psi_n, trace = split_step_evolve(packet, params)
     return params, psi_n, trace
 
 
 class TestChooseSteps:
     def test_respects_potential_bound(self, grid):
-        params = choose_steps(LASER, WIRE, grid, -20.0, 20.0)
+        params = choose_steps(NumericSpec(window_fs=40.0), LASER, WIRE, grid)
         v_peak = WIRE.peak_potential(LASER.field_v_per_nm)
         assert params.dt <= 0.1 * HBAR / v_peak
         validate_evolution(params, grid)
 
     def test_weaker_field_never_shrinks_dt(self, grid):
-        strong = choose_steps(LASER, WIRE, grid, -20.0, 20.0)
+        spec = NumericSpec(window_fs=40.0)
+        strong = choose_steps(spec, LASER, WIRE, grid)
         weak_laser = LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.1)
-        weak = choose_steps(weak_laser, WIRE, grid, -20.0, 20.0)
+        weak = choose_steps(spec, weak_laser, WIRE, grid)
         assert weak.dt >= strong.dt
 
     def test_step_count_covers_window(self, grid):
-        params = choose_steps(LASER, WIRE, grid, -17.0, 20.0)
+        params = choose_steps(NumericSpec(window_fs=37.0), LASER, WIRE, grid)
+        assert (params.t_start, params.t_end) == (-18.5, 18.5)
         assert params.n_steps * params.dt == pytest.approx(37.0, rel=1e-12)
 
-    def test_rejects_empty_window(self, grid):
+    def test_rejects_empty_window(self):
         with pytest.raises(ConfigurationError):
-            choose_steps(LASER, WIRE, grid, 10.0, 10.0)
+            NumericSpec(window_fs=0.0)
         with pytest.raises(ConfigurationError):
-            choose_steps(LASER, WIRE, grid, 10.0, 5.0)
+            NumericSpec(window_fs=-5.0)
 
     def test_rejects_stripe_model(self, grid):
         stripe = UniformStripeModel(coupling_rad=1.0, y_min=-5.0, y_max=5.0)
         with pytest.raises(ConfigurationError):
-            choose_steps(LASER, stripe, grid, -10.0, 10.0)
+            choose_steps(NumericSpec(window_fs=20.0), LASER, stripe, grid)
 
 
 class TestValidation:
     def test_oversized_dt_rejected_before_stepping(self, grid, packet):
         params = EvolutionParams(n_steps=5, t_start=-10.0, t_end=10.0,
-                                 laser=LASER, model=WIRE)
+                                 laser=LASER, model=WIRE,
+                                 include_vector_potential=True,
+                                 snapshot_stride=50)
         with pytest.raises(ConfigurationError):
             split_step_evolve(packet, params)
 
     def test_edge_proximity_abort(self):
         g = Grid2D.centered(256, 128, 0.5, 0.5)
         psi = gaussian_wavepacket(g, 100.0, 30.0, 12.0, center=(-35.0, 0.0))
-        params = choose_steps(LASER, WIRE, g, -5.0, 5.0, safety=0.9)
+        params = choose_steps(NumericSpec(window_fs=10.0, safety=0.9), LASER,
+                              WIRE, g)
         with pytest.raises(NumericalError) as excinfo:
             split_step_evolve(psi, params)
         assert excinfo.value.partial is not None  # trace up to the abort
@@ -101,8 +108,8 @@ class TestBorderCheckEveryStep:
         psi = packet.with_amplitudes(
             packet.amplitudes * np.exp(1j * kappa * g.x)[None, :])
         lap = g.extent_x * ELECTRON_MASS / (HBAR * self.KAPPA)
-        params = choose_steps(self.WEAK, WIRE, g, -0.5 * lap, 0.5 * lap,
-                              safety=0.9, snapshot_stride=10**6)
+        spec = NumericSpec(window_fs=lap, safety=0.9, snapshot_stride=10**6)
+        params = choose_steps(spec, self.WEAK, WIRE, g)
         return params, psi
 
     def test_wrap_between_snapshots_raises(self):
@@ -110,13 +117,13 @@ class TestBorderCheckEveryStep:
         with pytest.raises(NumericalError, match="outer 10% grid border") as info:
             split_step_evolve(psi, params)
         partial = info.value.partial
-        assert list(partial.t) == [params.t_start]  # before the next snapshot
+        assert list(partial["t_fs"]) == [params.t_start]  # before the next snapshot
 
     def test_packet_at_rest_passes(self):
         params, psi = self.run(0.0)
         final, trace = split_step_evolve(psi, params)
-        assert len(trace.t) == 3  # start, last step, end: no snapshot between
-        assert abs(trace.x_mean[-1]) < 1e-6
+        assert len(trace["t_fs"]) == 3  # start, last step, end: no snapshot between
+        assert abs(trace["x_mean_nm"][-1]) < 1e-6
 
     def test_non_finite_kick_raises_at_its_step(self, monkeypatch):
         params, psi = self.run(0.0)
@@ -195,9 +202,10 @@ class TestReferenceLoop:
     def test_bitwise_equal_to_plain_strang(self, vector_potential):
         for g in BLOCK_GRIDS.values():
             packet = gaussian_wavepacket(g, 100.0, 10.0, 4.0)
-            params = choose_steps(LASER, WIRE, g, -1.0, 1.0, safety=0.9,
-                                  include_vector_potential=vector_potential,
-                                  snapshot_stride=4)
+            spec = NumericSpec(window_fs=2.0, safety=0.9,
+                               vector_potential=vector_potential,
+                               snapshot_stride=4)
+            params = choose_steps(spec, LASER, WIRE, g)
             assert params.n_steps > 2 * params.snapshot_stride
             ref_final, kicked = reference_strang(packet, params)
             for workers in (1, 2):
@@ -214,12 +222,13 @@ class TestReferenceLoop:
                 assert len(seen) == len(snap_steps) + 2
                 for k, psi in zip(snap_steps, seen[1:-1]):
                     assert np.array_equal(psi.amplitudes, kicked[k])
-                assert np.max(np.abs(trace.norm - 1.0)) < 1e-9
+                assert np.max(np.abs(trace["norm"] - 1.0)) < 1e-9
 
     def test_block_error_propagates_and_leaves_no_pool_thread(self, monkeypatch):
         g = BLOCK_GRIDS["four-blocks"]
         packet = gaussian_wavepacket(g, 100.0, 10.0, 4.0)
-        params = choose_steps(LASER, WIRE, g, -1.0, 1.0, safety=0.9)
+        params = choose_steps(NumericSpec(window_fs=2.0, safety=0.9), LASER,
+                              WIRE, g)
         calls = []
         potential = WireModel.potential
 
@@ -241,16 +250,17 @@ class TestReferenceLoop:
 class TestConservation:
     def test_norm_drift(self, evolved):
         _, _, trace = evolved
-        assert np.max(np.abs(trace.norm - 1.0)) < 1e-9
+        assert np.max(np.abs(trace["norm"] - 1.0)) < 1e-9
 
     def test_final_time(self, evolved):
         params, psi_n, trace = evolved
         assert psi_n.t == params.t_end
-        assert trace.t[0] == params.t_start
-        assert trace.t[-1] == params.t_end
+        assert trace["t_fs"][0] == params.t_start
+        assert trace["t_fs"][-1] == params.t_end
 
     def test_time_reversal(self, grid, packet):
-        params = choose_steps(LASER, WIRE, grid, -8.0, 8.0, safety=0.8)
+        params = choose_steps(NumericSpec(window_fs=16.0, safety=0.8), LASER,
+                              WIRE, grid)
         fwd, _ = split_step_evolve(packet, params)
         back, _ = split_step_evolve(fwd, params.reversed())
         assert np.max(np.abs(back.amplitudes - packet.amplitudes)) < 1e-8
@@ -259,8 +269,8 @@ class TestConservation:
 class TestFreeParticle:
     def test_matches_vacuum_propagator(self, grid, packet):
         free_wire = WireModel(radius_nm=10.0, response=0.0)
-        params = choose_steps(LASER, free_wire, grid, -10.0, 10.0, safety=0.9,
-                              include_vector_potential=False)
+        spec = NumericSpec(window_fs=20.0, safety=0.9, vector_potential=False)
+        params = choose_steps(spec, LASER, free_wire, grid)
         psi_n, _ = split_step_evolve(packet, params)
         psi_a = vacuum_propagate(packet, 20.0)
         spec_n = to_momentum(psi_n)
@@ -273,7 +283,9 @@ class TestConvergence:
         window = 16.0
         n = int(round(window / dt))
         params = EvolutionParams(n_steps=n, t_start=-8.0, t_end=8.0,
-                                 laser=LASER, model=WIRE)
+                                 laser=LASER, model=WIRE,
+                                 include_vector_potential=True,
+                                 snapshot_stride=50)
         psi, _ = split_step_evolve(packet, params)
         return momentum_density(psi).values
 
@@ -297,7 +309,9 @@ class TestConvergence:
         def run(dt):
             n = int(round(window / dt))
             params = EvolutionParams(n_steps=n, t_start=-4.0, t_end=4.0,
-                                     laser=weak, model=WIRE)
+                                     laser=weak, model=WIRE,
+                                     include_vector_potential=True,
+                                     snapshot_stride=50)
             out, _ = split_step_evolve(psi, params)
             return momentum_density(out).values
 
@@ -326,7 +340,8 @@ class TestAgainstAnalyticModel:
         for phase in (0.0, math.pi / 3.0, math.pi / 2.0):
             laser = LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2,
                                 phase_rad=phase)
-            params = choose_steps(laser, WIRE, g, -15.0, 15.0, safety=0.9)
+            params = choose_steps(NumericSpec(window_fs=30.0, safety=0.9),
+                                  laser, WIRE, g)
             out, _ = split_step_evolve(psi, params)
             table = sideband_populations(momentum_density(out), psi.k0,
                                          laser.omega / v0)
@@ -360,7 +375,8 @@ class TestGroundTruthBeyondTheWire:
         g = Grid2D.centered(512, 256, 0.5, 0.5)
         weak = LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.02)
         psi = gaussian_wavepacket(g, 100.0, 40.0, 16.0)
-        params = choose_steps(weak, WIRE, g, -20.0, 20.0, safety=0.9)
+        params = choose_steps(NumericSpec(window_fs=40.0, safety=0.9), weak,
+                              WIRE, g)
         densities = []
         for p in (params, replace(params, n_steps=2 * params.n_steps)):
             out, _ = split_step_evolve(psi, p)
@@ -373,13 +389,16 @@ def test_trace_csv(tmp_path, evolved):
     cfg = replace(build_preset("fig1"), outputs=("trace",))
     result = ScenarioResult(
         config=cfg, psi_initial=None, profile=None, analytic=None, numeric=None,
-        trace=trace, delta_k=math.nan, rel_l2_densities=None)
+        trace=trace, rel_l2_densities=None)
     write_artifacts(result, tmp_path)
     path = tmp_path / "trace.csv"
     lines = path.read_text().splitlines()
     assert lines[0] == "t_fs,norm,x_mean_nm,kx_mean_per_nm,ky_mean_per_nm,energy_mean_ev"
+    assert lines[0].split(",") == list(TRACE_COLUMNS)
     data = np.genfromtxt(path, delimiter=",", skip_header=1)
     assert data.shape[1] == 6
+    for i, name in enumerate(TRACE_COLUMNS):
+        assert np.array_equal(data[:, i], trace[name]), name
     assert np.allclose(data[:, 1], 1.0, atol=1e-9)
     # kinetic energy stays near the carrier energy for this weak drive
     assert np.all(np.abs(data[:, 5] - 100.0) < 2.0)

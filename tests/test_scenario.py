@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from nediff.analysis import momentum_density
-from nediff.config import ElectronSpec, NumericSpec, ScenarioConfig, build_preset
+from nediff.config import ElectronSpec, ScenarioConfig, build_preset
 from nediff.core import Grid2D
 from nediff.gridio import read_grid
 from nediff.nearfield import LaserParams, WireModel
+from nediff.numeric import NumericSpec
 from nediff.scenario import build_initial_state, run_scenario
 
 
@@ -53,7 +54,7 @@ def test_numeric_snapshot_dumps(tmp_path):
     )
     result = run_scenario(cfg, outdir=tmp_path)
     snaps = sorted((tmp_path / "snapshots").glob("snap_*.grid"))
-    assert len(snaps) == len(result.trace.t)
+    assert len(snaps) == len(result.trace["t_fs"])
     first = read_grid(snaps[0])
-    assert first.t == result.trace.t[0]
+    assert first.t == result.trace["t_fs"][0]
     assert first.amplitudes.shape == (cfg.grid.ny, cfg.grid.nx)
