@@ -17,7 +17,7 @@ import scipy.special
 
 from .core import (Grid2D, Wavepacket, _run_blocks, block_pool, check_coverage,
                    from_momentum, row_blocks, to_momentum, unitary_transform_1d)
-from .errors import ConfigurationError, DomainError, UnsupportedPathError
+from .errors import ConfigurationError, DomainError
 from .nearfield import CouplingProfile
 from .units import ELECTRON_MASS, HBAR
 
@@ -117,7 +117,7 @@ def order_amplitudes_exact(psi: Wavepacket, profile: CouplingProfile,
     ladder and the caller should apply the full mask instead.
     """
     if profile.max_sin > 1e-9:
-        raise UnsupportedPathError(
+        raise DomainError(
             "sine coupling is nonzero; photon orders are not Bessel-resolved. "
             "Use build_phase_mask + apply_interaction and bin the spectrum."
         )

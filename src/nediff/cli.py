@@ -27,7 +27,7 @@ from . import gridio
 from .analysis import momentum_density, rel_l2
 from .config import (ENGINES, PRESET_NAMES, SweepSpec, build_preset,
                      parse_config, parse_sweep_config, serialize_config)
-from .errors import AnalysisError, ConfigurationError, NediffError
+from .errors import ConfigurationError, NediffError
 from .render import render_heatmap
 from .scenario import resolve_output_root, run_scenario, run_sweep
 
@@ -111,11 +111,9 @@ def _run_sweep_spec(spec, outdir: Path, threads: int) -> int:
     gridio.write_lines(outdir / "template.txt",
                        serialize_config(spec.template).splitlines())
     print(f"wrote {path}")
-    try:
-        at = result.ground_state_minimum()
+    at = result.ground_state_minimum()
+    if not np.isnan(at):
         print(f"ground-state population minimum at {spec.axis} = {at:g}")
-    except AnalysisError:
-        pass
     failures = [p for p in result.points if p.error]
     for p in failures:
         print(f"point {p.parameter:g} failed: {p.error}", file=sys.stderr)

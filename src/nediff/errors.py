@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the package.
 
 Each class carries the command line exit code it maps to: 1 for a bad
-request (domain, configuration, state), 2 for a computation that failed.
+request (domain, configuration), 2 for a computation that failed.
 """
 
 
@@ -17,16 +17,6 @@ class DomainError(NediffError, ValueError):
 
 class ConfigurationError(NediffError, ValueError):
     """A grid, scenario or run description is inconsistent or insufficient."""
-
-
-class StateError(NediffError, RuntimeError):
-    """An object was used before a required preparation step (e.g. calibration)."""
-
-
-class UnsupportedPathError(NediffError, RuntimeError):
-    """The requested computation path does not apply to these inputs."""
-
-    exit_code = 2
 
 
 class AnalysisError(NediffError, RuntimeError):

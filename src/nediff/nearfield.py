@@ -17,7 +17,7 @@ import numpy as np
 import scipy.integrate
 
 from .core import _SQRT8LN2
-from .errors import DomainError, NumericalError, StateError
+from .errors import DomainError, NumericalError
 from .quadrature import adaptive_quad
 from .units import C0, ELECTRON_CHARGE, HBAR
 
@@ -171,12 +171,12 @@ class GapResonatorModel:
         """Calibrated gap potential in volts; the laser field amplitude is
         not used because the in-gap amplitude is fixed by calibration."""
         if self.moment is None:
-            raise StateError("gap resonator must be calibrated before use")
+            raise RuntimeError("gap resonator must be calibrated before use")
         return self.moment * self._potential_unit(x, y)
 
     def peak_potential(self, field_v_per_nm: float | None = None) -> float:
         if self.peak_potential_v is None:
-            raise StateError("gap resonator must be calibrated before use")
+            raise RuntimeError("gap resonator must be calibrated before use")
         return self.peak_potential_v
 
     @property

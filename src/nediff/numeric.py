@@ -12,7 +12,7 @@ its A^2 part dropped as a global phase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as _fft
@@ -79,10 +79,6 @@ class EvolutionParams:
     def dt(self) -> float:
         """Signed step; t_end < t_start runs the conjugated steps backward."""
         return (self.t_end - self.t_start) / self.n_steps
-
-    def reversed(self) -> "EvolutionParams":
-        """Parameters retracing this window backward (conjugated steps)."""
-        return replace(self, t_start=self.t_end, t_end=self.t_start)
 
 
 @dataclass(frozen=True)

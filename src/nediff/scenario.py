@@ -19,7 +19,7 @@ from .analytic import (apply_interaction, build_phase_mask, transverse_envelope,
 from .config import ScenarioConfig, SweepSpec, serialize_config
 from .core import (Wavepacket, bandwidth_to_fwhm_x, check_coverage,
                    gaussian_wavepacket)
-from .errors import AnalysisError, ConfigurationError, NediffError
+from .errors import AnalysisError, NediffError
 from .nearfield import (CouplingProfile, GapResonatorModel, UniformStripeModel,
                         calibrate_gap_amplitude, coupling_profile)
 from .numeric import (TRACE_COLUMNS, EvolutionTrace, choose_steps,
@@ -37,7 +37,7 @@ class EngineOutput:
 
     psi: Wavepacket
     density: DensityMap
-    sidebands: SidebandTable | None
+    sidebands: SidebandTable
 
 
 @dataclass(frozen=True)
@@ -86,11 +86,8 @@ def build_initial_state(cfg: ScenarioConfig) -> Wavepacket:
 
 def _engine_output(psi: Wavepacket, delta_k: float) -> EngineOutput:
     dmap = momentum_density(psi)
-    try:
-        table = sideband_populations(dmap, psi.k0, delta_k)
-    except ConfigurationError:
-        table = None
-    return EngineOutput(psi=psi, density=dmap, sidebands=table)
+    return EngineOutput(psi=psi, density=dmap,
+                        sidebands=sideband_populations(dmap, psi.k0, delta_k))
 
 
 def run_scenario(cfg: ScenarioConfig, outdir=None) -> ScenarioResult:
@@ -174,7 +171,7 @@ def write_artifacts(result: ScenarioResult, outdir) -> None:
         if "density" in wanted:
             render_heatmap(out.density, outdir / f"density_{label}.pgm",
                            colormap="log")
-        if "populations" in wanted and out.sidebands is not None:
+        if "populations" in wanted:
             table = out.sidebands
             gridio.write_csv(
                 outdir / f"populations_{label}.csv",
@@ -209,8 +206,7 @@ def _summary_lines(result: ScenarioResult) -> list[str]:
     ]
     out = result.primary()
     lines.append(f"max_deflection_deg = {max_deflection(out.density)!r}")
-    if out.sidebands is not None:
-        lines.append(f"p0 = {out.sidebands.population(0)!r}")
+    lines.append(f"p0 = {out.sidebands.population(0)!r}")
     if result.rel_l2_densities is not None:
         lines.append(f"rel_l2_densities = {float(result.rel_l2_densities)!r}")
     return lines
@@ -256,12 +252,13 @@ class SweepResult:
 
         The ground state here is the initial momentum state (k0, 0); its
         occupation is the central density, not the binned n=0 population,
-        which bottoms out at a different drive mismatch.
+        which bottoms out at a different drive mismatch.  NaN when no
+        point has a depletion.
         """
         dep = np.array([p.depletion for p in self.points])
         ok = ~np.isnan(dep)
         if not ok.any():
-            raise AnalysisError("sweep produced no valid points")
+            return math.nan
         params = self.parameters()
         return float(params[ok][int(np.argmin(dep[ok]))])
 
@@ -271,10 +268,7 @@ class SweepResult:
             "depletion", "alpha_max_deg", "delta_kx_per_nm", "delta_ky_per_nm",
             "depletion_min_flag", "error"]
         pops = self.population_matrix()
-        try:
-            argmin = self.ground_state_minimum()
-        except AnalysisError:
-            argmin = math.nan
+        argmin = self.ground_state_minimum()
         rows = [[p.parameter, *pops[i], p.depletion, p.alpha_max_deg,
                  p.delta_kx, p.delta_ky, "1" if p.parameter == argmin else "0",
                  p.error.replace(",", ";")]

@@ -15,7 +15,7 @@ from nediff.analytic import (apply_interaction, build_phase_mask,
 from nediff.config import build_preset
 from nediff.core import (BLOCK_BYTES, Grid2D, bandwidth_to_fwhm_x, chirp_flight_time,
                          gaussian_wavepacket, temporal_spread, to_momentum)
-from nediff.errors import ConfigurationError, DomainError, UnsupportedPathError
+from nediff.errors import ConfigurationError, DomainError
 from nediff.nearfield import (LaserParams, UniformStripeModel, WireModel,
                               coupling_profile)
 from nediff.units import ELECTRON_MASS, HBAR, electron_kinematics
@@ -194,7 +194,7 @@ class TestOrderDecomposition:
         tilted = LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2,
                              phase_rad=0.7)
         prof = coupling_profile(WIRE, tilted, v0, small_grid.y)
-        with pytest.raises(UnsupportedPathError, match="apply_interaction"):
+        with pytest.raises(DomainError, match="apply_interaction"):
             order_amplitudes_exact(packet, prof, n_max=8)
 
 

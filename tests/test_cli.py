@@ -241,8 +241,40 @@ def test_sweep_with_no_successful_point_exits_two(tmp_path, capsys):
                    encoding="utf-8")
     out = tmp_path / "sw"
     assert main(["sweep", str(cfg), "--out", str(out), "--threads", "2"]) == 2
-    assert len((out / "sweep.csv").read_text().splitlines()) == 3
-    assert "no sweep point succeeded" in capsys.readouterr().err
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert len(rows) == 3
+    flag = rows[0].split(",").index("depletion_min_flag")
+    assert [row.split(",")[flag] for row in rows[1:]] == ["0", "0"]
+    captured = capsys.readouterr()
+    assert "no sweep point succeeded" in captured.err
+    assert "ground-state" not in captured.out  # no minimum without a depletion
+
+
+# At 150 eV the sideband spacing (0.130 /nm) spans 5.3 cells of dkx = 0.0245 /nm.
+def test_sweep_point_that_cannot_bin_its_sidebands_is_an_error_row(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_TEMPLATE + "\n[sweep]\naxis = energy_ev\nvalues = 100,150\n",
+                   encoding="utf-8")
+    out = tmp_path / "sw"
+    assert main(["sweep", str(cfg), "--out", str(out), "--threads", "1"]) == 0
+    header, ok, bad = (line.split(",")
+                       for line in (out / "sweep.csv").read_text().splitlines())
+    flag, error = header.index("depletion_min_flag"), header.index("error")
+    assert (ok[0], ok[flag], ok[error]) == ("100.0", "1", "")
+    assert (bad[0], bad[flag]) == ("150.0", "0")
+    assert bad[error].startswith("ConfigurationError: sideband spacing")
+    assert "refine the momentum grid" in bad[error]
+    assert "point 150 failed: ConfigurationError" in capsys.readouterr().err
+
+
+def test_run_that_cannot_bin_its_sidebands_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_RUN.replace("energy_ev = 100.0", "energy_ev = 150.0"),
+                   encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    assert "refine the momentum grid" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", [
@@ -386,10 +418,8 @@ def test_field_sweep_on_a_model_that_ignores_the_field_exits_one(
 @pytest.mark.parametrize("error, code, prefix", [
     (errors.DomainError, 1, "error"),
     (errors.ConfigurationError, 1, "error"),
-    (errors.StateError, 1, "error"),
     (errors.NumericalError, 2, "numerical failure"),
     (errors.AnalysisError, 2, "numerical failure"),
-    (errors.UnsupportedPathError, 2, "numerical failure"),
     (FileNotFoundError, 1, "error"),
     (IsADirectoryError, 1, "error"),
 ])

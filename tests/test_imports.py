@@ -88,17 +88,23 @@ def test_only_the_artifact_writers_import_gridio():
 
 
 def _defined_names(tree: ast.Module):
-    """Public names bound at module level: functions, classes, constants."""
+    """Public names bound at module level (functions, classes, constants) and
+    the public methods and properties of public classes, as Class.member."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             names = [node.name]
+        elif isinstance(node, ast.ClassDef):
+            names = [node.name] + [
+                f"{node.name}.{member.name}" for member in node.body
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))]
         elif isinstance(node, ast.Assign):
             names = [t.id for t in node.targets if isinstance(t, ast.Name)]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names = [node.target.id]
         else:
             continue
-        yield from (n for n in names if not n.startswith("_"))
+        yield from (n for n in names
+                    if not any(part.startswith("_") for part in n.split(".")))
 
 
 def _referenced_names(tree: ast.AST) -> set[str]:
@@ -120,7 +126,8 @@ def test_every_public_name_is_used_outside_unit_tests():
     project = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     used |= set(re.findall(r'"nediff\.\w+:(\w+)"', project))
     unused = [f"{name}.{defined}" for name in MODULES
-              for defined in _defined_names(_parse(name)) if defined not in used]
+              for defined in _defined_names(_parse(name))
+              if defined.rpartition(".")[2] not in used]
     assert not unused, ("public names that only unit tests reach: "
                         + ", ".join(unused))
 

@@ -9,7 +9,7 @@ import scipy.integrate
 
 from nediff.config import build_preset
 from nediff.core import unitary_transform_1d
-from nediff.errors import ConfigurationError, DomainError, StateError
+from nediff.errors import ConfigurationError, DomainError, NediffError
 from nediff.nearfield import (GapResonatorModel, LaserParams,
                               UniformStripeModel, WireModel,
                               calibrate_gap_amplitude, coupling_integrals,
@@ -91,8 +91,12 @@ class TestGapResonator:
                                  peak_field_v_per_nm=0.5)
 
     def test_requires_calibration(self):
-        with pytest.raises(StateError):
-            self.make().potential(1.0, 2.0)
+        # Using an uncalibrated gap is a bug (exit 3), not a bad request.
+        model = self.make()
+        for use in (lambda: model.potential(1.0, 2.0), model.peak_potential):
+            with pytest.raises(RuntimeError, match="calibrated") as info:
+                use()
+            assert not isinstance(info.value, NediffError)
 
     def test_validation(self):
         with pytest.raises(DomainError):
