@@ -91,17 +91,23 @@ class SidebandTable:
         return float(self.populations[idx[0]])
 
 
+def check_sideband_spacing(delta_k: float, dkx: float) -> None:
+    """Reject a sideband spacing that spans fewer than SIDEBAND_MIN_CELLS
+    k_x cells, which no bin of `sideband_populations` could resolve."""
+    if delta_k < SIDEBAND_MIN_CELLS * dkx:
+        raise ConfigurationError(
+            f"sideband spacing {delta_k:g} spans fewer than {SIDEBAND_MIN_CELLS} grid "
+            f"cells (dkx = {dkx:g}); refine the momentum grid"
+        )
+
+
 def sideband_populations(dmap: DensityMap, k0: float, delta_k: float) -> SidebandTable:
     """Integrate k_x bins of width delta_k centered on k0 + n delta_k.
 
     Only complete bins inside the grid are reported, so the populations sum
     to at most the total mass.
     """
-    if delta_k < SIDEBAND_MIN_CELLS * dmap.dkx:
-        raise ConfigurationError(
-            f"sideband spacing {delta_k:g} spans fewer than {SIDEBAND_MIN_CELLS} grid "
-            f"cells (dkx = {dmap.dkx:g}); refine the momentum grid"
-        )
+    check_sideband_spacing(delta_k, dmap.dkx)
     offs = dmap.kx - k0
     n_lo = int(math.ceil((offs[0] + 0.5 * delta_k) / delta_k))
     n_hi = int(math.floor((offs[-1] - 0.5 * delta_k) / delta_k))

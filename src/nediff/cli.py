@@ -29,7 +29,7 @@ from .config import (ENGINES, PRESET_NAMES, SweepSpec, build_preset,
                      parse_config, parse_sweep_config, serialize_config)
 from .errors import ConfigurationError, NediffError
 from .render import render_heatmap
-from .scenario import resolve_output_root, run_scenario, run_sweep
+from .scenario import run_scenario, run_sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -86,6 +86,15 @@ def _build_parser() -> _Parser:
     p_render.add_argument("--momentum", action="store_true",
                           help="render the momentum-space density")
     return parser
+
+
+def resolve_output_root(out) -> Path:
+    """Apply the NEDIFF_OUT environment override to a relative output path."""
+    root = os.environ.get("NEDIFF_OUT")
+    out = Path(out)
+    if root and not out.is_absolute():
+        return Path(root) / out
+    return out
 
 
 def _execute(cfg, args, default_out: str) -> int:

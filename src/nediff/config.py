@@ -24,8 +24,7 @@ import numpy as np
 
 from .core import Grid2D, chirp_flight_time
 from .errors import ConfigurationError, DomainError
-from .nearfield import (GapResonatorModel, LaserParams, NearFieldModel,
-                        UniformStripeModel, WireModel)
+from .nearfield import GapResonatorModel, LaserParams, NearFieldModel, WireModel
 from .numeric import NumericSpec
 from .units import electron_kinematics
 
@@ -99,14 +98,9 @@ class ScenarioConfig:
         for kind in self.outputs:
             if kind not in OUTPUT_KINDS:
                 raise ConfigurationError(f"unknown output kind {kind!r}")
-        if self.engine in ("numeric", "both"):
-            if self.numeric is None:
-                raise ConfigurationError(
-                    "the numeric engine requires a [numeric] section")
-            if isinstance(self.model, UniformStripeModel):
-                raise ConfigurationError(
-                    "the uniform stripe model has no potential and runs only "
-                    "on the analytic engine")
+        if self.engine in ("numeric", "both") and self.numeric is None:
+            raise ConfigurationError(
+                "the numeric engine requires a [numeric] section")
         if self.electron.fwhm_y_radius_scale is not None and not isinstance(
                 self.model, WireModel):
             raise ConfigurationError(
@@ -131,7 +125,7 @@ class SweepSpec:
             raise ConfigurationError(f"sweep axis {self.axis} does not apply "
                                      f"to {type(part).__name__}")
         # Only the wire's potential scales with the laser field: the gap is
-        # calibrated to its own peak field and the stripe has a fixed coupling.
+        # calibrated to its own peak field.
         model = self.template.model
         if self.axis == "field_v_per_nm" and not isinstance(model, WireModel):
             raise ConfigurationError(f"sweep axis {self.axis} does not apply "
@@ -195,8 +189,6 @@ _MODELS = {
                                 "smoothing_fwhm_nm": "smoothing_fwhm_nm",
                                 "peak_field_v_per_nm": "peak_field_v_per_nm",
                                 **_CENTER}),
-    "stripe": (UniformStripeModel, {"coupling_rad": "coupling_rad",
-                                    "y_min_nm": "y_min", "y_max_nm": "y_max"}),
 }
 
 #: [grid] keys whose Grid2D.centered parameter has another name.

@@ -209,24 +209,7 @@ def calibrate_gap_amplitude(model: GapResonatorModel) -> GapResonatorModel:
     return replace(model, moment=moment, peak_potential_v=peak_pot)
 
 
-@dataclass(frozen=True)
-class UniformStripeModel:
-    """Synthetic model with a constant cosine coupling over a y interval.
-
-    It bypasses the potential integrals entirely and exists to reduce the 2D
-    problem to the known one-dimensional sideband limit in tests.  Having no
-    potential, it runs only on the analytic engine.
-    """
-
-    coupling_rad: float
-    y_min: float
-    y_max: float
-
-    def __post_init__(self):
-        if not self.y_max > self.y_min:
-            raise DomainError("stripe interval must have positive length")
-
-NearFieldModel = WireModel | GapResonatorModel | UniformStripeModel
+NearFieldModel = WireModel | GapResonatorModel
 
 
 @dataclass(frozen=True)
@@ -309,11 +292,6 @@ def coupling_integrals(model: NearFieldModel, laser: LaserParams, v0: float,
         raise DomainError("electron velocity must be positive")
     delta_k = laser.omega / v0
     ys = np.asarray(ys, dtype=float)
-
-    if isinstance(model, UniformStripeModel):
-        inside = (ys >= model.y_min) & (ys <= model.y_max)
-        c = np.where(inside, model.coupling_rad, 0.0)
-        return c, np.zeros_like(c)
 
     prefactor = -ELECTRON_CHARGE / (HBAR * v0)
     phase = laser.phase_rad

@@ -20,7 +20,7 @@ import scipy.fft as _fft
 from .core import (Grid2D, Wavepacket, _run_blocks, block_pool, density_moments,
                    row_blocks)
 from .errors import ConfigurationError, NumericalError
-from .nearfield import LaserParams, NearFieldModel, UniformStripeModel
+from .nearfield import LaserParams, NearFieldModel
 from .units import ELECTRON_CHARGE, ELECTRON_MASS, HBAR
 
 #: Invariant bounds on the per-step phases, in rad.
@@ -96,11 +96,6 @@ def _phase_bounds(laser: LaserParams, model: NearFieldModel, grid: Grid2D
     """The step at which each per-step phase reaches its bound: the
     potential phase at the peak interaction energy and the kinetic phase at
     the grid corner."""
-    if isinstance(model, UniformStripeModel):
-        raise ConfigurationError(
-            "the uniform stripe model is synthetic and has no potential; "
-            "run it through the analytic engine"
-        )
     v_peak = abs(ELECTRON_CHARGE) * model.peak_potential(laser.field_v_per_nm)
     kmax_sq = (math.pi / grid.dx) ** 2 + (math.pi / grid.dy) ** 2
     return {

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -11,8 +10,9 @@ from pathlib import Path
 import numpy as np
 
 from . import gridio
-from .analysis import (Crosscut, DensityMap, SidebandTable, crosscut,
-                       max_deflection, momentum_density, peak_spacing, rel_l2,
+from .analysis import (Crosscut, DensityMap, SidebandTable,
+                       check_sideband_spacing, crosscut, max_deflection,
+                       momentum_density, peak_spacing, rel_l2,
                        sideband_populations, transverse_splitting)
 from .analytic import (apply_interaction, build_phase_mask, transverse_envelope,
                        vacuum_propagate)
@@ -20,7 +20,7 @@ from .config import ScenarioConfig, SweepSpec, serialize_config
 from .core import (Wavepacket, bandwidth_to_fwhm_x, check_coverage,
                    gaussian_wavepacket)
 from .errors import AnalysisError, NediffError
-from .nearfield import (CouplingProfile, GapResonatorModel, UniformStripeModel,
+from .nearfield import (CouplingProfile, GapResonatorModel,
                         calibrate_gap_amplitude, coupling_profile)
 from .numeric import (TRACE_COLUMNS, EvolutionTrace, choose_steps,
                       split_step_evolve)
@@ -92,8 +92,10 @@ def _engine_output(psi: Wavepacket, delta_k: float) -> EngineOutput:
 
 def run_scenario(cfg: ScenarioConfig, outdir=None) -> ScenarioResult:
     """Execute one scenario; optionally write the artifact bundle."""
-    model = resolve_model(cfg)
     _, v0 = electron_kinematics(cfg.electron.energy_ev)
+    # Unbinnable photon orders fail the run before any engine work or file.
+    check_sideband_spacing(cfg.laser.omega / v0, cfg.grid.dkx)
+    model = resolve_model(cfg)
     psi0 = build_initial_state(cfg)
     profile = coupling_profile(model, cfg.laser, v0, cfg.grid.y)
     delta_k = profile.delta_k
@@ -291,14 +293,11 @@ def run_sweep_point(spec: SweepSpec, value: float) -> SweepPoint:
         dkx_measured = peak_spacing(marginal)
     except AnalysisError:
         dkx_measured = math.nan
-    if isinstance(spec.template.model, UniformStripeModel):
+    try:
+        envelope = transverse_envelope(result.psi_initial)
+        dky = transverse_splitting(result.profile, envelope=envelope)
+    except AnalysisError:
         dky = math.nan
-    else:
-        try:
-            envelope = transverse_envelope(result.psi_initial)
-            dky = transverse_splitting(result.profile, envelope=envelope)
-        except AnalysisError:
-            dky = math.nan
     return SweepPoint(
         parameter=value,
         populations=out.sidebands,
@@ -329,12 +328,3 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     with ThreadPoolExecutor(max_workers=threads) as pool:
         points = list(pool.map(one, spec.values))
     return SweepResult(axis=spec.axis, points=points)
-
-
-def resolve_output_root(out) -> Path:
-    """Apply the NEDIFF_OUT environment override to a relative output path."""
-    root = os.environ.get("NEDIFF_OUT")
-    out = Path(out)
-    if root and not out.is_absolute():
-        return Path(root) / out
-    return out

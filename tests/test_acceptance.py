@@ -14,7 +14,7 @@ import pytest
 import scipy.fft
 import scipy.special
 
-from conftest import record_criterion
+from conftest import record_criterion, uniform_profile
 
 from nediff.analysis import (Crosscut, crosscut, find_peaks, max_deflection,
                              momentum_density, peak_spacing, rel_l2,
@@ -23,8 +23,8 @@ from nediff.analytic import (apply_interaction, build_phase_mask,
                              order_amplitudes_exact, order_series_taylor,
                              vacuum_propagate, weak_field_order)
 from nediff.core import Grid2D, gaussian_wavepacket, temporal_spread, to_momentum
-from nediff.nearfield import (LaserParams, UniformStripeModel, WireModel,
-                              coupling_integrals, coupling_profile)
+from nediff.nearfield import (LaserParams, WireModel, coupling_integrals,
+                              coupling_profile)
 from nediff.numeric import (EvolutionParams, NumericSpec, choose_steps,
                             split_step_evolve)
 from nediff.config import build_preset
@@ -123,8 +123,7 @@ def test_criterion_03_pinem_limit():
     _, v0 = electron_kinematics(100.0)
     worst = 0.0
     for coupling in (0.5, 1.0, 2.0):
-        stripe = UniformStripeModel(coupling_rad=coupling, y_min=-60.0, y_max=60.0)
-        profile = coupling_profile(stripe, laser, v0, grid.y)
+        profile = uniform_profile(coupling, -60.0, 60.0, laser, v0, grid.y)
         out = apply_interaction(psi, build_phase_mask(profile, grid))
         table = sideband_populations(momentum_density(out), psi.k0,
                                      profile.delta_k)

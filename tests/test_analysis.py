@@ -8,6 +8,8 @@ import pytest
 import scipy.fft
 import scipy.special
 
+from conftest import uniform_profile
+
 from nediff.analysis import (Crosscut, DensityMap, crosscut, deflection_angle,
                              energy_axis, energy_bandwidth_fwhm, find_peaks,
                              max_deflection, momentum_density, peak_spacing,
@@ -19,8 +21,7 @@ from nediff.config import ElectronSpec, ScenarioConfig, SweepSpec, build_preset
 from nediff.core import (BLOCK_BYTES, Grid2D, bandwidth_to_fwhm_x,
                          gaussian_wavepacket, to_momentum, unitary_transform_1d)
 from nediff.errors import AnalysisError, ConfigurationError, DomainError
-from nediff.nearfield import (LaserParams, UniformStripeModel, WireModel,
-                              coupling_profile)
+from nediff.nearfield import LaserParams, WireModel, coupling_profile
 from nediff.scenario import run_sweep
 from nediff.units import HBAR, electron_kinematics
 
@@ -150,8 +151,7 @@ class TestSidebandPopulations:
         g = Grid2D.centered(2048, 256, 0.25, 0.5)
         psi = gaussian_wavepacket(g, 100.0, 100.0, 20.0)
         _, v0 = electron_kinematics(100.0)
-        stripe = UniformStripeModel(coupling_rad=1.0, y_min=-60.0, y_max=60.0)
-        profile = coupling_profile(stripe, LASER, v0, g.y)
+        profile = uniform_profile(1.0, -60.0, 60.0, LASER, v0, g.y)
         out = apply_interaction(psi, build_phase_mask(profile, g))
         table = sideband_populations(momentum_density(out), psi.k0,
                                      profile.delta_k)

@@ -8,6 +8,8 @@ import pytest
 import scipy.fft
 import scipy.special
 
+from conftest import uniform_profile
+
 from nediff.analytic import (apply_interaction, build_phase_mask,
                              order_amplitudes_exact, order_series_taylor,
                              transverse_envelope, vacuum_propagate,
@@ -16,8 +18,7 @@ from nediff.config import build_preset
 from nediff.core import (BLOCK_BYTES, Grid2D, bandwidth_to_fwhm_x, chirp_flight_time,
                          gaussian_wavepacket, temporal_spread, to_momentum)
 from nediff.errors import ConfigurationError, DomainError
-from nediff.nearfield import (LaserParams, UniformStripeModel, WireModel,
-                              coupling_profile)
+from nediff.nearfield import LaserParams, WireModel, coupling_profile
 from nediff.units import ELECTRON_MASS, HBAR, electron_kinematics
 
 LASER = LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2)
@@ -43,15 +44,13 @@ def wire_profile(small_grid):
 @pytest.fixture(scope="module")
 def stripe_profile(small_grid):
     _, v0 = electron_kinematics(100.0)
-    stripe = UniformStripeModel(coupling_rad=1.0, y_min=-60.0, y_max=60.0)
-    return coupling_profile(stripe, LASER, v0, small_grid.y)
+    return uniform_profile(1.0, -60.0, 60.0, LASER, v0, small_grid.y)
 
 
 class TestPhaseMask:
     def test_zero_profile_zero_mask(self, small_grid):
         _, v0 = electron_kinematics(100.0)
-        stripe = UniformStripeModel(coupling_rad=0.0, y_min=-1.0, y_max=1.0)
-        prof = coupling_profile(stripe, LASER, v0, small_grid.y)
+        prof = uniform_profile(0.0, -1.0, 1.0, LASER, v0, small_grid.y)
         mask = build_phase_mask(prof, small_grid)
         assert np.all(mask.phase(slice(None)) == 0.0)
 
@@ -84,8 +83,7 @@ class TestPhaseMask:
 class TestApplyInteraction:
     def test_zero_mask_identity(self, packet, small_grid):
         _, v0 = electron_kinematics(100.0)
-        stripe = UniformStripeModel(coupling_rad=0.0, y_min=-1.0, y_max=1.0)
-        prof = coupling_profile(stripe, LASER, v0, small_grid.y)
+        prof = uniform_profile(0.0, -1.0, 1.0, LASER, v0, small_grid.y)
         out = apply_interaction(packet, build_phase_mask(prof, small_grid))
         assert np.array_equal(out.amplitudes, packet.amplitudes)
 
@@ -143,8 +141,7 @@ def populations(dec):
 class TestOrderDecomposition:
     def test_zero_coupling_keeps_ground_state(self, packet, small_grid):
         _, v0 = electron_kinematics(100.0)
-        stripe = UniformStripeModel(coupling_rad=0.0, y_min=-1.0, y_max=1.0)
-        prof = coupling_profile(stripe, LASER, v0, small_grid.y)
+        prof = uniform_profile(0.0, -1.0, 1.0, LASER, v0, small_grid.y)
         dec = order_amplitudes_exact(packet, prof, n_max=3)
         gy = transverse_envelope(packet)
         i0 = dec.order_index(0)

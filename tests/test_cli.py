@@ -38,8 +38,6 @@ dy_nm = 0.5
 #: A sweep template: a sweep's engine is its [sweep] engine.
 SWEEP_TEMPLATE = SMALL_RUN.replace("engine = analytic\n", "")
 
-STRIPE_KEYS = "type = stripe\ncoupling_rad = 1.0\ny_min_nm = -40.0\ny_max_nm = 40.0\n"
-
 
 @pytest.fixture()
 def run_config(tmp_path):
@@ -277,16 +275,24 @@ def test_run_that_cannot_bin_its_sidebands_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_numeric_run_that_cannot_bin_its_sidebands_writes_nothing(tmp_path, capsys):
+    # The spacing check runs before the engines, so no step and no snapshot.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_RUN.replace("energy_ev = 100.0", "energy_ev = 150.0")
+                   .replace("summary", "summary,snapshots")
+                   + "\n[numeric]\nwindow_fs = 3.0\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out), "--engine", "numeric"]) == 1
+    assert "refine the momentum grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", [
     "[sweep]\npreset = fig3\nengine = magic\n",
     "[sweep]\npreset = fig3\nengine = numeric\n",
     SWEEP_TEMPLATE + "\n[sweep]\naxis = radius_nm\nvalues = 6,10\nengine = numeric\n",
     SMALL_RUN + "\n[sweep]\naxis = radius_nm\nvalues = 6,10\n",
-    SWEEP_TEMPLATE.replace("type = wire\nradius_nm = 10.0\n", STRIPE_KEYS)
-    + "\n[numeric]\nwindow_fs = 3.0\n"
-    + "\n[sweep]\naxis = energy_ev\nvalues = 100,200\nengine = numeric\n",
-], ids=["preset-magic", "preset-numeric", "template-numeric", "scenario-engine",
-        "stripe-numeric"])
+], ids=["preset-magic", "preset-numeric", "template-numeric", "scenario-engine"])
 def test_sweep_with_bad_engine_exits_one(tmp_path, capsys, text):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(text, encoding="utf-8")
@@ -296,15 +302,16 @@ def test_sweep_with_bad_engine_exits_one(tmp_path, capsys, text):
     assert not (out / "sweep.csv").exists()
 
 
-def test_stripe_run_on_the_numeric_engine_exits_one(tmp_path, capsys):
+def test_stripe_is_not_a_model_type(tmp_path, capsys):
     cfg = tmp_path / "stripe.cfg"
-    cfg.write_text(SMALL_RUN.replace("type = wire\nradius_nm = 10.0\n", STRIPE_KEYS)
-                   + "\n[numeric]\nwindow_fs = 3.0\n", encoding="utf-8")
+    cfg.write_text(SMALL_RUN.replace(
+        "type = wire\nradius_nm = 10.0\n",
+        "type = stripe\ncoupling_rad = 1.0\ny_min_nm = -40.0\ny_max_nm = 40.0\n"),
+        encoding="utf-8")
     out = tmp_path / "o"
-    assert main(["run", str(cfg), "--out", str(out), "--engine", "numeric"]) == 1
-    assert "analytic engine" in capsys.readouterr().err
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    assert "unknown key 'coupling_rad'" in capsys.readouterr().err
     assert not out.exists()
-    assert main(["run", str(cfg), "--out", str(out)]) == 0  # analytic runs
 
 
 #: SMALL_RUN on the numeric engine with a trace row at every step.
@@ -399,10 +406,7 @@ def test_radius_sweep_on_a_gap_model_exits_one(tmp_path, capsys, text):
     assert not (out / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize("model", [
-    GAP_KEYS,
-    STRIPE_KEYS,
-], ids=["gap", "stripe"])
+@pytest.mark.parametrize("model", [GAP_KEYS], ids=["gap"])
 def test_field_sweep_on_a_model_that_ignores_the_field_exits_one(
         tmp_path, capsys, model):
     text = (SWEEP_TEMPLATE.replace("type = wire\nradius_nm = 10.0\n", model)

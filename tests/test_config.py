@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +14,7 @@ from nediff.config import (PRESET_NAMES, ElectronSpec, ScenarioConfig,
                            parse_sweep_config, serialize_config)
 from nediff.core import Grid2D, bandwidth_to_fwhm_x, chirp_flight_time
 from nediff.errors import ConfigurationError
-from nediff.nearfield import GapResonatorModel, LaserParams, UniformStripeModel, WireModel
+from nediff.nearfield import GapResonatorModel, LaserParams, WireModel
 from nediff.numeric import NumericSpec
 from nediff.units import electron_kinematics
 
@@ -67,14 +68,13 @@ def test_round_trip_gap_and_stripe():
         grid=Grid2D.centered(512, 256, 0.5, 0.5),
     )
     assert parse_config(serialize_config(gap_cfg)) == gap_cfg
-    stripe_cfg = ScenarioConfig(
-        engine="analytic",
-        electron=ElectronSpec(energy_ev=100.0, fwhm_x_nm=60.0, fwhm_y_nm=20.0),
-        laser=LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2),
-        model=UniformStripeModel(coupling_rad=1.0, y_min=-40.0, y_max=40.0),
-        grid=Grid2D.centered(512, 256, 0.5, 0.5),
-    )
-    assert parse_config(serialize_config(stripe_cfg)) == stripe_cfg
+
+
+def test_readme_example_config_round_trips():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    cfg = parse_config(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+    assert parse_config(serialize_config(cfg)) == cfg
 
 
 def test_missing_section_names_it():
@@ -226,7 +226,8 @@ def test_radius_scale_requires_wire():
             electron=ElectronSpec(energy_ev=100.0, fwhm_x_nm=60.0,
                                   fwhm_y_radius_scale=2.0),
             laser=LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2),
-            model=UniformStripeModel(coupling_rad=1.0, y_min=-5.0, y_max=5.0),
+            model=GapResonatorModel(separation_nm=23.0, smoothing_fwhm_nm=13.0,
+                                    peak_field_v_per_nm=0.5),
             grid=Grid2D.centered(512, 256, 0.5, 0.5),
         )
 
@@ -428,8 +429,7 @@ def test_radius_sweep_preset_on_a_gap_model_is_rejected():
 @pytest.mark.parametrize("model", [
     GapResonatorModel(separation_nm=23.0, smoothing_fwhm_nm=13.0,
                       peak_field_v_per_nm=0.5),
-    UniformStripeModel(coupling_rad=1.0, y_min=-40.0, y_max=40.0),
-], ids=["gap", "stripe"])
+], ids=["gap"])
 def test_radius_axis_needs_a_model_with_a_radius(model):
     template = dataclasses.replace(parse_config(MINIMAL), model=model)
     with pytest.raises(ConfigurationError, match="radius_nm does not apply"):
@@ -440,8 +440,7 @@ def test_radius_axis_needs_a_model_with_a_radius(model):
 @pytest.mark.parametrize("model", [
     GapResonatorModel(separation_nm=23.0, smoothing_fwhm_nm=13.0,
                       peak_field_v_per_nm=0.5),
-    UniformStripeModel(coupling_rad=1.0, y_min=-40.0, y_max=40.0),
-], ids=["gap", "stripe"])
+], ids=["gap"])
 def test_field_axis_needs_a_model_that_reads_the_field(model):
     template = dataclasses.replace(parse_config(MINIMAL), model=model)
     with pytest.raises(ConfigurationError,

@@ -10,8 +10,7 @@ import scipy.integrate
 from nediff.config import build_preset
 from nediff.core import unitary_transform_1d
 from nediff.errors import ConfigurationError, DomainError, NediffError
-from nediff.nearfield import (GapResonatorModel, LaserParams,
-                              UniformStripeModel, WireModel,
+from nediff.nearfield import (GapResonatorModel, LaserParams, WireModel,
                               calibrate_gap_amplitude, coupling_integrals,
                               coupling_profile)
 from nediff.quadrature import SPLIT_BATCH
@@ -218,13 +217,6 @@ class TestCouplingIntegrals:
             FIG1_WIRE.radius_nm**2 / (HBAR * v0)
         bound = 4.0 * pref * np.abs(ys) / (dk * (x_half**2 + ys**2))
         assert np.all(np.abs(c_fin - c_inf) <= bound)
-
-    def test_stripe_shortcut(self):
-        stripe = UniformStripeModel(coupling_rad=1.3, y_min=-5.0, y_max=5.0)
-        _, v0 = electron_kinematics(100.0)
-        c, s = coupling_integrals(stripe, FIG1_LASER, v0, np.array([0.0, 4.9, 5.1]))
-        assert np.allclose(c, [1.3, 1.3, 0.0])
-        assert np.all(s == 0.0)
 
 
 def _record_potential_calls(monkeypatch, cls):

@@ -13,8 +13,8 @@ from nediff.analysis import momentum_density, rel_l2, sideband_populations
 from nediff.config import ElectronSpec, ScenarioConfig, build_preset
 from nediff.core import Grid2D, gaussian_wavepacket, to_momentum
 from nediff.errors import ConfigurationError, NumericalError
-from nediff.nearfield import (GapResonatorModel, LaserParams,
-                              UniformStripeModel, WireModel, coupling_profile)
+from nediff.nearfield import (GapResonatorModel, LaserParams, WireModel,
+                              coupling_profile)
 from nediff import core, numeric
 from nediff.numeric import (TRACE_COLUMNS, EvolutionParams, NumericSpec,
                             _vector_potential_integral, choose_steps,
@@ -68,11 +68,6 @@ class TestChooseSteps:
             NumericSpec(window_fs=0.0)
         with pytest.raises(ConfigurationError):
             NumericSpec(window_fs=-5.0)
-
-    def test_rejects_stripe_model(self, grid):
-        stripe = UniformStripeModel(coupling_rad=1.0, y_min=-5.0, y_max=5.0)
-        with pytest.raises(ConfigurationError):
-            choose_steps(NumericSpec(window_fs=20.0), LASER, stripe, grid)
 
 
 class TestValidation:

@@ -17,8 +17,7 @@ from nediff.config import (OUTPUT_KINDS, ElectronSpec, ScenarioConfig,
                            parse_config, serialize_config)
 from nediff.core import Grid2D, Wavepacket, from_momentum, to_momentum
 from nediff.gridio import read_grid, write_csv, write_grid
-from nediff.nearfield import (GapResonatorModel, LaserParams, UniformStripeModel,
-                              WireModel)
+from nediff.nearfield import GapResonatorModel, LaserParams, WireModel
 from nediff.numeric import EvolutionParams, NumericSpec
 from nediff.quadrature import adaptive_quad
 
@@ -54,15 +53,8 @@ def gaps(draw):
 
 
 @st.composite
-def stripes(draw):
-    y_min = draw(finite())
-    return UniformStripeModel(coupling_rad=draw(finite()), y_min=y_min,
-                              y_max=y_min + draw(positive()))
-
-
-@st.composite
 def scenario_configs(draw):
-    model = draw(st.one_of(wires, gaps(), stripes()))
+    model = draw(st.one_of(wires, gaps()))
     transverse = {"fwhm_y_nm": draw(positive())}
     if isinstance(model, WireModel) and draw(st.booleans()):
         transverse = {"fwhm_y_radius_scale": draw(positive())}
@@ -77,10 +69,7 @@ def scenario_configs(draw):
         safety=st.floats(min_value=1e-3, max_value=1.0),
         vector_potential=st.booleans(),
         snapshot_stride=st.integers(min_value=1, max_value=10**6)))
-    # The stripe has no potential, so it runs only on the analytic engine.
-    engines = ["analytic"]
-    if numeric is not None and not isinstance(model, UniformStripeModel):
-        engines += ["numeric", "both"]
+    engines = ["analytic"] if numeric is None else ["analytic", "numeric", "both"]
     return ScenarioConfig(
         engine=draw(st.sampled_from(engines)),
         electron=electron,
