@@ -1,10 +1,11 @@
 """Closed-form interaction engine: phase masks, photon orders, free flight.
 
 The near-field interaction multiplies the envelope by exp(i dphi) with
-dphi(x, y) = C(y) cos(dk x) + S(y) sin(dk x).  For S = 0 the Jacobi-Anger
-identity resolves the result into photon orders n with transverse
-amplitudes i^n J_n(C(y)) g_perp(y), which this module evaluates exactly,
-as a truncated power series, and in the single-path weak-field limit.
+dphi(x, y) = C(y) cos(dk x) + S(y) sin(dk x) = R cos(dk x - phi), where
+C - iS = R e^{-i phi}.  At any laser phase the Jacobi-Anger identity resolves
+the result into photon orders n with transverse amplitudes
+i^|n| J_|n|(R(y)) e^{-i n phi(y)} g_perp(y), which this module evaluates
+exactly, as a truncated power series, and in the single-path weak-field limit.
 """
 
 from __future__ import annotations
@@ -108,26 +109,28 @@ def transverse_envelope(psi: Wavepacket) -> np.ndarray:
     return gy / nrm
 
 
+def _ladder_phasor(profile: CouplingProfile, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """R = |K| with K = C - iS, and order n's phasor (K/R)^n: the conjugate
+    (K*/R)^|n| for n < 0, and 1 where R = 0."""
+    k = profile.coupling_cos - 1j * profile.coupling_sin
+    r = np.abs(k)
+    unit = np.divide(k if n >= 0 else k.conj(), r, out=np.ones_like(k), where=r > 0.0)
+    return r, unit ** abs(n)
+
+
 def order_amplitudes_exact(psi: Wavepacket, profile: CouplingProfile,
                            n_max: int) -> OrderDecomposition:
-    """Exact photon-order amplitudes for a pure cosine coupling.
+    """Exact photon-order amplitudes a_n = i^|n| J_|n|(R) u_n g_perp.
 
-    Requires the sine coupling to vanish (odd-potential symmetry with zero
-    near-field phase); otherwise the order structure is not a plain Bessel
-    ladder and the caller should apply the full mask instead.
+    R = |C - iS| and u_n is the order's phase ladder (`_ladder_phasor`), so
+    the decomposition holds at any laser phase.
     """
-    if profile.max_sin > 1e-9:
-        raise DomainError(
-            "sine coupling is nonzero; photon orders are not Bessel-resolved. "
-            "Use build_phase_mask + apply_interaction and bin the spectrum."
-        )
     gy = transverse_envelope(psi)
-    c = profile.coupling_cos
     orders = np.arange(-n_max, n_max + 1)
     amps = np.empty((len(orders), len(gy)), dtype=np.complex128)
     for i, n in enumerate(orders):
-        # i^n J_n = i^|n| J_|n| for both signs of n.
-        amps[i] = (1j ** abs(n)) * scipy.special.jv(abs(n), c) * gy
+        r, u = _ladder_phasor(profile, n)
+        amps[i] = (1j ** abs(n)) * scipy.special.jv(abs(n), r) * u * gy
     ky, spectra = unitary_transform_1d(amps, profile.y)
     return OrderDecomposition(orders=orders, y=profile.y.copy(), amplitudes=amps,
                               ky=ky, spectra=spectra)
@@ -168,14 +171,14 @@ class OrderSpectrum:
 def weak_field_order(psi: Wavepacket, profile: CouplingProfile, n: int) -> OrderSpectrum:
     """Single-path (weak-field) transverse spectrum of order n.
 
-    Keeps only the most direct path, a_n = i^n (C/2)^n / n! g_perp, whose
-    spectrum is the (n-fold) convolution of the initial transverse spectrum
-    with the coupling transform.
+    Keeps only the most direct path, a_n = i^|n| (K_n/2)^|n| / |n|! g_perp
+    with K_n = C - iS for n >= 0 and its conjugate for n < 0, whose spectrum
+    is the |n|-fold convolution of the initial transverse spectrum with the
+    coupling transform.
     """
-    if n < 0:
-        raise DomainError("weak-field orders are indexed by n >= 0")
     gy = transverse_envelope(psi)
-    amp = (1j ** n) * (profile.coupling_cos / 2.0) ** n / math.factorial(n) * gy
+    r, u = _ladder_phasor(profile, n)
+    amp = (1j ** abs(n)) * (r / 2.0) ** abs(n) / math.factorial(abs(n)) * u * gy
     ky, vals = unitary_transform_1d(amp, profile.y)
     return OrderSpectrum(order=n, ky=ky, values=vals)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 import scipy.integrate
@@ -217,7 +216,7 @@ class CouplingProfile:
     """Sampled coupling integrals for one (model, laser, velocity) triple.
 
     coupling_cos multiplies cos(delta_k x') in the interaction phase and
-    coupling_sin multiplies sin(delta_k x').
+    coupling_sin multiplies sin(delta_k x'); |C - iS| sets the order weights.
     """
 
     y: np.ndarray
@@ -227,10 +226,6 @@ class CouplingProfile:
     model: NearFieldModel
     laser: LaserParams
     v0: float
-
-    @cached_property
-    def max_sin(self) -> float:
-        return float(np.max(np.abs(self.coupling_sin)))
 
 
 def default_x_bounds(model: NearFieldModel, delta_k: float) -> tuple[float, float]:

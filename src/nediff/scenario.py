@@ -112,10 +112,11 @@ def run_scenario(cfg: ScenarioConfig, outdir=None) -> ScenarioResult:
         snapshot_callback = None
         if outdir is not None and "snapshots" in cfg.outputs:
             snap_dir = Path(outdir) / "snapshots"
-            snap_dir.mkdir(parents=True, exist_ok=True)
             counter = iter(range(10**6))
 
             def snapshot_callback(t, psi_snap):
+                # Made here, so a run failing before its first snapshot leaves none.
+                snap_dir.mkdir(parents=True, exist_ok=True)
                 gridio.write_grid(
                     snap_dir / f"snap_{next(counter):06d}.grid", psi_snap)
 

@@ -1,5 +1,6 @@
 """Observables and scan metrics."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -15,7 +16,8 @@ from nediff.analysis import (Crosscut, DensityMap, crosscut, deflection_angle,
                              max_deflection, momentum_density, peak_spacing,
                              rel_l2, sideband_populations,
                              transverse_splitting)
-from nediff.analytic import apply_interaction, build_phase_mask
+from nediff.analytic import (apply_interaction, build_phase_mask,
+                             transverse_envelope)
 from nediff import scenario
 from nediff.config import ElectronSpec, ScenarioConfig, SweepSpec, build_preset
 from nediff.core import (BLOCK_BYTES, Grid2D, bandwidth_to_fwhm_x,
@@ -75,7 +77,7 @@ class TestMomentumDensity:
         _, v0 = electron_kinematics(100.0)
         laser = LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2, phase_rad=0.7)
         profile = coupling_profile(WIRE, laser, v0, grid.y)
-        assert profile.max_sin > 0.1
+        assert np.abs(profile.coupling_sin).max() > 0.1
         packet = gaussian_wavepacket(grid, 100.0, 4.0, 2.0)
         assert np.count_nonzero(packet.amplitudes == 0.0) > grid.nx * grid.ny // 4
         assert 16 * grid.nx * grid.ny > BLOCK_BYTES  # several row blocks
@@ -284,6 +286,23 @@ class TestTransverseSplitting:
         assert top[0] < 0.0 < top[1]
         lobes = 0.5 * (top[1] - top[0])
         assert lobes == pytest.approx(transverse_splitting(profile), rel=0.5)
+
+    def test_laser_phase_leaves_the_splitting_unchanged(self):
+        # A laser phase turns C - iS and keeps its magnitude.  At pi/2 the
+        # cosine coupling is rounding noise (|C| < 1e-15 on the fig2 point).
+        cfg = build_preset("fig2").point(577.0)
+        envelope = transverse_envelope(scenario.build_initial_state(cfg))
+        _, v0 = electron_kinematics(577.0)
+
+        def splitting(phase):
+            laser = dataclasses.replace(cfg.laser, phase_rad=phase)
+            profile = coupling_profile(cfg.model, laser, v0, cfg.grid.y)
+            return transverse_splitting(profile, envelope=envelope)
+
+        reference = splitting(0.0)
+        assert reference == pytest.approx(0.186387, abs=1e-6)
+        for phase in (1.0, 0.5 * math.pi):
+            assert splitting(phase) == pytest.approx(reference, rel=1e-9)
 
 
 def test_rel_l2():

@@ -7,18 +7,23 @@ import numpy as np
 import pytest
 import scipy.fft
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import uniform_profile
 
+from nediff.analysis import momentum_density, rel_l2
 from nediff.analytic import (apply_interaction, build_phase_mask,
                              order_amplitudes_exact, order_series_taylor,
                              transverse_envelope, vacuum_propagate,
                              weak_field_order)
 from nediff.config import build_preset
 from nediff.core import (BLOCK_BYTES, Grid2D, bandwidth_to_fwhm_x, chirp_flight_time,
-                         gaussian_wavepacket, temporal_spread, to_momentum)
+                         gaussian_wavepacket, temporal_spread, to_momentum,
+                         unitary_transform_1d)
 from nediff.errors import ConfigurationError, DomainError
-from nediff.nearfield import LaserParams, WireModel, coupling_profile
+from nediff.nearfield import (GapResonatorModel, LaserParams, WireModel,
+                             calibrate_gap_amplitude, coupling_profile)
 from nediff.units import ELECTRON_MASS, HBAR, electron_kinematics
 
 LASER = LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2)
@@ -111,7 +116,7 @@ class TestApplyInteraction:
         _, v0 = electron_kinematics(100.0)
         laser = LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2, phase_rad=0.7)
         profile = coupling_profile(WIRE, laser, v0, g.y)
-        assert profile.max_sin > 0.1
+        assert np.abs(profile.coupling_sin).max() > 0.1
         psi = gaussian_wavepacket(g, 100.0, 4.0, 2.0)
         assert np.count_nonzero(psi.amplitudes == 0.0) > g.nx * g.ny // 4
         assert 16 * g.nx * g.ny > BLOCK_BYTES  # several row blocks
@@ -186,13 +191,92 @@ class TestOrderDecomposition:
             s = np.abs(dec.spectra[dec.order_index(n)])
             assert s[izero] < 1e-9 * s.max()
 
-    def test_rejects_sine_coupling(self, packet, small_grid):
+    def test_ladder_at_sine_coupling(self, packet, wire_profile, small_grid):
+        # C - iS = R e^{-i phi}: order n carries i^|n| J_|n|(R) e^{-i n phi},
+        # and a laser phase theta turns order n by e^{-i n theta}.
         _, v0 = electron_kinematics(100.0)
         tilted = LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2,
                              phase_rad=0.7)
         prof = coupling_profile(WIRE, tilted, v0, small_grid.y)
-        with pytest.raises(DomainError, match="apply_interaction"):
-            order_amplitudes_exact(packet, prof, n_max=8)
+        assert np.abs(prof.coupling_sin).max() > 0.1
+        dec = order_amplitudes_exact(packet, prof, n_max=8)
+        flat = order_amplitudes_exact(packet, wire_profile, n_max=8)
+        r = np.hypot(prof.coupling_cos, prof.coupling_sin)
+        phi = np.arctan2(prof.coupling_sin, prof.coupling_cos)
+        gy = transverse_envelope(packet)
+        scale = float(np.max(np.abs(dec.amplitudes)))
+        for n in range(-8, 9):
+            a = dec.amplitudes[dec.order_index(n)]
+            expected = (1j ** abs(n)) * scipy.special.jv(abs(n), r) * np.exp(
+                -1j * n * phi) * gy
+            assert np.max(np.abs(a - expected)) < 1e-12 * scale
+            turned = np.exp(-0.7j * n) * flat.amplitudes[flat.order_index(n)]
+            assert np.max(np.abs(a - turned)) < 1e-9 * scale
+        assert float(populations(dec).sum()) == pytest.approx(1.0, abs=1e-6)
+
+
+@st.composite
+def ladder_cases(draw):
+    """A wire or a calibrated gap, anywhere near the beam, at any laser phase."""
+    center = (draw(st.floats(-20.0, 20.0)), draw(st.floats(-5.0, 5.0)))
+    if draw(st.booleans()):
+        model = WireModel(radius_nm=draw(st.floats(4.0, 15.0)), response=0.5,
+                          center=center)
+        field = draw(st.floats(0.05, 0.5))
+    else:
+        separation = draw(st.floats(15.0, 30.0))
+        model = calibrate_gap_amplitude(GapResonatorModel(
+            separation_nm=separation,
+            smoothing_fwhm_nm=draw(st.floats(0.3, 0.7)) * separation,
+            peak_field_v_per_nm=draw(st.floats(0.1, 0.6)), center=center))
+        field = model.peak_field_v_per_nm / 20.0
+    laser = LaserParams(wavelength_nm=2000.0, field_v_per_nm=field,
+                        phase_rad=draw(st.floats(0.0, 2.0 * math.pi,
+                                                 exclude_max=True)))
+    return model, laser, draw(st.floats(60.0, 150.0))
+
+
+class TestLadderOracle:
+    """The analytic engine against the Jacobi-Anger ladder built here from
+    scipy's Bessel functions: with R = |C - iS| and phi = arg(C + iS),
+    exp(i R cos(dk x - phi)) = sum_n i^|n| J_|n|(R) e^{-i n phi} e^{i n dk x}."""
+
+    GRID = Grid2D.centered(1024, 256, 0.25, 0.5)
+
+    @settings(max_examples=15, deadline=None)
+    @given(ladder_cases())
+    def test_mask_and_orders_equal_the_ladder(self, case):
+        model, laser, energy = case
+        grid = self.GRID
+        _, v0 = electron_kinematics(energy)
+        profile = coupling_profile(model, laser, v0, grid.y)
+        psi = gaussian_wavepacket(grid, energy, 30.0, 12.0)
+        iy, ix = np.unravel_index(np.argmax(np.abs(psi.amplitudes)),
+                                  psi.amplitudes.shape)
+        g_y = psi.amplitudes[:, ix]
+        g_x = psi.amplitudes[iy, :] / psi.amplitudes[iy, ix]
+        r = np.hypot(profile.coupling_cos, profile.coupling_sin)
+        phi = np.arctan2(profile.coupling_sin, profile.coupling_cos)
+        r_max = float(r.max())
+        n_max = math.ceil(r_max + 8.0 * r_max ** (1.0 / 3.0) + 25.0)
+        orders = range(-n_max, n_max + 1)
+        a = {n: (1j ** abs(n)) * scipy.special.jv(abs(n), r) * np.exp(-1j * n * phi)
+             * g_y for n in orders}
+        ladder = np.zeros_like(psi.amplitudes)
+        for n in orders:
+            ladder += np.outer(a[n], g_x * np.exp(1j * n * profile.delta_k * grid.x))
+
+        out = apply_interaction(psi, build_phase_mask(profile, grid))
+        assert np.linalg.norm(out.amplitudes - ladder) <= 1e-12 * np.linalg.norm(ladder)
+        expected = momentum_density(psi.with_amplitudes(ladder)).values
+        assert rel_l2(momentum_density(out).values, expected) <= 1e-12
+
+        dec = order_amplitudes_exact(psi, profile, n_max=n_max)
+        norm = math.sqrt(float(np.sum(np.abs(g_y) ** 2)) * grid.dy)
+        scale = max(float(np.max(np.abs(a[n]))) for n in orders) / norm
+        for n in orders:
+            got = dec.amplitudes[dec.order_index(n)]
+            assert np.max(np.abs(got - a[n] / norm)) <= 1e-13 * scale
 
 
 class TestOrderSeries:
@@ -261,16 +345,34 @@ class TestWeakFieldOrder:
         expected = 1j * np.fft.fftshift(conv) * grid.dky / math.sqrt(2.0 * math.pi)
         assert np.max(np.abs(ws.values - expected)) < 1e-12 * np.max(np.abs(ws.values))
 
-    def test_rejects_negative_order(self, packet, wire_profile):
-        with pytest.raises(DomainError):
-            weak_field_order(packet, wire_profile, -1)
+    def test_negative_order_uses_the_conjugate_coupling(self, packet, small_grid,
+                                                          stripe_profile):
+        for n in (1, 2, 3):
+            plus = weak_field_order(packet, stripe_profile, n).values
+            minus = weak_field_order(packet, stripe_profile, -n).values
+            assert np.max(np.abs(minus - plus)) <= 1e-15 * np.max(np.abs(plus))
+        _, v0 = electron_kinematics(100.0)
+        tilted = LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2,
+                             phase_rad=0.7)
+        prof = coupling_profile(WIRE, tilted, v0, small_grid.y)
+        k_bar = prof.coupling_cos + 1j * prof.coupling_sin
+        gy = transverse_envelope(packet)
+        for n in (1, 2):
+            ws = weak_field_order(packet, prof, -n)
+            assert ws.order == -n
+            _, expected = unitary_transform_1d(
+                (1j ** n) * (k_bar / 2.0) ** n / math.factorial(n) * gy, prof.y)
+            assert np.max(np.abs(ws.values - expected)) < 1e-12 * np.max(
+                np.abs(expected))
 
-    def test_approaches_exact_order_as_field_weakens(self, packet, small_grid):
+    @pytest.mark.parametrize("phase", [0.0, 1.0, 0.5 * math.pi],
+                             ids=["phase0", "phase1", "phase_pi_2"])
+    def test_approaches_exact_order_as_field_weakens(self, packet, small_grid, phase):
         _, v0 = electron_kinematics(100.0)
         gaps = []
         for scale in (1.0, 0.25):
             laser = LaserParams(wavelength_nm=2000.0,
-                                field_v_per_nm=0.2 * scale)
+                                field_v_per_nm=0.2 * scale, phase_rad=phase)
             prof = coupling_profile(WIRE, laser, v0, small_grid.y)
             exact = order_amplitudes_exact(packet, prof, n_max=6)
             a1 = exact.spectra[exact.order_index(1)]

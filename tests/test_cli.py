@@ -287,6 +287,47 @@ def test_numeric_run_that_cannot_bin_its_sidebands_writes_nothing(tmp_path, caps
     assert not out.exists()
 
 
+#: A numeric run whose packet starts in the outer border: it fails the border
+#: check at the first record, before any snapshot is written.
+BORDER_RUN = """
+[scenario]
+engine = numeric
+outputs = trace,snapshots,summary
+
+[electron]
+energy_ev = 100.0
+fwhm_x_nm = 20.0
+fwhm_y_nm = 4.0
+center_y_nm = 8.0
+
+[laser]
+wavelength_nm = 2000.0
+field_v_per_nm = 1.0
+
+[model]
+type = wire
+radius_nm = 5.0
+
+[grid]
+nx = 1024
+ny = 64
+dx_nm = 0.5
+dy_nm = 0.5
+
+[numeric]
+window_fs = 80.0
+"""
+
+
+def test_numeric_run_failing_at_its_first_record_writes_nothing(tmp_path, capsys):
+    cfg = tmp_path / "border.cfg"
+    cfg.write_text(BORDER_RUN, encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out), "--threads", "1"]) == 2
+    assert "grid border at t=-40 fs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", [
     "[sweep]\npreset = fig3\nengine = magic\n",
     "[sweep]\npreset = fig3\nengine = numeric\n",
