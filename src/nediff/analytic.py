@@ -111,10 +111,11 @@ def transverse_envelope(psi: Wavepacket) -> np.ndarray:
 
 def _ladder_phasor(profile: CouplingProfile, n: int) -> tuple[np.ndarray, np.ndarray]:
     """R = |K| with K = C - iS, and order n's phasor (K/R)^n: the conjugate
-    (K*/R)^|n| for n < 0, and 1 where R = 0."""
+    (K*/R)^|n| for n < 0, and 1 where R is 0 or subnormal (1/R overflows)."""
     k = profile.coupling_cos - 1j * profile.coupling_sin
     r = np.abs(k)
-    unit = np.divide(k if n >= 0 else k.conj(), r, out=np.ones_like(k), where=r > 0.0)
+    unit = np.divide(k if n >= 0 else k.conj(), r, out=np.ones_like(k),
+                     where=r >= np.finfo(float).tiny)
     return r, unit ** abs(n)
 
 

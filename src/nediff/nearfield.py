@@ -4,7 +4,9 @@ A monochromatic near field Phi0(x, y) cos(omega t + phase) imprints on a
 passing electron a phase set entirely by two transverse profiles: the cosine
 and sine Fourier components of Phi0 along the trajectory at the spatial
 frequency delta_k = omega / v0 (the wavevector mismatch).  This module
-computes those components by adaptive quadrature for each model.
+computes those components along the whole straight line: by adaptive
+quadrature over a window about the structure, and in closed form beyond it,
+where every model is exactly a sum of 2D line dipoles.
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.integrate
 
 from .core import _SQRT8LN2
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 from .quadrature import adaptive_quad
 from .units import C0, ELECTRON_CHARGE, HBAR
 
@@ -76,6 +77,10 @@ class WireModel:
         r2 = xs * xs + ys * ys
         r2 = np.maximum(r2, self.radius_nm**2)
         return field_v_per_nm * self.response * self.radius_nm**2 * ys / r2
+
+    def far_field_dipoles(self, field_v_per_nm: float):
+        """((weight, y_c),): the potential outside r = R, weight * (y - y_c) / r^2."""
+        return ((field_v_per_nm * self.response * self.radius_nm**2, self.center[1]),)
 
     def peak_potential(self, field_v_per_nm: float) -> float:
         return field_v_per_nm * self.response * self.radius_nm
@@ -173,6 +178,13 @@ class GapResonatorModel:
             raise RuntimeError("gap resonator must be calibrated before use")
         return self.moment * self._potential_unit(x, y)
 
+    def far_field_dipoles(self, field_v_per_nm: float | None = None):
+        """((moment, y_c), ...), one line dipole moment * (y - y_c) / r^2 per
+        site: the potential where exp(-r^2 / (2 sigma^2)) underflows to 0."""
+        if self.moment is None:
+            raise RuntimeError("gap resonator must be calibrated before use")
+        return tuple((self.moment, y_c) for y_c in self._dipole_y())
+
     def peak_potential(self, field_v_per_nm: float | None = None) -> float:
         if self.peak_potential_v is None:
             raise RuntimeError("gap resonator must be calibrated before use")
@@ -229,59 +241,46 @@ class CouplingProfile:
 
 
 def default_x_bounds(model: NearFieldModel, delta_k: float) -> tuple[float, float]:
-    """Truncation window for the trajectory integral.
+    """Quadrature window of the trajectory integral, centred on the structure.
 
-    The quasi-static potentials fall off like 1/x^2, so the window is taken
-    large against both the structure size and the oscillation period.
+    Beyond 40 * extent_hint every model is exactly its `far_field_dipoles`,
+    and `_dipole_tail` needs delta_k * half >= 10.
     """
     half = max(40.0 * model.extent_hint, 10.0 / delta_k)
-    return (-half, half)
+    cx = model.center[0]
+    return (cx - half, cx + half)
 
 
-def _oscillatory_tails(model, field, ys, half, delta_k, phase, tol):
-    """Continuations of the two trajectory integrals beyond |x| = half.
+# Gauss-Laguerre rule for integral_0^inf e^-t g(t) dt.
+_LAGUERRE_T, _LAGUERRE_W = np.polynomial.laguerre.laggauss(32)
 
-    Uses Fourier-weighted quadrature (QUADPACK QAWF) per transverse sample;
-    this handles the algebraically decaying, oscillating tails that a plain
-    truncation cannot reach at tight tolerances.  Both tails fold onto
-    [half, inf): the even part f(u) + f(-u) carries the cosine transform C,
-    the odd part f(u) - f(-u) the sine transform S.
+
+def _dipole_tail(eta, delta_k: float, half: float):
+    """eta * integral_half^inf cos(delta_k u) / (u^2 + eta^2) du, elementwise.
+
+    On the rotated contour u = half + i s the integral is
+    Re[i e^{i delta_k half} integral_0^inf e^{-delta_k s} eta / ((half + i s)^2
+    + eta^2) ds].  Its poles lie delta_k * half from the real axis of
+    t = delta_k s, so the 32-node rule is exact to rounding when
+    delta_k * half >= 10, which `default_x_bounds` guarantees.
     """
-    cphi, sphi = math.cos(phase), math.sin(phase)
-    cos_tot = np.zeros(len(ys))
-    sin_tot = np.zeros(len(ys))
-    eps = tol / 2.0
-
-    def folded(u, yv, sign):
-        right, left = model.potential(np.array([u, -u]), yv, field)
-        return right + sign * left
-
-    for i, yv in enumerate(ys):
-        c, ec = scipy.integrate.quad(folded, half, np.inf, args=(yv, 1.0), weight="cos",
-                                     wvar=delta_k, epsabs=eps, limlst=200)
-        s, es = scipy.integrate.quad(folded, half, np.inf, args=(yv, -1.0), weight="sin",
-                                     wvar=delta_k, epsabs=eps, limlst=200)
-        achieved = max(ec, es)
-        if achieved > 10.0 * eps:
-            raise NumericalError(
-                f"oscillatory tail integral did not converge at y={yv:g}",
-                achieved=achieved,
-            )
-        # cos(dk x + phase) = cphi cos(dk x) - sphi sin(dk x), and likewise
-        # sin(dk x + phase) = sphi cos(dk x) + cphi sin(dk x).
-        cos_tot[i] = cphi * c - sphi * s
-        sin_tot[i] = sphi * c + cphi * s
-    return cos_tot, sin_tot
+    eta = np.asarray(eta, dtype=float)[..., None]
+    u = half + 1j * _LAGUERRE_T / delta_k
+    laplace = np.sum(_LAGUERRE_W * eta / (u * u + eta * eta), axis=-1) / delta_k
+    return (1j * np.exp(1j * delta_k * half) * laplace).real
 
 
 def coupling_integrals(model: NearFieldModel, laser: LaserParams, v0: float,
-                       ys: np.ndarray, tails: bool = False):
+                       ys: np.ndarray):
     """Cosine and sine coupling integrals at the transverse positions ys, in rad.
 
-    Evaluates the trajectory integrals of Phi0(x, y) against
-    cos/sin(delta_k x + phase), scaled by -q/(hbar v0), over the window of
-    `default_x_bounds`.  tails=True adds the oscillatory tails beyond it
-    exactly; the truncated window is adequate for mask construction.
+    Integrates Phi0(x, y) against cos/sin(delta_k x + phase), scaled by
+    -q/(hbar v0), along the whole straight trajectory.  The window of
+    `default_x_bounds` runs by adaptive quadrature.  Beyond it the potential
+    is exactly the sum of the model's `far_field_dipoles`, which is even in
+    x - cx, so both tails fold onto one closed-form term per dipole:
+    2 e^{i(delta_k cx + phase)} w eta integral_half^inf cos(delta_k u) /
+    (u^2 + eta^2) du.
     """
     if not v0 > 0.0:
         raise DomainError("electron velocity must be positive")
@@ -301,16 +300,15 @@ def coupling_integrals(model: NearFieldModel, laser: LaserParams, v0: float,
 
     # The tolerance is on the coupling in rad; the quadrature runs on the
     # bare potential integral, so rescale by the prefactor magnitude.
-    raw_tol = COUPLING_TOL / abs(prefactor)
-    core_tol = raw_tol / 2.0 if tails else raw_tol
-    (c_core, s_core), _ = adaptive_quad(integrand, x_lo, x_hi, core_tol, max_panel)
+    (c_core, s_core), _ = adaptive_quad(integrand, x_lo, x_hi,
+                                        COUPLING_TOL / abs(prefactor), max_panel)
 
-    if tails:
-        c_tail, s_tail = _oscillatory_tails(
-            model, field, ys, x_hi, delta_k, phase, raw_tol)
-        c_core = c_core + c_tail
-        s_core = s_core + s_tail
-    return prefactor * c_core, prefactor * s_core
+    cx = model.center[0]
+    tail = 2.0 * sum(w * _dipole_tail(ys - y_c, delta_k, x_hi - cx)
+                     for w, y_c in model.far_field_dipoles(field))
+    turn = delta_k * cx + phase
+    return (prefactor * (c_core + math.cos(turn) * tail),
+            prefactor * (s_core + math.sin(turn) * tail))
 
 
 def coupling_profile(model: NearFieldModel, laser: LaserParams, v0: float,

@@ -200,7 +200,7 @@ def test_criterion_06_wire_coupling_oracle():
     _, v0_fig1 = electron_kinematics(100.0)
     for v0 in (laser.omega / 0.02, v0_fig1):
         delta_k = laser.omega / v0
-        c, s = coupling_integrals(wire, laser, v0, ys, tails=True)
+        c, s = coupling_integrals(wire, laser, v0, ys)
         scale = (laser.field_v_per_nm * wire.response * r**2 * math.pi
                  / (HBAR * v0))
         oracle = np.sign(ys) * scale * np.exp(-delta_k * np.abs(ys))

@@ -300,7 +300,7 @@ class TestTransverseSplitting:
             return transverse_splitting(profile, envelope=envelope)
 
         reference = splitting(0.0)
-        assert reference == pytest.approx(0.186387, abs=1e-6)
+        assert reference == pytest.approx(0.186416, abs=1e-6)
         for phase in (1.0, 0.5 * math.pi):
             assert splitting(phase) == pytest.approx(reference, rel=1e-9)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.fft
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import uniform_profile
@@ -245,6 +245,9 @@ class TestLadderOracle:
 
     @settings(max_examples=15, deadline=None)
     @given(ladder_cases())
+    # A subnormal centre makes R subnormal on the beam axis.
+    @example((WireModel(radius_nm=4.0, response=0.5, center=(0.0, 1.1125369292536007e-308)),
+              LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.25), 60.0))
     def test_mask_and_orders_equal_the_ladder(self, case):
         model, laser, energy = case
         grid = self.GRID

@@ -11,8 +11,9 @@ from nediff.config import build_preset
 from nediff.core import unitary_transform_1d
 from nediff.errors import ConfigurationError, DomainError, NediffError
 from nediff.nearfield import (GapResonatorModel, LaserParams, WireModel,
-                              calibrate_gap_amplitude, coupling_integrals,
-                              coupling_profile)
+                              _dipole_tail, calibrate_gap_amplitude,
+                              coupling_integrals, coupling_profile,
+                              default_x_bounds)
 from nediff.quadrature import SPLIT_BATCH
 from nediff.scenario import ScenarioResult, write_artifacts
 from nediff.units import C0, HBAR, electron_kinematics
@@ -92,7 +93,8 @@ class TestGapResonator:
     def test_requires_calibration(self):
         # Using an uncalibrated gap is a bug (exit 3), not a bad request.
         model = self.make()
-        for use in (lambda: model.potential(1.0, 2.0), model.peak_potential):
+        for use in (lambda: model.potential(1.0, 2.0), model.peak_potential,
+                    model.far_field_dipoles):
             with pytest.raises(RuntimeError, match="calibrated") as info:
                 use()
             assert not isinstance(info.value, NediffError)
@@ -179,7 +181,7 @@ class TestCouplingIntegrals:
         # Moderate phase mismatch keeps the oracle's dynamic range benign.
         v0 = FIG1_LASER.omega / 0.02
         ys = np.linspace(10.5, 100.0, 25)
-        c, s = coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, ys, tails=True)
+        c, s = coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, ys)
         oracle = closed_form_wire_coupling(ys, FIG1_LASER, FIG1_WIRE, v0)
         assert np.max(np.abs(c - oracle) / np.abs(oracle)) < 1e-8
         assert np.max(np.abs(s)) < 1e-10
@@ -204,19 +206,101 @@ class TestCouplingIntegrals:
         c2, _ = coupling_integrals(FIG1_WIRE, laser2, v0, np.array([15.0]))
         assert c2 == pytest.approx(2.0 * c1, rel=1e-14)
 
-    def test_truncation_tail_bound(self):
-        # Integration-by-parts bound on the oscillatory tail beyond the
-        # default window: |tail| <= 2 * pref * |y| * 2 / (dk (X^2 + y^2)).
-        v0 = FIG1_LASER.omega / 0.02
-        dk = 0.02
-        ys = np.array([15.0, 40.0, 80.0])
-        c_fin, _ = coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, ys)
-        c_inf, _ = coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, ys, tails=True)
-        x_half = max(40.0 * FIG1_WIRE.radius_nm, 10.0 / dk)
-        pref = FIG1_LASER.field_v_per_nm * FIG1_WIRE.response * \
-            FIG1_WIRE.radius_nm**2 / (HBAR * v0)
-        bound = 4.0 * pref * np.abs(ys) / (dk * (x_half**2 + ys**2))
-        assert np.all(np.abs(c_fin - c_inf) <= bound)
+    @pytest.mark.parametrize("delta_k", [0.005, 0.02, 0.159, 2.0])
+    def test_dipole_tail_matches_fourier_quadrature(self, delta_k):
+        # The closed-form tail against QUADPACK's Fourier integral (QAWF),
+        # from the shortest window the coupling uses, out to dk|eta| > 745
+        # where an exponential-integral form overflows.  The QAWF integrand
+        # is scaled to 1 at u = half; errors are measured in units of the
+        # tail's size |eta| / (dk (half^2 + eta^2)).
+        half = max(400.0, 10.0 / delta_k)
+        mags = np.geomspace(1e-3, 5000.0, 9)
+        etas = np.concatenate([-mags[::-1], [0.0], mags])
+        got = _dipole_tail(etas, delta_k, half)
+        assert np.all(np.isfinite(got)) and got[len(mags)] == 0.0
+        for eta, value in zip(etas, got):
+            n2 = half * half + eta * eta
+            ref, _ = scipy.integrate.quad(lambda u: n2 / (u * u + eta * eta), half,
+                                          np.inf, weight="cos", wvar=delta_k,
+                                          epsabs=1e-10, limlst=200)
+            assert abs(value - eta / n2 * ref) <= 1e-11 * abs(eta) / (delta_k * n2)
+
+
+@pytest.mark.parametrize("model", [
+    replace(FIG1_WIRE, center=(150.0, 3.0)),
+    calibrate_gap_amplitude(GapResonatorModel(
+        separation_nm=23.0, smoothing_fwhm_nm=13.0, peak_field_v_per_nm=0.5,
+        center=(37.0, -2.0))),
+], ids=["wire", "gap"])
+def test_far_field_dipoles_are_the_potential_beyond_the_window(model):
+    # The closed-form tails rest on this: from |x - cx| = half on, the
+    # potential is exactly the sum of the model's line dipoles.
+    cx = model.center[0]
+    for delta_k in (0.159, 0.02):
+        _, x_hi = default_x_bounds(model, delta_k)
+        u = (x_hi - cx) * np.array([1.0, 1.5, 4.0, 100.0])
+        xs = np.concatenate([cx + u, cx - u])[:, None]
+        ys = np.linspace(-80.0, 80.0, 161)[None, :]
+        terms = [w * (ys - y_c) / ((xs - cx) ** 2 + (ys - y_c) ** 2)
+                 for w, y_c in model.far_field_dipoles(0.2)]
+        scale = sum(np.abs(t) for t in terms)
+        pot = model.potential(xs, ys, 0.2)
+        assert np.all(np.abs(pot - sum(terms)) <= 1e-15 * scale)
+
+
+def _rotated(c, s, delta_k, model, laser):
+    """C + iS turned back by the laser phase and the structure's x centre."""
+    return (c + 1j * s) * np.exp(-1j * (delta_k * model.center[0] + laser.phase_rad))
+
+
+@pytest.mark.parametrize("phase", [0.0, 0.9])
+@pytest.mark.parametrize("center_x", [0.0, 150.0, 1000.0])
+def test_off_centre_wire_against_closed_forms(center_x, phase):
+    # Moving the wire along the infinite trajectory only turns C - iS by
+    # delta_k * center_x.  Rows that miss the wire have the image-dipole
+    # closed form; rows through it are the linear interior over |u| < a plus
+    # the exterior branch, a = sqrt(R^2 - eta^2), by QAWF.
+    wire = replace(FIG1_WIRE, center=(center_x, 0.0))
+    laser = replace(FIG1_LASER, phase_rad=phase)
+    r = wire.radius_nm
+    ys = np.linspace(-40.0, 40.0, 33)
+    inside = np.abs(ys) < r
+    for v0 in (electron_kinematics(100.0)[1], laser.omega / 0.02):
+        delta_k = laser.omega / v0
+        c, s = coupling_integrals(wire, laser, v0, ys)
+        z = _rotated(c, s, delta_k, wire, laser)
+        oracle = closed_form_wire_coupling(ys, laser, wire, v0)
+        assert np.max(np.abs(z - oracle)[~inside]) <= 1e-11
+        scale = laser.field_v_per_nm * wire.response / (HBAR * v0)
+        for eta, got in zip(ys[inside], z[inside]):
+            a = math.sqrt(r * r - eta * eta)
+            ext, _ = scipy.integrate.quad(lambda u: r * r / (u * u + eta * eta), a,
+                                          np.inf, weight="cos", wvar=delta_k,
+                                          epsabs=1e-10, limlst=200)
+            ref = 2.0 * scale * eta * (math.sin(delta_k * a) / delta_k + ext)
+            assert abs(got - ref) <= 5e-9
+
+
+@pytest.mark.parametrize("center_x", [0.0, 37.0])
+def test_off_centre_gap_against_fourier_quadrature(center_x):
+    # Folded about the structure's centre, the even part of the potential
+    # carries the cosine transform and the odd part the sine transform.
+    cfg = build_preset("fig4-limited")
+    gap = calibrate_gap_amplitude(replace(cfg.model, center=(center_x, 0.0)))
+    laser = replace(cfg.laser, phase_rad=0.9)
+    _, v0 = electron_kinematics(cfg.electron.energy_ev)
+    delta_k = laser.omega / v0
+    ys = np.linspace(-59.5, 60.5, 13)
+    c, s = coupling_integrals(gap, laser, v0, ys)
+    z = _rotated(c, s, delta_k, gap, laser)
+    for y, got in zip(ys, z):
+        def folded(u, sign):
+            return gap.potential(center_x + u, y) + sign * gap.potential(center_x - u, y)
+        even, _ = scipy.integrate.quad(folded, 0.0, np.inf, args=(1.0,), weight="cos",
+                                       wvar=delta_k, epsabs=1e-10, limlst=200)
+        odd, _ = scipy.integrate.quad(folded, 0.0, np.inf, args=(-1.0,), weight="sin",
+                                      wvar=delta_k, epsabs=1e-10, limlst=200)
+        assert abs(got - (even + 1j * odd) / (HBAR * v0)) <= 1e-11
 
 
 def _record_potential_calls(monkeypatch, cls):
@@ -277,25 +361,20 @@ class TestCouplingProfile:
         assert 0.6 * r <= y_star <= 1.4 * r
 
     def test_exponential_decay_beyond_surface(self):
-        # Tail-complete integrals so the truncation floor does not mask the
-        # exponential falloff.
         _, v0 = electron_kinematics(100.0)
         r = FIG1_WIRE.radius_nm
         ys = np.linspace(2 * r, 6 * r, 33)
-        c, _ = coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, ys, tails=True)
+        c, _ = coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, ys)
         delta_k = FIG1_LASER.omega / v0
         slope = np.polyfit(ys, np.log(np.abs(c)), 1)[0]
         assert slope == pytest.approx(-delta_k, rel=0.02)
 
     def test_transform_odd_imaginary(self):
-        # Tail-complete integrals: the truncated window would leave an
-        # oscillatory floor at the one unpaired edge cell and break parity
-        # at the ~1e-4 level.
         _, v0 = electron_kinematics(100.0)
         # Wide enough that the exponential tail at the one unpaired edge cell
         # sits below the 1e-9 parity target.
         ys = np.linspace(-160.0, 158.75, 256)
-        c, _ = coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, ys, tails=True)
+        c, _ = coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, ys)
         ky, vals = unitary_transform_1d(c, ys)
         scale = float(np.max(np.abs(vals)))
         assert float(np.max(np.abs(vals.real))) < 1e-9 * scale

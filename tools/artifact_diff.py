@@ -68,6 +68,13 @@ window_fs = 20.0
 snapshot_stride = 7
 """
 
+#: The same wire 150 nm along x, on the analytic engine alone: the coupling's
+#: quadrature window follows the structure.
+WIRE_OFF_CENTRE = (SMALL_WIRE.split("[numeric]")[0]
+                   .replace("engine = both", "engine = analytic")
+                   .replace(",trace,compare,summary,snapshots", ",summary")
+                   .replace("radius_nm = 10.0\n", "radius_nm = 10.0\ncenter_x_nm = 150.0\n"))
+
 #: A strong numeric run that leaves the grid at t = 12.1 fs (exit 2).
 FAILING_NUMERIC = """[scenario]
 engine = numeric
@@ -139,6 +146,7 @@ TABLE = (
     *(Command(f"preset-{name}", argvs=(("preset", name, "--out", "out"),))
       for name in ("fig2", "fig4-limited", "fig4-chirped")),
     _run("both-512x256", SMALL_WIRE),
+    _run("wire-off-centre", WIRE_OFF_CENTRE),
     _sweep("sweep-fig2-one-error", "1000,60000"),
     _sweep("sweep-fig2-all-failing", "40000,60000"),
     _run("numeric-fails-mid-run", FAILING_NUMERIC),
