@@ -3,10 +3,9 @@
 A monochromatic near field Phi0(x, y) cos(omega t + phase) imprints on a
 passing electron a phase set entirely by two transverse profiles: the cosine
 and sine Fourier components of Phi0 along the trajectory at the spatial
-frequency delta_k = omega / v0 (the wavevector mismatch).  This module
-computes those components along the whole straight line: by adaptive
-quadrature over a window about the structure, and in closed form beyond it,
-where every model is exactly a sum of 2D line dipoles.
+frequency delta_k = omega / v0 (the wavevector mismatch).  Both models have
+these components in closed form along the whole straight line, exact to
+rounding (`coupling_integrals`), so no trajectory is ever sampled.
 """
 
 from __future__ import annotations
@@ -15,14 +14,13 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import erfc, erfcx, exp1
 
 from .core import _SQRT8LN2
 from .errors import DomainError
+# Unused here; kept because the benchmark tracer patches nearfield.adaptive_quad.
 from .quadrature import adaptive_quad
 from .units import C0, ELECTRON_CHARGE, HBAR
-
-#: Absolute tolerance of the coupling integrals, in rad.
-COUPLING_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -78,9 +76,23 @@ class WireModel:
         r2 = np.maximum(r2, self.radius_nm**2)
         return field_v_per_nm * self.response * self.radius_nm**2 * ys / r2
 
-    def far_field_dipoles(self, field_v_per_nm: float):
-        """((weight, y_c),): the potential outside r = R, weight * (y - y_c) / r^2."""
-        return ((field_v_per_nm * self.response * self.radius_nm**2, self.center[1]),)
+    def cosine_transform(self, y, delta_k: float, field_v_per_nm: float):
+        """F(y) = integral of the potential at (cx + u, y) times cos(delta_k u)
+        over all u, in V nm; the closed forms are in `coupling_integrals`."""
+        k, r = delta_k, self.radius_nm
+        amp = field_v_per_nm * self.response
+        eta = np.asarray(y, dtype=float) - self.center[1]
+        dist = np.abs(eta)
+        out = math.pi * amp * r * r * np.exp(-k * dist)
+        inside = dist < r
+        d = dist[inside]
+        a = np.sqrt((r - d) * (r + d))
+        # 2 A R^2 d J = A R^2 Im[e^{i k a} (g(z1) - g(z2))] with g(z) = e^z E1(z).
+        ka = k * a
+        g = _exp_e1((-k * d) - 1j * ka) - _exp_e1((k * d) - 1j * ka)
+        out[inside] = (2.0 * amp * d * np.sin(ka) / k
+                       + amp * r * r * (np.exp(1j * ka) * g).imag)
+        return np.sign(eta) * out
 
     def peak_potential(self, field_v_per_nm: float) -> float:
         return field_v_per_nm * self.response * self.radius_nm
@@ -88,6 +100,21 @@ class WireModel:
     @property
     def extent_hint(self) -> float:
         return self.radius_nm
+
+
+def _exp_e1(z):
+    """e^z E1(z), elementwise, for complex z off the negative real axis: from
+    scipy's E1, except where Re z >= 1 (its series cancels) or |z| >= 100 (a
+    factor overflows), where 120 steps of the continued fraction
+    1 / (z + 1 - 1 / (z + 3 - 4 / (z + 5 - ...))) give it to rounding."""
+    frac = (z.real >= 1.0) | (np.abs(z) >= 100.0)
+    out = np.empty_like(z)
+    out[~frac] = np.exp(z[~frac]) * exp1(z[~frac])
+    zf, tail = z[frac], 0.0
+    for n in range(120, 0, -1):
+        tail = n * n / (zf + (2 * n + 1) - tail)
+    out[frac] = 1.0 / (zf + 1.0 - tail)
+    return out
 
 
 def _smoothing_ratio(u):
@@ -178,12 +205,24 @@ class GapResonatorModel:
             raise RuntimeError("gap resonator must be calibrated before use")
         return self.moment * self._potential_unit(x, y)
 
-    def far_field_dipoles(self, field_v_per_nm: float | None = None):
-        """((moment, y_c), ...), one line dipole moment * (y - y_c) / r^2 per
-        site: the potential where exp(-r^2 / (2 sigma^2)) underflows to 0."""
+    def cosine_transform(self, y, delta_k: float, field_v_per_nm: float | None = None):
+        """F(y) = integral of the potential at (cx + u, y) times cos(delta_k u)
+        over all u, in V nm; the closed forms are in `coupling_integrals`."""
         if self.moment is None:
             raise RuntimeError("gap resonator must be calibrated before use")
-        return tuple((self.moment, y_c) for y_c in self._dipole_y())
+        c = delta_k * self.sigma / math.sqrt(2.0)
+        out = 0.0
+        for yc in self._dipole_y():
+            eta = np.asarray(y, dtype=float) - yc
+            dist = np.abs(eta)
+            b = dist / (math.sqrt(2.0) * self.sigma)
+            damp = np.exp(-b * b - c * c)
+            near = np.exp(-delta_k * dist)
+            # abs keeps erfcx finite on the rows where the other branch is taken.
+            t1 = np.where(b > c, damp * erfcx(np.abs(b - c)), near * erfc(b - c))
+            t2 = damp * erfcx(b + c)
+            out = out + np.sign(eta) * (near - 0.5 * (t1 + t2))
+        return self.moment * math.pi * out
 
     def peak_potential(self, field_v_per_nm: float | None = None) -> float:
         if self.peak_potential_v is None:
@@ -240,75 +279,34 @@ class CouplingProfile:
     v0: float
 
 
-def default_x_bounds(model: NearFieldModel, delta_k: float) -> tuple[float, float]:
-    """Quadrature window of the trajectory integral, centred on the structure.
-
-    Beyond 40 * extent_hint every model is exactly its `far_field_dipoles`,
-    and `_dipole_tail` needs delta_k * half >= 10.
-    """
-    half = max(40.0 * model.extent_hint, 10.0 / delta_k)
-    cx = model.center[0]
-    return (cx - half, cx + half)
-
-
-# Gauss-Laguerre rule for integral_0^inf e^-t g(t) dt.
-_LAGUERRE_T, _LAGUERRE_W = np.polynomial.laguerre.laggauss(32)
-
-
-def _dipole_tail(eta, delta_k: float, half: float):
-    """eta * integral_half^inf cos(delta_k u) / (u^2 + eta^2) du, elementwise.
-
-    On the rotated contour u = half + i s the integral is
-    Re[i e^{i delta_k half} integral_0^inf e^{-delta_k s} eta / ((half + i s)^2
-    + eta^2) ds].  Its poles lie delta_k * half from the real axis of
-    t = delta_k s, so the 32-node rule is exact to rounding when
-    delta_k * half >= 10, which `default_x_bounds` guarantees.
-    """
-    eta = np.asarray(eta, dtype=float)[..., None]
-    u = half + 1j * _LAGUERRE_T / delta_k
-    laplace = np.sum(_LAGUERRE_W * eta / (u * u + eta * eta), axis=-1) / delta_k
-    return (1j * np.exp(1j * delta_k * half) * laplace).real
-
-
 def coupling_integrals(model: NearFieldModel, laser: LaserParams, v0: float,
                        ys: np.ndarray):
     """Cosine and sine coupling integrals at the transverse positions ys, in rad.
 
-    Integrates Phi0(x, y) against cos/sin(delta_k x + phase), scaled by
-    -q/(hbar v0), along the whole straight trajectory.  The window of
-    `default_x_bounds` runs by adaptive quadrature.  Beyond it the potential
-    is exactly the sum of the model's `far_field_dipoles`, which is even in
-    x - cx, so both tails fold onto one closed-form term per dipole:
-    2 e^{i(delta_k cx + phase)} w eta integral_half^inf cos(delta_k u) /
-    (u^2 + eta^2) du.
+    Integrates Phi0(x, y) against cos/sin(delta_k x + phase) along the whole
+    straight trajectory, scaled by pref = -q/(hbar v0).  Both potentials are
+    even in u = x - cx, so with k = delta_k, theta = phase + k cx and the
+    model's `cosine_transform` F(y) = integral Phi0(cx + u, y) cos(k u) du,
+    C = pref cos(theta) F and S = pref sin(theta) F.  With eta = y - y_c:
+
+    Wire, A = field * response, d = |eta| and a = sqrt(R^2 - d^2):
+      d >= R:      F = pi A R^2 sgn(eta) e^{-k d};
+      0 < d < R:   F = sgn(eta) [2 A d sin(k a) / k + 2 A R^2 d J], with
+        J = integral_a^inf cos(k u) / (u^2 + d^2) du  (partial fractions at u = +-i d)
+          = Re[(e^{-k d} E1(-k d - i k a) - e^{k d} E1(k d - i k a)) / (2 i d)];
+      d = 0:       F = 0.
+    Gap, summed over its two sites, b = d / (sqrt(2) sigma) and c = k sigma / sqrt(2):
+      F = moment pi sgn(eta) [e^{-k d} - (T1 + T2) / 2], T2 = e^{-b^2 - c^2} erfcx(b + c),
+      T1 = e^{-b^2 - c^2} erfcx(b - c) if b > c, else e^{-k d} erfc(b - c).
     """
     if not v0 > 0.0:
         raise DomainError("electron velocity must be positive")
     delta_k = laser.omega / v0
-    ys = np.asarray(ys, dtype=float)
-
+    transform = model.cosine_transform(ys, delta_k, laser.field_v_per_nm)
     prefactor = -ELECTRON_CHARGE / (HBAR * v0)
-    phase = laser.phase_rad
-    field = laser.field_v_per_nm
-    x_lo, x_hi = default_x_bounds(model, delta_k)
-    max_panel = math.pi / (4.0 * delta_k)
-
-    def integrand(xs):
-        pot = model.potential(xs[:, None], ys[None, :], field)
-        arg = delta_k * xs + phase
-        return pot * np.cos(arg)[:, None], pot * np.sin(arg)[:, None]
-
-    # The tolerance is on the coupling in rad; the quadrature runs on the
-    # bare potential integral, so rescale by the prefactor magnitude.
-    (c_core, s_core), _ = adaptive_quad(integrand, x_lo, x_hi,
-                                        COUPLING_TOL / abs(prefactor), max_panel)
-
-    cx = model.center[0]
-    tail = 2.0 * sum(w * _dipole_tail(ys - y_c, delta_k, x_hi - cx)
-                     for w, y_c in model.far_field_dipoles(field))
-    turn = delta_k * cx + phase
-    return (prefactor * (c_core + math.cos(turn) * tail),
-            prefactor * (s_core + math.sin(turn) * tail))
+    turn = delta_k * model.center[0] + laser.phase_rad
+    return (prefactor * math.cos(turn) * transform,
+            prefactor * math.sin(turn) * transform)
 
 
 def coupling_profile(model: NearFieldModel, laser: LaserParams, v0: float,

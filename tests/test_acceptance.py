@@ -207,8 +207,8 @@ def test_criterion_06_wire_coupling_oracle():
         worst_rel = max(worst_rel, float(np.max(np.abs(c - oracle) / np.abs(oracle))))
         worst_sin = max(worst_sin, float(np.max(np.abs(s))))
     ok = worst_rel <= 1e-8 and worst_sin <= 1e-10
-    record_criterion(6, "trajectory quadrature matches the closed-form wire "
-                        "coupling within 1e-8; sine coupling vanishes",
+    record_criterion(6, "the engine's wire coupling matches the closed-form "
+                        "image-dipole oracle within 1e-8; sine coupling vanishes",
                      bool(ok),
                      f"worst rel = {worst_rel:.2e}, worst |sin| = {worst_sin:.2e}")
     assert worst_rel <= 1e-8

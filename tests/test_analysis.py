@@ -332,12 +332,12 @@ class TestRunSweep:
         assert all(p.populations is not None for p in result.points)
 
     def test_per_point_failure_recorded(self):
-        # A radius far beyond the transverse grid fails its preconditions but
-        # must not kill the sweep.
-        result = run_sweep(self.make_spec([10.0, 4000.0]))
-        assert not result.points[0].error
-        assert result.points[1].error
-        assert math.isnan(result.points[1].depletion)
+        # A radius that is not positive fails its point but must not kill
+        # the sweep.
+        result = run_sweep(self.make_spec([-1.0, 10.0]))
+        assert result.points[0].error.startswith("DomainError")
+        assert math.isnan(result.points[0].depletion)
+        assert not result.points[1].error
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):

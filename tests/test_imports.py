@@ -122,6 +122,9 @@ def test_every_public_name_is_used_outside_unit_tests():
             used |= _referenced_names(_parse(name))
     acceptance = Path(__file__).with_name("test_acceptance.py")
     used |= _referenced_names(ast.parse(acceptance.read_text(encoding="utf-8")))
+    # The benchmark tracer, which patches package functions by name.
+    tracer = ROOT / "perfbench" / "tracing.py"
+    used |= _referenced_names(ast.parse(tracer.read_text(encoding="utf-8")))
     # Entry points, such as nediff = "nediff.cli:main".
     project = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     used |= set(re.findall(r'"nediff\.\w+:(\w+)"', project))

@@ -11,10 +11,8 @@ from nediff.config import build_preset
 from nediff.core import unitary_transform_1d
 from nediff.errors import ConfigurationError, DomainError, NediffError
 from nediff.nearfield import (GapResonatorModel, LaserParams, WireModel,
-                              _dipole_tail, calibrate_gap_amplitude,
-                              coupling_integrals, coupling_profile,
-                              default_x_bounds)
-from nediff.quadrature import SPLIT_BATCH
+                              calibrate_gap_amplitude, coupling_integrals,
+                              coupling_profile)
 from nediff.scenario import ScenarioResult, write_artifacts
 from nediff.units import C0, HBAR, electron_kinematics
 
@@ -94,7 +92,7 @@ class TestGapResonator:
         # Using an uncalibrated gap is a bug (exit 3), not a bad request.
         model = self.make()
         for use in (lambda: model.potential(1.0, 2.0), model.peak_potential,
-                    model.far_field_dipoles):
+                    lambda: coupling_integrals(model, FIG1_LASER, 5.0, np.zeros(3))):
             with pytest.raises(RuntimeError, match="calibrated") as info:
                 use()
             assert not isinstance(info.value, NediffError)
@@ -206,47 +204,6 @@ class TestCouplingIntegrals:
         c2, _ = coupling_integrals(FIG1_WIRE, laser2, v0, np.array([15.0]))
         assert c2 == pytest.approx(2.0 * c1, rel=1e-14)
 
-    @pytest.mark.parametrize("delta_k", [0.005, 0.02, 0.159, 2.0])
-    def test_dipole_tail_matches_fourier_quadrature(self, delta_k):
-        # The closed-form tail against QUADPACK's Fourier integral (QAWF),
-        # from the shortest window the coupling uses, out to dk|eta| > 745
-        # where an exponential-integral form overflows.  The QAWF integrand
-        # is scaled to 1 at u = half; errors are measured in units of the
-        # tail's size |eta| / (dk (half^2 + eta^2)).
-        half = max(400.0, 10.0 / delta_k)
-        mags = np.geomspace(1e-3, 5000.0, 9)
-        etas = np.concatenate([-mags[::-1], [0.0], mags])
-        got = _dipole_tail(etas, delta_k, half)
-        assert np.all(np.isfinite(got)) and got[len(mags)] == 0.0
-        for eta, value in zip(etas, got):
-            n2 = half * half + eta * eta
-            ref, _ = scipy.integrate.quad(lambda u: n2 / (u * u + eta * eta), half,
-                                          np.inf, weight="cos", wvar=delta_k,
-                                          epsabs=1e-10, limlst=200)
-            assert abs(value - eta / n2 * ref) <= 1e-11 * abs(eta) / (delta_k * n2)
-
-
-@pytest.mark.parametrize("model", [
-    replace(FIG1_WIRE, center=(150.0, 3.0)),
-    calibrate_gap_amplitude(GapResonatorModel(
-        separation_nm=23.0, smoothing_fwhm_nm=13.0, peak_field_v_per_nm=0.5,
-        center=(37.0, -2.0))),
-], ids=["wire", "gap"])
-def test_far_field_dipoles_are_the_potential_beyond_the_window(model):
-    # The closed-form tails rest on this: from |x - cx| = half on, the
-    # potential is exactly the sum of the model's line dipoles.
-    cx = model.center[0]
-    for delta_k in (0.159, 0.02):
-        _, x_hi = default_x_bounds(model, delta_k)
-        u = (x_hi - cx) * np.array([1.0, 1.5, 4.0, 100.0])
-        xs = np.concatenate([cx + u, cx - u])[:, None]
-        ys = np.linspace(-80.0, 80.0, 161)[None, :]
-        terms = [w * (ys - y_c) / ((xs - cx) ** 2 + (ys - y_c) ** 2)
-                 for w, y_c in model.far_field_dipoles(0.2)]
-        scale = sum(np.abs(t) for t in terms)
-        pot = model.potential(xs, ys, 0.2)
-        assert np.all(np.abs(pot - sum(terms)) <= 1e-15 * scale)
-
 
 def _rotated(c, s, delta_k, model, laser):
     """C + iS turned back by the laser phase and the structure's x centre."""
@@ -281,10 +238,25 @@ def test_off_centre_wire_against_closed_forms(center_x, phase):
             assert abs(got - ref) <= 5e-9
 
 
+def _folded_gap_coupling(gap, y, delta_k, v0):
+    """C + iS of one row by QAWF, turned back by the structure's x centre.
+
+    Folded about the structure's centre, the even part of the potential
+    carries the cosine transform and the odd part the sine transform."""
+    cx = gap.center[0]
+
+    def folded(u, sign):
+        return gap.potential(cx + u, y) + sign * gap.potential(cx - u, y)
+
+    even, _ = scipy.integrate.quad(folded, 0.0, np.inf, args=(1.0,), weight="cos",
+                                   wvar=delta_k, epsabs=1e-10, limlst=200)
+    odd, _ = scipy.integrate.quad(folded, 0.0, np.inf, args=(-1.0,), weight="sin",
+                                  wvar=delta_k, epsabs=1e-10, limlst=200)
+    return (even + 1j * odd) / (HBAR * v0)
+
+
 @pytest.mark.parametrize("center_x", [0.0, 37.0])
 def test_off_centre_gap_against_fourier_quadrature(center_x):
-    # Folded about the structure's centre, the even part of the potential
-    # carries the cosine transform and the odd part the sine transform.
     cfg = build_preset("fig4-limited")
     gap = calibrate_gap_amplitude(replace(cfg.model, center=(center_x, 0.0)))
     laser = replace(cfg.laser, phase_rad=0.9)
@@ -294,45 +266,101 @@ def test_off_centre_gap_against_fourier_quadrature(center_x):
     c, s = coupling_integrals(gap, laser, v0, ys)
     z = _rotated(c, s, delta_k, gap, laser)
     for y, got in zip(ys, z):
-        def folded(u, sign):
-            return gap.potential(center_x + u, y) + sign * gap.potential(center_x - u, y)
-        even, _ = scipy.integrate.quad(folded, 0.0, np.inf, args=(1.0,), weight="cos",
-                                       wvar=delta_k, epsabs=1e-10, limlst=200)
-        odd, _ = scipy.integrate.quad(folded, 0.0, np.inf, args=(-1.0,), weight="sin",
-                                      wvar=delta_k, epsabs=1e-10, limlst=200)
-        assert abs(got - (even + 1j * odd) / (HBAR * v0)) <= 1e-11
+        assert abs(got - _folded_gap_coupling(gap, y, delta_k, v0)) <= 1e-11
 
 
-def _record_potential_calls(monkeypatch, cls):
-    """Abscissae of each call to cls.potential, one array per call."""
-    calls = []
-    potential = cls.potential
-
-    def recorded(self, x, y, field):
-        calls.append(np.array(x, dtype=float).ravel())
-        return potential(self, x, y, field)
-
-    monkeypatch.setattr(cls, "potential", recorded)
-    return calls
-
-
-def test_both_kernels_share_every_potential_evaluation(monkeypatch):
-    calls = _record_potential_calls(monkeypatch, WireModel)
-    _, v0 = electron_kinematics(100.0)
-    coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, np.array([-25.0, 0.0, 12.0, 40.0]))
-    xs = np.concatenate(calls)
-    assert len(np.unique(xs)) == len(xs)
-
-
-def test_initial_split_is_evaluated_in_bounded_batches(monkeypatch):
-    # 607 initial panels (9,105 abscissae) on the fig4 gap's 1024-row grid.
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_gap_rows_on_both_sides_of_the_erfcx_switch(side):
+    # T1 switches form at b = c, that is |eta| = delta_k sigma^2 from a site.
+    # Rows just inside and outside the switch, on each side of each site,
+    # against the folded quadrature; the two forms meet smoothly there.
     cfg = build_preset("fig4-limited")
-    gap = calibrate_gap_amplitude(cfg.model)
-    calls = _record_potential_calls(monkeypatch, GapResonatorModel)
+    gap = calibrate_gap_amplitude(replace(cfg.model, center=(37.0, -2.0)))
+    laser = replace(cfg.laser, phase_rad=0.9)
     _, v0 = electron_kinematics(cfg.electron.energy_ev)
-    coupling_integrals(gap, cfg.laser, v0, cfg.grid.y)
-    assert sum(len(x) for x in calls) > 15 * SPLIT_BATCH
-    assert max(len(x) for x in calls) <= 15 * SPLIT_BATCH
+    delta_k = laser.omega / v0
+    switch = delta_k * gap.sigma**2
+    steps = np.array([-1e-3, -1e-9, 0.0, 1e-9, 1e-3])
+    for y_c in gap.center[1] + np.array([0.5, -0.5]) * gap.separation_nm:
+        ys = y_c + side * switch * (1.0 + steps)
+        c, s = coupling_integrals(gap, laser, v0, ys)
+        z = _rotated(c, s, delta_k, gap, laser)
+        for y, got in zip(ys, z):
+            assert abs(got - _folded_gap_coupling(gap, y, delta_k, v0)) <= 1e-11
+        assert abs(z[1] - 2.0 * z[2] + z[3]) <= 1e-12
+
+
+def _laplace_wire_coupling(wire, laser, v0, eta):
+    """C + iS of a row through the wire, 0 < |eta| < R, turned back by the
+    laser phase and the x centre: 2 A eta [sin(k a) / k + R^2 J], with
+    J = pi e^{-k|eta|} / (2|eta|) - integral_0^a cos(k u) / (u^2 + eta^2) du."""
+    k = laser.omega / v0
+    r, e = wire.radius_nm, abs(eta)
+    a = math.sqrt((r - e) * (r + e))
+    near, _ = scipy.integrate.quad(lambda u: 1.0 / (u * u + e * e), 0.0, a,
+                                   weight="cos", wvar=k, epsabs=1e-15, epsrel=1e-13)
+    j = math.pi * math.exp(-k * e) / (2.0 * e) - near
+    scale = laser.field_v_per_nm * wire.response / (HBAR * v0)
+    return 2.0 * scale * eta * (math.sin(k * a) / k + r * r * j)
+
+
+@pytest.mark.parametrize("center_x", [0.0, 150.0])
+@pytest.mark.parametrize("energy_ev", [60.0, 100.0, 10000.0])
+@pytest.mark.parametrize("radius", [10.0, 30.0])
+def test_wire_interior_rows_against_laplace_reference(radius, energy_ev, center_x):
+    # Every fig1 grid row that passes through the wire: the fig1 wire, and
+    # one from the fig3 radius scan whose delta_k R lies in (2, 5).
+    wire = replace(FIG1_WIRE, radius_nm=radius, center=(center_x, 0.0))
+    ys = build_preset("fig1").grid.y
+    ys = ys[(ys != 0.0) & (np.abs(ys) < wire.radius_nm)]
+    _, v0 = electron_kinematics(energy_ev)
+    c, s = coupling_integrals(wire, FIG1_LASER, v0, ys)
+    z = _rotated(c, s, FIG1_LASER.omega / v0, wire, FIG1_LASER)
+    ref = np.array([_laplace_wire_coupling(wire, FIG1_LASER, v0, y) for y in ys])
+    assert np.max(np.abs(z - ref)) <= 1e-13
+
+
+def test_wire_rows_through_the_centre_and_the_surface():
+    # F = 0 on the row through the centre.  At |eta| = R the interior and
+    # exterior forms meet with a common slope: over 1e-9 nm about the
+    # surface the second difference is rounding.
+    wire = replace(FIG1_WIRE, center=(150.0, 3.0))
+    r, eps = wire.radius_nm, 1e-9
+    ys = 3.0 + np.array([0.0, r - eps, r, r + eps, -r + eps, -r, -r - eps])
+    for energy_ev in (60.0, 100.0, 10000.0):
+        _, v0 = electron_kinematics(energy_ev)
+        c, s = coupling_integrals(wire, FIG1_LASER, v0, ys)
+        assert c[0] == 0.0 and s[0] == 0.0
+        z = _rotated(c, s, FIG1_LASER.omega / v0, wire, FIG1_LASER)
+        for i in (1, 4):
+            assert abs(z[i] - 2.0 * z[i + 1] + z[i + 2]) <= 1e-12
+            ref = _laplace_wire_coupling(wire, FIG1_LASER, v0, ys[i] - 3.0)
+            assert abs(z[i] - ref) <= 1e-13
+        oracle = closed_form_wire_coupling(ys[[2, 5]] - 3.0, FIG1_LASER, wire, v0)
+        assert np.max(np.abs(z[[2, 5]] - oracle)) <= 1e-14
+
+
+def test_wire_centred_at_a_subnormal_y():
+    # On the row y = 0, eta is subnormal: its coupling is a finite, tiny
+    # negative number, and every other row is the centred wire's.
+    tiny = replace(FIG1_WIRE, center=(0.0, 1.1125369292536007e-308))
+    ys = np.linspace(-20.0, 20.0, 41)
+    axis = ys == 0.0
+    _, v0 = electron_kinematics(60.0)
+    c, s = coupling_integrals(tiny, FIG1_LASER, v0, ys)
+    centred, _ = coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, ys)
+    assert np.array_equal(c[~axis], centred[~axis]) and np.all(s == 0.0)
+    assert -1e-300 <= c[axis][0] < 0.0
+
+
+def test_wire_interior_beyond_the_exponential_range():
+    # At delta_k R = 1000 the factors e^{k|eta|} of the E1 form overflow;
+    # rows through the wire stay exact.
+    v0 = FIG1_LASER.omega / 100.0
+    ys = np.array([-9.99, -7.5, -0.5, 0.5, 3.0, 7.5, 9.9])
+    c, s = coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, ys)
+    ref = np.array([_laplace_wire_coupling(FIG1_WIRE, FIG1_LASER, v0, y) for y in ys])
+    assert np.max(np.abs(c - ref)) <= 1e-13 and np.all(s == 0.0)
 
 
 @pytest.fixture(scope="module")
