@@ -201,13 +201,13 @@ def energy_bandwidth_fwhm(psi: Wavepacket) -> float:
 def transverse_splitting(profile: CouplingProfile, envelope=None) -> float:
     """Transverse diffraction scale delta_ky of a coupling profile.
 
-    Locates the maximum y_slit of the coupling magnitude |C - iS| (weighted
+    Locates the maximum y_slit of the coupling magnitude |P| (weighted
     by the transverse envelope when given) and returns pi / (2 y_slit), the
     fringe half-spacing of an effective double slit at +-y_slit.  Unlike the
     separation of the lobes of the coupling transform, this measure stays
     single-valued through the coupling recurrences where lobes come and go.
     """
-    mag = np.hypot(profile.coupling_cos, profile.coupling_sin)
+    mag = np.abs(profile.coupling)
     if envelope is not None:
         mag = mag * np.abs(np.asarray(envelope))
     if float(mag.max()) <= 0.0:

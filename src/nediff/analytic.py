@@ -1,15 +1,16 @@
 """Closed-form interaction engine: phase masks, photon orders, free flight.
 
 The near-field interaction multiplies the envelope by exp(i dphi) with
-dphi(x, y) = C(y) cos(dk x) + S(y) sin(dk x) = R cos(dk x - phi), where
-C - iS = R e^{-i phi}.  At any laser phase the Jacobi-Anger identity resolves
-the result into photon orders n with transverse amplitudes
-i^|n| J_|n|(R(y)) e^{-i n phi(y)} g_perp(y), which this module evaluates
+dphi(x, y) = P(y) cos(dk x - theta), one real coupling profile turned by one
+phase.  At any laser phase the Jacobi-Anger identity resolves the result into
+photon orders n with transverse amplitudes
+i^|n| J_|n|(P(y)) e^{-i n theta} g_perp(y), which this module evaluates
 exactly, as a truncated power series, and in the single-path weak-field limit.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -25,19 +26,16 @@ from .units import ELECTRON_MASS, HBAR
 
 @dataclass(frozen=True)
 class PhaseMask:
-    """Interaction phase C(y) cos(dk x) + S(y) sin(dk x) on a grid, kept as
-    its 1D factors and evaluated a row block at a time."""
+    """Interaction phase P(y) cos(dk x - theta) on a grid, kept as its 1D
+    factors and evaluated a row block at a time."""
 
-    coupling_cos: np.ndarray
-    coupling_sin: np.ndarray
+    coupling: np.ndarray
     cos_x: np.ndarray
-    sin_x: np.ndarray
     grid: Grid2D
 
     def phase(self, rows: slice) -> np.ndarray:
         """The phase on the given grid rows, shape (rows, nx)."""
-        return (self.coupling_cos[rows, None] * self.cos_x[None, :]
-                + self.coupling_sin[rows, None] * self.sin_x[None, :])
+        return self.coupling[rows, None] * self.cos_x[None, :]
 
 def build_phase_mask(profile: CouplingProfile, grid: Grid2D) -> PhaseMask:
     """The interaction phase on the grid; no full-grid array is built."""
@@ -45,10 +43,8 @@ def build_phase_mask(profile: CouplingProfile, grid: Grid2D) -> PhaseMask:
             profile.y, grid.y, rtol=0.0, atol=1e-12):
         raise ConfigurationError(
             "coupling profile is not sampled on the grid's y axis")
-    arg = profile.delta_k * grid.x
-    return PhaseMask(coupling_cos=profile.coupling_cos,
-                     coupling_sin=profile.coupling_sin,
-                     cos_x=np.cos(arg), sin_x=np.sin(arg), grid=grid)
+    return PhaseMask(coupling=profile.coupling,
+                     cos_x=np.cos(profile.delta_k * grid.x - profile.theta), grid=grid)
 
 
 def apply_interaction(psi: Wavepacket, mask: PhaseMask) -> Wavepacket:
@@ -109,29 +105,18 @@ def transverse_envelope(psi: Wavepacket) -> np.ndarray:
     return gy / nrm
 
 
-def _ladder_phasor(profile: CouplingProfile, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """R = |K| with K = C - iS, and order n's phasor (K/R)^n: the conjugate
-    (K*/R)^|n| for n < 0, and 1 where R is 0 or subnormal (1/R overflows)."""
-    k = profile.coupling_cos - 1j * profile.coupling_sin
-    r = np.abs(k)
-    unit = np.divide(k if n >= 0 else k.conj(), r, out=np.ones_like(k),
-                     where=r >= np.finfo(float).tiny)
-    return r, unit ** abs(n)
-
-
 def order_amplitudes_exact(psi: Wavepacket, profile: CouplingProfile,
                            n_max: int) -> OrderDecomposition:
-    """Exact photon-order amplitudes a_n = i^|n| J_|n|(R) u_n g_perp.
+    """Exact photon-order amplitudes a_n = i^|n| J_|n|(P) e^{-i n theta} g_perp.
 
-    R = |C - iS| and u_n is the order's phase ladder (`_ladder_phasor`), so
-    the decomposition holds at any laser phase.
+    P is signed: J_m(-x) = (-1)^m J_m(x) carries its sign into every order.
     """
     gy = transverse_envelope(psi)
     orders = np.arange(-n_max, n_max + 1)
     amps = np.empty((len(orders), len(gy)), dtype=np.complex128)
     for i, n in enumerate(orders):
-        r, u = _ladder_phasor(profile, n)
-        amps[i] = (1j ** abs(n)) * scipy.special.jv(abs(n), r) * u * gy
+        amps[i] = (1j ** abs(n) * cmath.exp(-1j * n * profile.theta)
+                   * scipy.special.jv(abs(n), profile.coupling) * gy)
     ky, spectra = unitary_transform_1d(amps, profile.y)
     return OrderDecomposition(orders=orders, y=profile.y.copy(), amplitudes=amps,
                               ky=ky, spectra=spectra)
@@ -172,14 +157,14 @@ class OrderSpectrum:
 def weak_field_order(psi: Wavepacket, profile: CouplingProfile, n: int) -> OrderSpectrum:
     """Single-path (weak-field) transverse spectrum of order n.
 
-    Keeps only the most direct path, a_n = i^|n| (K_n/2)^|n| / |n|! g_perp
-    with K_n = C - iS for n >= 0 and its conjugate for n < 0, whose spectrum
-    is the |n|-fold convolution of the initial transverse spectrum with the
-    coupling transform.
+    Keeps only the most direct path,
+    a_n = i^|n| (P/2)^|n| / |n|! e^{-i n theta} g_perp, whose spectrum is the
+    |n|-fold convolution of the initial transverse spectrum with the coupling
+    transform.
     """
     gy = transverse_envelope(psi)
-    r, u = _ladder_phasor(profile, n)
-    amp = (1j ** abs(n)) * (r / 2.0) ** abs(n) / math.factorial(abs(n)) * u * gy
+    amp = (1j ** abs(n) * cmath.exp(-1j * n * profile.theta) / math.factorial(abs(n))
+           * (profile.coupling / 2.0) ** abs(n) * gy)
     ky, vals = unitary_transform_1d(amp, profile.y)
     return OrderSpectrum(order=n, ky=ky, values=vals)
 

@@ -156,8 +156,8 @@ def _cmd_preset(args) -> int:
 def _cmd_compare(args) -> int:
     psi_a = gridio.read_grid(args.grid_a)
     psi_b = gridio.read_grid(args.grid_b)
-    if psi_a.amplitudes.shape != psi_b.amplitudes.shape:
-        raise ConfigurationError("grids have different shapes")
+    if psi_a.grid != psi_b.grid or psi_a.k0 != psi_b.k0:
+        raise ConfigurationError("grid dumps have different axes or carrier wavevectors")
     rho_a = momentum_density(psi_a).values
     rho_b = momentum_density(psi_b).values
     print(f"relative_l2_momentum_density = {rel_l2(rho_a, rho_b):.9g}")

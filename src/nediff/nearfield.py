@@ -1,11 +1,11 @@
-"""Scalar near-field models and the coupling integrals they induce.
+"""Scalar near-field models and the coupling profile they induce.
 
 A monochromatic near field Phi0(x, y) cos(omega t + phase) imprints on a
-passing electron a phase set entirely by two transverse profiles: the cosine
-and sine Fourier components of Phi0 along the trajectory at the spatial
-frequency delta_k = omega / v0 (the wavevector mismatch).  Both models have
-these components in closed form along the whole straight line, exact to
-rounding (`coupling_integrals`), so no trajectory is ever sampled.
+passing electron a phase set by one real transverse profile P(y), the
+Fourier transform of Phi0 along the trajectory at the spatial frequency
+delta_k = omega / v0 (the wavevector mismatch), turned by one phase theta.
+Both models have P in closed form along the whole straight line, exact to
+rounding (`coupling_profile`), so no trajectory is ever sampled.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class WireModel:
 
     def cosine_transform(self, y, delta_k: float, field_v_per_nm: float):
         """F(y) = integral of the potential at (cx + u, y) times cos(delta_k u)
-        over all u, in V nm; the closed forms are in `coupling_integrals`."""
+        over all u, in V nm; the closed forms are in `coupling_profile`."""
         k, r = delta_k, self.radius_nm
         amp = field_v_per_nm * self.response
         eta = np.asarray(y, dtype=float) - self.center[1]
@@ -207,7 +207,7 @@ class GapResonatorModel:
 
     def cosine_transform(self, y, delta_k: float, field_v_per_nm: float | None = None):
         """F(y) = integral of the potential at (cx + u, y) times cos(delta_k u)
-        over all u, in V nm; the closed forms are in `coupling_integrals`."""
+        over all u, in V nm; the closed forms are in `coupling_profile`."""
         if self.moment is None:
             raise RuntimeError("gap resonator must be calibrated before use")
         c = delta_k * self.sigma / math.sqrt(2.0)
@@ -264,30 +264,30 @@ NearFieldModel = WireModel | GapResonatorModel
 
 @dataclass(frozen=True)
 class CouplingProfile:
-    """Sampled coupling integrals for one (model, laser, velocity) triple.
+    """Sampled coupling for one (model, laser, velocity) triple.
 
-    coupling_cos multiplies cos(delta_k x') in the interaction phase and
-    coupling_sin multiplies sin(delta_k x'); |C - iS| sets the order weights.
+    The interaction phase is coupling(y) cos(delta_k x - theta): `coupling`
+    is the real profile P(y) and `theta` the phase that turns it, both in rad.
     """
 
     y: np.ndarray
-    coupling_cos: np.ndarray
-    coupling_sin: np.ndarray
+    coupling: np.ndarray
+    theta: float
     delta_k: float
     model: NearFieldModel
     laser: LaserParams
     v0: float
 
 
-def coupling_integrals(model: NearFieldModel, laser: LaserParams, v0: float,
-                       ys: np.ndarray):
-    """Cosine and sine coupling integrals at the transverse positions ys, in rad.
+def coupling_profile(model: NearFieldModel, laser: LaserParams, v0: float,
+                     y_grid: np.ndarray) -> CouplingProfile:
+    """The coupling profile at the transverse positions y_grid.
 
-    Integrates Phi0(x, y) against cos/sin(delta_k x + phase) along the whole
-    straight trajectory, scaled by pref = -q/(hbar v0).  Both potentials are
-    even in u = x - cx, so with k = delta_k, theta = phase + k cx and the
-    model's `cosine_transform` F(y) = integral Phi0(cx + u, y) cos(k u) du,
-    C = pref cos(theta) F and S = pref sin(theta) F.  With eta = y - y_c:
+    Integrates Phi0(x, y) cos(delta_k x + phase) along the whole straight
+    trajectory, scaled by pref = -q/(hbar v0).  Both potentials are even in
+    u = x - cx, so with k = delta_k, theta = phase + k cx and the model's
+    `cosine_transform` F(y) = integral Phi0(cx + u, y) cos(k u) du, the phase
+    is P cos(k x - theta) with P = pref F.  With eta = y - y_c:
 
     Wire, A = field * response, d = |eta| and a = sqrt(R^2 - d^2):
       d >= R:      F = pi A R^2 sgn(eta) e^{-k d};
@@ -301,21 +301,11 @@ def coupling_integrals(model: NearFieldModel, laser: LaserParams, v0: float,
     """
     if not v0 > 0.0:
         raise DomainError("electron velocity must be positive")
+    ys = np.asarray(y_grid, dtype=float)
     delta_k = laser.omega / v0
     transform = model.cosine_transform(ys, delta_k, laser.field_v_per_nm)
-    prefactor = -ELECTRON_CHARGE / (HBAR * v0)
-    turn = delta_k * model.center[0] + laser.phase_rad
-    return (prefactor * math.cos(turn) * transform,
-            prefactor * math.sin(turn) * transform)
-
-
-def coupling_profile(model: NearFieldModel, laser: LaserParams, v0: float,
-                     y_grid: np.ndarray) -> CouplingProfile:
-    """Sample the coupling integrals on a uniform transverse grid."""
-    ys = np.asarray(y_grid, dtype=float)
-    c, s = coupling_integrals(model, laser, v0, ys)
     return CouplingProfile(
-        y=ys, coupling_cos=c, coupling_sin=s,
-        delta_k=laser.omega / v0, model=model, laser=laser, v0=v0,
+        y=ys, coupling=-ELECTRON_CHARGE / (HBAR * v0) * transform,
+        theta=delta_k * model.center[0] + laser.phase_rad,
+        delta_k=delta_k, model=model, laser=laser, v0=v0,
     )
-

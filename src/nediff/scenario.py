@@ -157,7 +157,7 @@ def write_artifacts(result: ScenarioResult, outdir) -> None:
         laser = p.laser
         gridio.write_csv(
             outdir / "profile.csv", ("y_nm", "I1_rad", "I2_rad"),
-            zip(p.y, p.coupling_cos, p.coupling_sin),
+            zip(p.y, math.cos(p.theta) * p.coupling, math.sin(p.theta) * p.coupling),
             comments=(f"model: {p.model!r}",
                       f"laser: wavelength_nm={float(laser.wavelength_nm)!r} "
                       f"field_v_per_nm={float(laser.field_v_per_nm)!r} "

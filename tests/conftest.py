@@ -12,10 +12,11 @@ def record_criterion(number: int, description: str, passed: bool, detail: str = 
 
 
 def uniform_profile(coupling_rad, y_min, y_max, laser, v0, y) -> CouplingProfile:
-    """The one-dimensional PINEM limit: a constant cosine coupling over
-    y_min <= y <= y_max, none elsewhere, and no near-field model behind it."""
+    """The one-dimensional PINEM limit: a constant coupling over
+    y_min <= y <= y_max, none elsewhere, unturned, and no near-field model
+    behind it."""
     c = np.where((y >= y_min) & (y <= y_max), coupling_rad, 0.0)
-    return CouplingProfile(y=y, coupling_cos=c, coupling_sin=np.zeros_like(c),
+    return CouplingProfile(y=y, coupling=c, theta=0.0,
                            delta_k=laser.omega / v0, model=None, laser=laser, v0=v0)
 
 

@@ -23,8 +23,7 @@ from nediff.analytic import (apply_interaction, build_phase_mask,
                              order_amplitudes_exact, order_series_taylor,
                              vacuum_propagate, weak_field_order)
 from nediff.core import Grid2D, gaussian_wavepacket, temporal_spread, to_momentum
-from nediff.nearfield import (LaserParams, WireModel, coupling_integrals,
-                              coupling_profile)
+from nediff.nearfield import LaserParams, WireModel, coupling_profile
 from nediff.numeric import (EvolutionParams, NumericSpec, choose_steps,
                             split_step_evolve)
 from nediff.config import build_preset
@@ -200,7 +199,9 @@ def test_criterion_06_wire_coupling_oracle():
     _, v0_fig1 = electron_kinematics(100.0)
     for v0 in (laser.omega / 0.02, v0_fig1):
         delta_k = laser.omega / v0
-        c, s = coupling_integrals(wire, laser, v0, ys)
+        profile = coupling_profile(wire, laser, v0, ys)
+        c = math.cos(profile.theta) * profile.coupling
+        s = math.sin(profile.theta) * profile.coupling
         scale = (laser.field_v_per_nm * wire.response * r**2 * math.pi
                  / (HBAR * v0))
         oracle = np.sign(ys) * scale * np.exp(-delta_k * np.abs(ys))

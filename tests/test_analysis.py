@@ -77,7 +77,7 @@ class TestMomentumDensity:
         _, v0 = electron_kinematics(100.0)
         laser = LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2, phase_rad=0.7)
         profile = coupling_profile(WIRE, laser, v0, grid.y)
-        assert np.abs(profile.coupling_sin).max() > 0.1
+        assert abs(math.sin(profile.theta)) * np.abs(profile.coupling).max() > 0.1
         packet = gaussian_wavepacket(grid, 100.0, 4.0, 2.0)
         assert np.count_nonzero(packet.amplitudes == 0.0) > grid.nx * grid.ny // 4
         assert 16 * grid.nx * grid.ny > BLOCK_BYTES  # several row blocks
@@ -280,7 +280,7 @@ class TestTransverseSplitting:
         # The literal peak splitting: half the separation of the two
         # dominant lobes of the coupling transform.
         profile, _, _ = interacted
-        ky, vals = unitary_transform_1d(profile.coupling_cos, profile.y)
+        ky, vals = unitary_transform_1d(profile.coupling, profile.y)
         positions, heights = find_peaks(ky, np.abs(vals) ** 2, threshold=0.05)
         top = np.sort(positions[np.argsort(heights)[::-1][:2]])
         assert top[0] < 0.0 < top[1]
@@ -288,8 +288,8 @@ class TestTransverseSplitting:
         assert lobes == pytest.approx(transverse_splitting(profile), rel=0.5)
 
     def test_laser_phase_leaves_the_splitting_unchanged(self):
-        # A laser phase turns C - iS and keeps its magnitude.  At pi/2 the
-        # cosine coupling is rounding noise (|C| < 1e-15 on the fig2 point).
+        # A laser phase only turns the profile, by theta; |P| stays, and with
+        # it the splitting, also at pi/2 where the cosine coupling vanishes.
         cfg = build_preset("fig2").point(577.0)
         envelope = transverse_envelope(scenario.build_initial_state(cfg))
         _, v0 = electron_kinematics(577.0)

@@ -61,9 +61,8 @@ class TestPhaseMask:
 
     def test_pointwise_factorization(self, wire_profile, small_grid):
         mask = build_phase_mask(wire_profile, small_grid)
-        arg = wire_profile.delta_k * small_grid.x
-        expected = (wire_profile.coupling_cos[:, None] * np.cos(arg)[None, :]
-                    + wire_profile.coupling_sin[:, None] * np.sin(arg)[None, :])
+        arg = wire_profile.delta_k * small_grid.x - wire_profile.theta
+        expected = wire_profile.coupling[:, None] * np.cos(arg)[None, :]
         assert np.max(np.abs(mask.phase(slice(None)) - expected)) < 1e-12
 
     def test_periodicity(self, wire_profile, small_grid):
@@ -116,13 +115,11 @@ class TestApplyInteraction:
         _, v0 = electron_kinematics(100.0)
         laser = LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2, phase_rad=0.7)
         profile = coupling_profile(WIRE, laser, v0, g.y)
-        assert np.abs(profile.coupling_sin).max() > 0.1
+        assert abs(math.sin(profile.theta)) * np.abs(profile.coupling).max() > 0.1
         psi = gaussian_wavepacket(g, 100.0, 4.0, 2.0)
         assert np.count_nonzero(psi.amplitudes == 0.0) > g.nx * g.ny // 4
         assert 16 * g.nx * g.ny > BLOCK_BYTES  # several row blocks
-        arg = profile.delta_k * g.x
-        phase = (profile.coupling_cos[:, None] * np.cos(arg)[None, :]
-                 + profile.coupling_sin[:, None] * np.sin(arg)[None, :])
+        phase = profile.coupling[:, None] * np.cos(profile.delta_k * g.x - profile.theta)
         expected = psi.amplitudes * np.exp(1j * phase)
         for workers in (1, 2):
             with scipy.fft.set_workers(workers):
@@ -192,17 +189,18 @@ class TestOrderDecomposition:
             assert s[izero] < 1e-9 * s.max()
 
     def test_ladder_at_sine_coupling(self, packet, wire_profile, small_grid):
-        # C - iS = R e^{-i phi}: order n carries i^|n| J_|n|(R) e^{-i n phi},
-        # and a laser phase theta turns order n by e^{-i n theta}.
+        # With C = P cos(theta) and S = P sin(theta), C - iS = R e^{-i phi}:
+        # order n carries i^|n| J_|n|(R) e^{-i n phi}, and a laser phase
+        # turns order n by e^{-i n phase}.
         _, v0 = electron_kinematics(100.0)
         tilted = LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2,
                              phase_rad=0.7)
         prof = coupling_profile(WIRE, tilted, v0, small_grid.y)
-        assert np.abs(prof.coupling_sin).max() > 0.1
+        assert abs(math.sin(prof.theta)) * np.abs(prof.coupling).max() > 0.1
         dec = order_amplitudes_exact(packet, prof, n_max=8)
         flat = order_amplitudes_exact(packet, wire_profile, n_max=8)
-        r = np.hypot(prof.coupling_cos, prof.coupling_sin)
-        phi = np.arctan2(prof.coupling_sin, prof.coupling_cos)
+        c, s = math.cos(prof.theta) * prof.coupling, math.sin(prof.theta) * prof.coupling
+        r, phi = np.hypot(c, s), np.arctan2(s, c)
         gy = transverse_envelope(packet)
         scale = float(np.max(np.abs(dec.amplitudes)))
         for n in range(-8, 9):
@@ -238,14 +236,16 @@ def ladder_cases(draw):
 
 class TestLadderOracle:
     """The analytic engine against the Jacobi-Anger ladder built here from
-    scipy's Bessel functions: with R = |C - iS| and phi = arg(C + iS),
+    scipy's Bessel functions: with C = P cos(theta), S = P sin(theta),
+    R = |C - iS| and phi = arg(C + iS),
     exp(i R cos(dk x - phi)) = sum_n i^|n| J_|n|(R) e^{-i n phi} e^{i n dk x}."""
 
     GRID = Grid2D.centered(1024, 256, 0.25, 0.5)
 
     @settings(max_examples=15, deadline=None)
     @given(ladder_cases())
-    # A subnormal centre makes R subnormal on the beam axis.
+    # A subnormal centre makes P subnormal on the beam axis, where a division
+    # by |P| would overflow.
     @example((WireModel(radius_nm=4.0, response=0.5, center=(0.0, 1.1125369292536007e-308)),
               LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.25), 60.0))
     def test_mask_and_orders_equal_the_ladder(self, case):
@@ -258,8 +258,9 @@ class TestLadderOracle:
                                   psi.amplitudes.shape)
         g_y = psi.amplitudes[:, ix]
         g_x = psi.amplitudes[iy, :] / psi.amplitudes[iy, ix]
-        r = np.hypot(profile.coupling_cos, profile.coupling_sin)
-        phi = np.arctan2(profile.coupling_sin, profile.coupling_cos)
+        c = math.cos(profile.theta) * profile.coupling
+        s = math.sin(profile.theta) * profile.coupling
+        r, phi = np.hypot(c, s), np.arctan2(s, c)
         r_max = float(r.max())
         n_max = math.ceil(r_max + 8.0 * r_max ** (1.0 / 3.0) + 25.0)
         orders = range(-n_max, n_max + 1)
@@ -337,7 +338,7 @@ class TestWeakFieldOrder:
             return out * np.exp(-1j * ky * grid.y[0])
 
         a = np.fft.ifftshift(uft(gy))
-        b = np.fft.ifftshift(uft(wire_profile.coupling_cos / 2.0))
+        b = np.fft.ifftshift(uft(wire_profile.coupling / 2.0))
         n = grid.ny
         conv = np.zeros(n, dtype=complex)
         for j in range(n):
@@ -358,7 +359,7 @@ class TestWeakFieldOrder:
         tilted = LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2,
                              phase_rad=0.7)
         prof = coupling_profile(WIRE, tilted, v0, small_grid.y)
-        k_bar = prof.coupling_cos + 1j * prof.coupling_sin
+        k_bar = prof.coupling * np.exp(1j * prof.theta)
         gy = transverse_envelope(packet)
         for n in (1, 2):
             ws = weak_field_order(packet, prof, -n)

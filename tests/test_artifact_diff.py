@@ -1,8 +1,11 @@
 """tools/artifact_diff.py: the parent-against-change artifact comparison."""
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 _SPEC = importlib.util.spec_from_file_location(
@@ -41,3 +44,34 @@ def test_compare_counts_empty_directories_and_honours_expect(tmp_path):
                       "only-change": ["run/new.txt"]}
     assert artifact_diff.expected("run/out/snapshots", ["*/out"])
     assert not artifact_diff.expected("run/new.txt", ["*/out"])
+
+
+def _write_grid(path, amplitudes):
+    ny, nx = amplitudes.shape
+    header = f"NEDIFF1 {nx} {ny} 0.5 0.5 0.0 0.0 0.0 51.0 100.0"
+    path.write_bytes(header.encode("ascii") + b"\n"
+                     + np.ascontiguousarray(amplitudes, dtype="<c16").tobytes())
+
+
+def test_magnitude_of_differing_grids_and_tables(tmp_path):
+    a = np.array([[1.0 + 0.0j, 0.0], [0.0, 1.0j]])
+    b = a.copy()
+    b[1, 1] += 3e-16
+    _write_grid(tmp_path / "p.grid", a)
+    _write_grid(tmp_path / "c.grid", b)
+    assert artifact_diff.magnitude(tmp_path / "p.grid", tmp_path / "c.grid") == (
+        f"rel L2 {3e-16 / math.sqrt(2.0):.3g}, max |d| 3e-16")
+    _write_grid(tmp_path / "small.grid", a[:1])
+    assert artifact_diff.magnitude(tmp_path / "p.grid", tmp_path / "small.grid") is None
+
+    table = "# model: {}\norder,population,error\n0,0.5,\n1,0.25,x\n"
+    (tmp_path / "p.csv").write_text(table.format("a"), encoding="utf-8")
+    (tmp_path / "c.csv").write_text(table.format("b").replace("0.25,x", "0.5,y"),
+                                    encoding="utf-8")
+    (tmp_path / "same.csv").write_text(table.format("b"), encoding="utf-8")
+    (tmp_path / "short.csv").write_text(table.format("a")[:-9], encoding="utf-8")
+    assert artifact_diff.magnitude(tmp_path / "p.csv", tmp_path / "c.csv") == (
+        "max |d| population 0.25")
+    assert artifact_diff.magnitude(tmp_path / "p.csv", tmp_path / "same.csv") == (
+        "numeric cells identical")
+    assert artifact_diff.magnitude(tmp_path / "p.csv", tmp_path / "short.csv") is None

@@ -99,12 +99,20 @@ def test_compare_grids(run_config, tmp_path, capsys):
     assert "max_abs_field_diff" in text
 
 
-def test_compare_shape_mismatch(tmp_path, capsys):
+@pytest.mark.parametrize("grid_b, energy_b", [
+    (Grid2D.centered(32, 32, 0.5, 0.5), 100.0),
+    (Grid2D.centered(64, 32, 0.25, 0.5), 100.0),
+    (Grid2D.centered(64, 32, 0.5, 0.5), 400.0),
+], ids=["shape", "spacing", "energy"])
+def test_compare_shape_mismatch(tmp_path, capsys, grid_b, energy_b):
+    # Dumps on different axes or at different energies have no cell-by-cell
+    # comparison, even when their shapes agree.
     g1 = gaussian_wavepacket(Grid2D.centered(64, 32, 0.5, 0.5), 100.0, 8.0, 4.0)
-    g2 = gaussian_wavepacket(Grid2D.centered(32, 32, 0.5, 0.5), 100.0, 4.0, 4.0)
+    g2 = gaussian_wavepacket(grid_b, energy_b, 4.0, 4.0)
     write_grid(tmp_path / "a.grid", g1)
     write_grid(tmp_path / "b.grid", g2)
     assert main(["compare", str(tmp_path / "a.grid"), str(tmp_path / "b.grid")]) == 1
+    assert "different axes" in capsys.readouterr().err
 
 
 def test_render_constant_field_is_mid_gray(tmp_path):

@@ -1,4 +1,4 @@
-"""Near-field models and coupling integrals."""
+"""Near-field models and coupling profiles."""
 
 import math
 from dataclasses import replace
@@ -11,8 +11,7 @@ from nediff.config import build_preset
 from nediff.core import unitary_transform_1d
 from nediff.errors import ConfigurationError, DomainError, NediffError
 from nediff.nearfield import (GapResonatorModel, LaserParams, WireModel,
-                              calibrate_gap_amplitude, coupling_integrals,
-                              coupling_profile)
+                              calibrate_gap_amplitude, coupling_profile)
 from nediff.scenario import ScenarioResult, write_artifacts
 from nediff.units import C0, HBAR, electron_kinematics
 
@@ -28,6 +27,14 @@ def closed_form_wire_coupling(y, laser, wire, v0):
              * math.pi / (HBAR * v0))
     y = np.asarray(y, dtype=float)
     return np.sign(y) * scale * np.exp(-delta_k * np.abs(y))
+
+
+def cos_sin_couplings(model, laser, v0, ys):
+    """C = cos(theta) P and S = sin(theta) P: the profile's cosine and sine
+    couplings, which multiply cos(delta_k x) and sin(delta_k x) in the phase."""
+    profile = coupling_profile(model, laser, v0, ys)
+    return (math.cos(profile.theta) * profile.coupling,
+            math.sin(profile.theta) * profile.coupling)
 
 
 def test_laser_frequency_identity():
@@ -92,7 +99,7 @@ class TestGapResonator:
         # Using an uncalibrated gap is a bug (exit 3), not a bad request.
         model = self.make()
         for use in (lambda: model.potential(1.0, 2.0), model.peak_potential,
-                    lambda: coupling_integrals(model, FIG1_LASER, 5.0, np.zeros(3))):
+                    lambda: coupling_profile(model, FIG1_LASER, 5.0, np.zeros(3))):
             with pytest.raises(RuntimeError, match="calibrated") as info:
                 use()
             assert not isinstance(info.value, NediffError)
@@ -172,14 +179,14 @@ class TestGapResonator:
 class TestCouplingIntegrals:
     def test_wire_on_axis_is_zero(self):
         _, v0 = electron_kinematics(100.0)
-        c, s = coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, np.array([0.0]))
+        c, s = cos_sin_couplings(FIG1_WIRE, FIG1_LASER, v0, np.array([0.0]))
         assert c[0] == 0.0 and s[0] == 0.0
 
     def test_wire_closed_form_oracle_infinite_bounds(self):
         # Moderate phase mismatch keeps the oracle's dynamic range benign.
         v0 = FIG1_LASER.omega / 0.02
         ys = np.linspace(10.5, 100.0, 25)
-        c, s = coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, ys)
+        c, s = cos_sin_couplings(FIG1_WIRE, FIG1_LASER, v0, ys)
         oracle = closed_form_wire_coupling(ys, FIG1_LASER, FIG1_WIRE, v0)
         assert np.max(np.abs(c - oracle) / np.abs(oracle)) < 1e-8
         assert np.max(np.abs(s)) < 1e-10
@@ -187,21 +194,21 @@ class TestCouplingIntegrals:
     def test_wire_sine_coupling_vanishes_fig1(self):
         _, v0 = electron_kinematics(100.0)
         ys = np.linspace(-40.0, 40.0, 17)
-        _, s = coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, ys)
+        _, s = cos_sin_couplings(FIG1_WIRE, FIG1_LASER, v0, ys)
         assert np.max(np.abs(s)) < 1e-10
 
     def test_antisymmetry(self):
         _, v0 = electron_kinematics(100.0)
         ys = np.array([-25.0, -12.0, 12.0, 25.0])
-        c, _ = coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, ys)
+        c = coupling_profile(FIG1_WIRE, FIG1_LASER, v0, ys).coupling
         assert abs(c[0] + c[3]) < 1e-9
         assert abs(c[1] + c[2]) < 1e-9
 
     def test_linear_in_field(self):
         _, v0 = electron_kinematics(100.0)
         laser2 = LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.4)
-        c1, _ = coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, np.array([15.0]))
-        c2, _ = coupling_integrals(FIG1_WIRE, laser2, v0, np.array([15.0]))
+        c1 = coupling_profile(FIG1_WIRE, FIG1_LASER, v0, np.array([15.0])).coupling
+        c2 = coupling_profile(FIG1_WIRE, laser2, v0, np.array([15.0])).coupling
         assert c2 == pytest.approx(2.0 * c1, rel=1e-14)
 
 
@@ -224,7 +231,7 @@ def test_off_centre_wire_against_closed_forms(center_x, phase):
     inside = np.abs(ys) < r
     for v0 in (electron_kinematics(100.0)[1], laser.omega / 0.02):
         delta_k = laser.omega / v0
-        c, s = coupling_integrals(wire, laser, v0, ys)
+        c, s = cos_sin_couplings(wire, laser, v0, ys)
         z = _rotated(c, s, delta_k, wire, laser)
         oracle = closed_form_wire_coupling(ys, laser, wire, v0)
         assert np.max(np.abs(z - oracle)[~inside]) <= 1e-11
@@ -263,7 +270,7 @@ def test_off_centre_gap_against_fourier_quadrature(center_x):
     _, v0 = electron_kinematics(cfg.electron.energy_ev)
     delta_k = laser.omega / v0
     ys = np.linspace(-59.5, 60.5, 13)
-    c, s = coupling_integrals(gap, laser, v0, ys)
+    c, s = cos_sin_couplings(gap, laser, v0, ys)
     z = _rotated(c, s, delta_k, gap, laser)
     for y, got in zip(ys, z):
         assert abs(got - _folded_gap_coupling(gap, y, delta_k, v0)) <= 1e-11
@@ -283,7 +290,7 @@ def test_gap_rows_on_both_sides_of_the_erfcx_switch(side):
     steps = np.array([-1e-3, -1e-9, 0.0, 1e-9, 1e-3])
     for y_c in gap.center[1] + np.array([0.5, -0.5]) * gap.separation_nm:
         ys = y_c + side * switch * (1.0 + steps)
-        c, s = coupling_integrals(gap, laser, v0, ys)
+        c, s = cos_sin_couplings(gap, laser, v0, ys)
         z = _rotated(c, s, delta_k, gap, laser)
         for y, got in zip(ys, z):
             assert abs(got - _folded_gap_coupling(gap, y, delta_k, v0)) <= 1e-11
@@ -314,7 +321,7 @@ def test_wire_interior_rows_against_laplace_reference(radius, energy_ev, center_
     ys = build_preset("fig1").grid.y
     ys = ys[(ys != 0.0) & (np.abs(ys) < wire.radius_nm)]
     _, v0 = electron_kinematics(energy_ev)
-    c, s = coupling_integrals(wire, FIG1_LASER, v0, ys)
+    c, s = cos_sin_couplings(wire, FIG1_LASER, v0, ys)
     z = _rotated(c, s, FIG1_LASER.omega / v0, wire, FIG1_LASER)
     ref = np.array([_laplace_wire_coupling(wire, FIG1_LASER, v0, y) for y in ys])
     assert np.max(np.abs(z - ref)) <= 1e-13
@@ -329,7 +336,7 @@ def test_wire_rows_through_the_centre_and_the_surface():
     ys = 3.0 + np.array([0.0, r - eps, r, r + eps, -r + eps, -r, -r - eps])
     for energy_ev in (60.0, 100.0, 10000.0):
         _, v0 = electron_kinematics(energy_ev)
-        c, s = coupling_integrals(wire, FIG1_LASER, v0, ys)
+        c, s = cos_sin_couplings(wire, FIG1_LASER, v0, ys)
         assert c[0] == 0.0 and s[0] == 0.0
         z = _rotated(c, s, FIG1_LASER.omega / v0, wire, FIG1_LASER)
         for i in (1, 4):
@@ -347,8 +354,8 @@ def test_wire_centred_at_a_subnormal_y():
     ys = np.linspace(-20.0, 20.0, 41)
     axis = ys == 0.0
     _, v0 = electron_kinematics(60.0)
-    c, s = coupling_integrals(tiny, FIG1_LASER, v0, ys)
-    centred, _ = coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, ys)
+    c, s = cos_sin_couplings(tiny, FIG1_LASER, v0, ys)
+    centred = coupling_profile(FIG1_WIRE, FIG1_LASER, v0, ys).coupling
     assert np.array_equal(c[~axis], centred[~axis]) and np.all(s == 0.0)
     assert -1e-300 <= c[axis][0] < 0.0
 
@@ -358,7 +365,7 @@ def test_wire_interior_beyond_the_exponential_range():
     # rows through the wire stay exact.
     v0 = FIG1_LASER.omega / 100.0
     ys = np.array([-9.99, -7.5, -0.5, 0.5, 3.0, 7.5, 9.9])
-    c, s = coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, ys)
+    c, s = cos_sin_couplings(FIG1_WIRE, FIG1_LASER, v0, ys)
     ref = np.array([_laplace_wire_coupling(FIG1_WIRE, FIG1_LASER, v0, y) for y in ys])
     assert np.max(np.abs(c - ref)) <= 1e-13 and np.all(s == 0.0)
 
@@ -377,13 +384,13 @@ class TestCouplingProfile:
         assert fig1_profile.delta_k == pytest.approx(0.159, abs=5e-4)
 
     def test_profile_antisymmetric(self, fig1_profile):
-        c = fig1_profile.coupling_cos
+        c = fig1_profile.coupling
         assert np.max(np.abs(c + c[::-1])) < 1e-9 or \
             np.max(np.abs(c[1:] + c[1:][::-1])) < 1e-9
 
     def test_peak_near_surface(self, fig1_profile):
         y = fig1_profile.y
-        c = np.abs(fig1_profile.coupling_cos)
+        c = np.abs(fig1_profile.coupling)
         y_star = abs(y[int(np.argmax(c))])
         r = FIG1_WIRE.radius_nm
         assert 0.6 * r <= y_star <= 1.4 * r
@@ -392,7 +399,7 @@ class TestCouplingProfile:
         _, v0 = electron_kinematics(100.0)
         r = FIG1_WIRE.radius_nm
         ys = np.linspace(2 * r, 6 * r, 33)
-        c, _ = coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, ys)
+        c = coupling_profile(FIG1_WIRE, FIG1_LASER, v0, ys).coupling
         delta_k = FIG1_LASER.omega / v0
         slope = np.polyfit(ys, np.log(np.abs(c)), 1)[0]
         assert slope == pytest.approx(-delta_k, rel=0.02)
@@ -402,7 +409,7 @@ class TestCouplingProfile:
         # Wide enough that the exponential tail at the one unpaired edge cell
         # sits below the 1e-9 parity target.
         ys = np.linspace(-160.0, 158.75, 256)
-        c, _ = coupling_integrals(FIG1_WIRE, FIG1_LASER, v0, ys)
+        c = coupling_profile(FIG1_WIRE, FIG1_LASER, v0, ys).coupling
         ky, vals = unitary_transform_1d(c, ys)
         scale = float(np.max(np.abs(vals)))
         assert float(np.max(np.abs(vals.real))) < 1e-9 * scale
@@ -411,15 +418,15 @@ class TestCouplingProfile:
         assert abs(vals[izero]) < 1e-9 * scale
 
     def test_transform_parseval(self, fig1_profile):
-        ky, vals = unitary_transform_1d(fig1_profile.coupling_cos, fig1_profile.y)
+        ky, vals = unitary_transform_1d(fig1_profile.coupling, fig1_profile.y)
         dy = fig1_profile.y[1] - fig1_profile.y[0]
         lhs = float(np.sum(np.abs(vals) ** 2)) * (ky[1] - ky[0])
-        rhs = float(np.sum(fig1_profile.coupling_cos ** 2)) * dy
+        rhs = float(np.sum(fig1_profile.coupling ** 2)) * dy
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_transform_has_two_symmetric_lobes(self, fig1_profile):
         from nediff.analysis import find_peaks
-        ky, vals = unitary_transform_1d(fig1_profile.coupling_cos, fig1_profile.y)
+        ky, vals = unitary_transform_1d(fig1_profile.coupling, fig1_profile.y)
         pos, heights = find_peaks(ky, np.abs(vals) ** 2, threshold=0.2)
         top = pos[np.argsort(heights)[::-1][:2]]
         assert top.min() < 0.0 < top.max()
@@ -440,7 +447,7 @@ class TestCouplingProfile:
         assert lines[header_idx] == "y_nm,I1_rad,I2_rad"
         data = np.genfromtxt(path, delimiter=",", skip_header=header_idx + 1)
         assert np.allclose(data[:, 0], fig1_profile.y)
-        assert np.allclose(data[:, 1], fig1_profile.coupling_cos)
+        assert np.allclose(data[:, 1], fig1_profile.coupling)
 
     def test_nonuniform_grid_rejected(self):
         with pytest.raises(ConfigurationError):

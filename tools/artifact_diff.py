@@ -13,9 +13,13 @@ cmd<i>.stderr and cmd<i>.exit.
 
 An entry is a file or an empty directory, named by its path under
 DIR/<side>.  The report gives the identical, differing and one-side-only
-counts and every entry that is not identical.  The exit code is 0 when
-every such entry matches an `--expect` pattern (fnmatch, against the entry
-or any of its parent directories), 1 otherwise.  DIR must not exist yet.
+counts and every entry that is not identical.  Under a differing grid dump
+it gives the relative L2 distance and the largest |difference| of the
+amplitudes; under a differing CSV pair with the same header and row count,
+the largest |difference| of each numeric column that differs.  The exit
+code is 0 when every such entry matches an `--expect` pattern (fnmatch,
+against the entry or any of its parent directories), 1 otherwise.  DIR must
+not exist yet.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ import subprocess
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -213,6 +219,56 @@ def compare(parent: Path, change: Path) -> dict[str, list[str]]:
     return result
 
 
+def _grid_amplitudes(path: Path) -> np.ndarray:
+    """The amplitudes of a NEDIFF1 grid dump: a header line `NEDIFF1 nx ny
+    ...`, then little-endian complex128 values, row-major over y then x."""
+    with open(path, "rb") as fh:
+        header = fh.readline().split()
+        payload = fh.read()
+    return np.frombuffer(payload, dtype="<c16").reshape(int(header[2]), int(header[1]))
+
+
+def _csv_table(path: Path) -> tuple[str, list[list[str]]]:
+    """Header line and cell rows of a CSV artifact, `# ` comments dropped."""
+    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines()
+             if not ln.startswith("#")]
+    return lines[0], [ln.split(",") for ln in lines[1:]]
+
+
+def _float(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def magnitude(left: Path, right: Path) -> str | None:
+    """How far two differing grid dumps or CSV tables are apart, or None
+    when they cannot be compared value by value."""
+    if left.suffix == ".grid":
+        a, b = _grid_amplitudes(left), _grid_amplitudes(right)
+        if a.shape != b.shape:
+            return None
+        d = np.abs(a - b)
+        return (f"rel L2 {np.linalg.norm(d) / np.linalg.norm(a):.3g}, "
+                f"max |d| {d.max():.3g}")
+    if left.suffix != ".csv":
+        return None
+    (head_a, rows_a), (head_b, rows_b) = _csv_table(left), _csv_table(right)
+    if head_a != head_b or len(rows_a) != len(rows_b):
+        return None
+    names = head_a.split(",")
+    worst = {}
+    for row_a, row_b in zip(rows_a, rows_b):
+        for name, x, y in zip(names, row_a, row_b):
+            fx, fy = _float(x), _float(y)
+            if x != y and fx is not None and fy is not None:
+                worst[name] = max(worst.get(name, 0.0), abs(fx - fy))
+    if not worst:
+        return "numeric cells identical"
+    return "max |d| " + ", ".join(f"{n} {worst[n]:.3g}" for n in names if n in worst)
+
+
 def expected(path: str, patterns) -> bool:
     """Whether a pattern matches the path or one of its parent directories."""
     parts = path.split("/")
@@ -235,6 +291,10 @@ def diff(parent: Path, change: Path, work: Path, threads, commands, expect) -> i
             ok = expected(path, expect)
             unexpected += not ok
             print(f"{outcome} {path}" + (" (expected)" if ok else ""))
+            if outcome == "differing":
+                size = magnitude(work / "parent" / path, work / "change" / path)
+                if size is not None:
+                    print(f"  {size}")
     print(f"unexpected: {unexpected}")
     return 1 if unexpected else 0
 
