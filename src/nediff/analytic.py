@@ -55,11 +55,18 @@ def apply_interaction(psi: Wavepacket, mask: PhaseMask) -> Wavepacket:
     out = np.empty(amps.shape, dtype=np.complex128)
 
     def interact(rows):
-        # exp first, then psi in place: the factor must be the left operand of
-        # the in-place multiply to keep the bits (signed zeros included) of
-        # psi * exp(1j * phase); np.multiply(psi, e, out=e) flips some.
+        # cos(phase) + i sin(phase) is exp(1j * phase) bit for bit except at
+        # phase -0: 1j * phase has imaginary part 0 + (-0) = +0 there, while
+        # sin(-0) is -0, and that sign reaches the product where an amplitude
+        # has a -0 part.  phase += 0.0 turns -0 into +0 and changes nothing
+        # else.  The factor must be the left operand of the in-place multiply
+        # to keep the bits (signed zeros included) of psi * exp(1j * phase);
+        # np.multiply(psi, e, out=e) flips some.
         factor = out[rows]
-        np.exp(1j * mask.phase(rows), out=factor)
+        phase = mask.phase(rows)
+        phase += 0.0
+        np.cos(phase, out=factor.real)
+        np.sin(phase, out=factor.imag)
         factor *= amps[rows]
 
     with block_pool() as pool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from .analysis import (Crosscut, DensityMap, SidebandTable,
 from .analytic import (apply_interaction, build_phase_mask, transverse_envelope,
                        vacuum_propagate)
 from .config import ScenarioConfig, SweepSpec, serialize_config
-from .core import (Wavepacket, bandwidth_to_fwhm_x, check_coverage,
+from .core import (Grid2D, Wavepacket, bandwidth_to_fwhm_x, check_coverage,
                    gaussian_wavepacket)
 from .errors import AnalysisError, NediffError
 from .nearfield import (CouplingProfile, GapResonatorModel,
@@ -65,7 +66,9 @@ def resolve_model(cfg: ScenarioConfig):
     return model
 
 
-def build_initial_state(cfg: ScenarioConfig) -> Wavepacket:
+def _gaussian_inputs(cfg: ScenarioConfig) -> tuple[Grid2D, float, float,
+                                                    tuple[float, float]]:
+    """What the initial Gaussian's amplitudes depend on: grid, FWHMs, center."""
     e = cfg.electron
     if e.fwhm_x_nm is not None:
         fwhm_x = e.fwhm_x_nm
@@ -75,8 +78,49 @@ def build_initial_state(cfg: ScenarioConfig) -> Wavepacket:
         fwhm_y = e.fwhm_y_nm
     else:
         fwhm_y = e.fwhm_y_radius_scale * cfg.model.radius_nm
-    psi = gaussian_wavepacket(cfg.grid, e.energy_ev, fwhm_x, fwhm_y,
-                              center=(e.center_x_nm, e.center_y_nm))
+    return cfg.grid, fwhm_x, fwhm_y, (e.center_x_nm, e.center_y_nm)
+
+
+#: Any valid energy: a Gaussian's amplitudes do not depend on it, only k0 does.
+_SHARED_BUILD_ENERGY_EV = 100.0
+
+
+def gaussian_state(grid: Grid2D, fwhm_x: float, fwhm_y: float,
+                   center: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only amplitudes of a normalized Gaussian that passed
+    `check_coverage`, and their `transverse_envelope`.
+
+    The arguments are exactly what the amplitudes depend on, so sweep points
+    that agree on them can share one result; each attaches its own k0.
+    """
+    psi = gaussian_wavepacket(grid, _SHARED_BUILD_ENERGY_EV, fwhm_x, fwhm_y,
+                              center=center)
+    check_coverage(psi)
+    envelope = transverse_envelope(psi)
+    psi.amplitudes.flags.writeable = False
+    envelope.flags.writeable = False
+    return psi.amplitudes, envelope
+
+
+def _shared_gaussian(cfg: ScenarioConfig, gaussians):
+    """cfg's (amplitudes, envelope) from the `gaussian_state` cache
+    `gaussians`, or None when the point builds its own: without a cache, and
+    after a free flight, whose rounding through (k0 + kx) - k0 depends on k0."""
+    if gaussians is None or cfg.electron.prepropagation_fs > 0.0:
+        return None
+    return gaussians(*_gaussian_inputs(cfg))
+
+
+def build_initial_state(cfg: ScenarioConfig, gaussians=None) -> Wavepacket:
+    """The initial packet; shared from the `gaussian_state` cache `gaussians`
+    when the point may share it (see `run_sweep`)."""
+    e = cfg.electron
+    shared = _shared_gaussian(cfg, gaussians)
+    if shared is not None:
+        k0, _ = electron_kinematics(e.energy_ev)
+        return Wavepacket(grid=cfg.grid, amplitudes=shared[0], t=0.0, k0=k0)
+    grid, fwhm_x, fwhm_y, center = _gaussian_inputs(cfg)
+    psi = gaussian_wavepacket(grid, e.energy_ev, fwhm_x, fwhm_y, center=center)
     check_coverage(psi)
     if e.prepropagation_fs > 0.0:
         psi = vacuum_propagate(psi, e.prepropagation_fs,
@@ -90,13 +134,16 @@ def _engine_output(psi: Wavepacket, delta_k: float) -> EngineOutput:
                         sidebands=sideband_populations(dmap, psi.k0, delta_k))
 
 
-def run_scenario(cfg: ScenarioConfig, outdir=None) -> ScenarioResult:
-    """Execute one scenario; optionally write the artifact bundle."""
+def run_scenario(cfg: ScenarioConfig, outdir=None, gaussians=None) -> ScenarioResult:
+    """Execute one scenario; optionally write the artifact bundle.
+
+    gaussians is a sweep's cache of `gaussian_state` (see `run_sweep`).
+    """
     _, v0 = electron_kinematics(cfg.electron.energy_ev)
     # Unbinnable photon orders fail the run before any engine work or file.
     check_sideband_spacing(cfg.laser.omega / v0, cfg.grid.dkx)
     model = resolve_model(cfg)
-    psi0 = build_initial_state(cfg)
+    psi0 = build_initial_state(cfg, gaussians)
     profile = coupling_profile(model, cfg.laser, v0, cfg.grid.y)
     delta_k = profile.delta_k
 
@@ -279,9 +326,18 @@ class SweepResult:
         gridio.write_csv(path, header, rows)
 
 
-def run_sweep_point(spec: SweepSpec, value: float) -> SweepPoint:
-    """Run one sweep point and extract the scan metrics."""
-    result = run_scenario(spec.point(value))
+def run_sweep_point(spec: SweepSpec, value: float, gaussians=None) -> SweepPoint:
+    """Run one sweep point and extract the scan metrics.
+
+    gaussians is the sweep's cache of `gaussian_state`, or None to build the
+    initial packet as a single run does.
+    """
+    cfg = spec.point(value)
+    if gaussians is not None:
+        # The point's own memo: the envelope lookup below must not miss when
+        # another pool thread has since replaced the sweep's one entry.
+        gaussians = functools.lru_cache(maxsize=1)(gaussians)
+    result = run_scenario(cfg, gaussians=gaussians)
     out = result.primary()
     dmap = out.density
     k0 = out.psi.k0
@@ -294,8 +350,12 @@ def run_sweep_point(spec: SweepSpec, value: float) -> SweepPoint:
         dkx_measured = peak_spacing(marginal)
     except AnalysisError:
         dkx_measured = math.nan
+    shared = _shared_gaussian(cfg, gaussians)
     try:
-        envelope = transverse_envelope(result.psi_initial)
+        if shared is not None:
+            envelope = shared[1]
+        else:
+            envelope = transverse_envelope(result.psi_initial)
         dky = transverse_splitting(result.profile, envelope=envelope)
     except AnalysisError:
         dky = math.nan
@@ -316,10 +376,16 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     GIL) and are assembled in parameter order.  A point failing with a nediff
     error is recorded and the sweep continues; any other exception is a bug
     and propagates.
+
+    Points whose Gaussian inputs agree with the previous lookup's share one
+    read-only initial packet and envelope from a one-entry cache that lives
+    as long as this call; a packet after a free flight is never shared.
     """
+    gaussians = functools.lru_cache(maxsize=1)(gaussian_state)
+
     def one(value: float) -> SweepPoint:
         try:
-            return run_sweep_point(spec, value)
+            return run_sweep_point(spec, value, gaussians=gaussians)
         except NediffError as exc:
             return SweepPoint(parameter=value, populations=None,
                               depletion=math.nan, alpha_max_deg=math.nan,

@@ -1,8 +1,10 @@
 """Observables and scan metrics."""
 
 import dataclasses
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +24,8 @@ from nediff import scenario
 from nediff.config import ElectronSpec, ScenarioConfig, SweepSpec, build_preset
 from nediff.core import (BLOCK_BYTES, Grid2D, bandwidth_to_fwhm_x,
                          gaussian_wavepacket, to_momentum, unitary_transform_1d)
-from nediff.errors import AnalysisError, ConfigurationError, DomainError
+from nediff.errors import (AnalysisError, ConfigurationError, DomainError,
+                           NediffError)
 from nediff.nearfield import LaserParams, WireModel, coupling_profile
 from nediff.scenario import run_sweep
 from nediff.units import HBAR, electron_kinematics
@@ -315,15 +318,19 @@ def test_rel_l2():
 
 
 class TestRunSweep:
-    def make_spec(self, radii):
-        template = ScenarioConfig(
+    @staticmethod
+    def template(**electron):
+        return ScenarioConfig(
             engine="analytic",
-            electron=ElectronSpec(energy_ev=100.0, fwhm_x_nm=40.0, fwhm_y_nm=16.0),
+            electron=ElectronSpec(energy_ev=100.0, fwhm_x_nm=40.0, **electron),
             laser=LASER,
             model=WIRE,
             grid=Grid2D.centered(512, 256, 0.5, 0.5),
         )
-        return SweepSpec(template=template, axis="radius_nm", values=tuple(radii))
+
+    def make_spec(self, radii):
+        return SweepSpec(template=self.template(fwhm_y_nm=16.0), axis="radius_nm",
+                         values=tuple(radii))
 
     def test_collects_points_in_order(self):
         result = run_sweep(self.make_spec([6.0, 10.0, 14.0]))
@@ -350,7 +357,7 @@ class TestRunSweep:
     def test_pool_points_use_one_fft_worker(self, monkeypatch):
         seen = []
 
-        def probe(spec, value):
+        def probe(spec, value, gaussians=None):
             seen.append(scipy.fft.get_workers())
             raise DomainError("probe only")
 
@@ -359,6 +366,98 @@ class TestRunSweep:
             result = run_sweep(self.make_spec([6.0, 8.0, 10.0, 12.0]), threads=2)
         assert seen == [1, 1, 1, 1]
         assert all(p.error == "DomainError: probe only" for p in result.points)
+
+    def energy_spec(self, energies, **electron):
+        return SweepSpec(template=self.template(**electron), axis="energy_ev",
+                         values=tuple(energies))
+
+    @staticmethod
+    def assert_points_alone(spec, result):
+        """Each point equals run_sweep_point run alone at its value, bit for
+        bit (NaN included), or failed with the same error."""
+        def same_bits(a, b):
+            a, b = np.asarray(a), np.asarray(b)
+            return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        for value, point in zip(spec.values, result.points):
+            if point.error:
+                with pytest.raises(NediffError) as info:
+                    scenario.run_sweep_point(spec, value)
+                assert point.error == f"{type(info.value).__name__}: {info.value}"
+                continue
+            alone = scenario.run_sweep_point(spec, value)
+            for f in dataclasses.fields(point):
+                a, b = getattr(point, f.name), getattr(alone, f.name)
+                if f.name == "populations":
+                    for g in dataclasses.fields(a):
+                        assert same_bits(getattr(a, g.name), getattr(b, g.name)), g.name
+                elif isinstance(a, float):
+                    assert same_bits(a, b), f.name
+                else:
+                    assert a == b, f.name
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        """Record a weak reference to the amplitudes of every Gaussian built."""
+        built = []
+        build = scenario.gaussian_wavepacket
+
+        def counted(*args, **kwargs):
+            psi = build(*args, **kwargs)
+            built.append(weakref.ref(psi.amplitudes))
+            return psi
+
+        monkeypatch.setattr(scenario, "gaussian_wavepacket", counted)
+        return built
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_energy_points_share_one_read_only_packet(self, monkeypatch, threads):
+        # 400 eV fails its sideband spacing check before any packet is built.
+        spec = self.energy_spec([30.0, 50.0, 70.0, 100.0, 400.0], fwhm_y_nm=16.0)
+        built = self.count_builds(monkeypatch)
+        writes = []
+        interact = scenario.apply_interaction
+
+        def probing(psi, mask):
+            try:
+                psi.amplitudes[0, 0] = 0.0
+            except ValueError:
+                writes.append("rejected")
+            else:
+                writes.append("accepted")
+            return interact(psi, mask)
+
+        monkeypatch.setattr(scenario, "apply_interaction", probing)
+        result = run_sweep(spec, threads=threads)
+        assert [bool(p.error) for p in result.points] == [False] * 4 + [True]
+        assert 1 <= len(built) <= threads
+        assert writes == ["rejected"] * 4
+        gc.collect()
+        assert all(ref() is None for ref in built)
+        # A point run alone owns a writable packet, which the probe would change.
+        monkeypatch.setattr(scenario, "apply_interaction", interact)
+        self.assert_points_alone(spec, result)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_radius_points_build_their_own_packet(self, monkeypatch, threads):
+        # The transverse width follows the radius, so no two points share.
+        spec = SweepSpec(template=self.template(fwhm_y_radius_scale=2.0),
+                         axis="radius_nm", values=(6.0, 8.0, 10.0))
+        built = self.count_builds(monkeypatch)
+        result = run_sweep(spec, threads=threads)
+        assert all(not p.error for p in result.points)
+        assert len(built) == len(spec.values)
+        self.assert_points_alone(spec, result)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_prepropagated_points_build_their_own_packet(self, monkeypatch, threads):
+        spec = self.energy_spec([50.0, 70.0, 100.0], fwhm_y_nm=16.0,
+                                prepropagation_fs=20.0)
+        built = self.count_builds(monkeypatch)
+        result = run_sweep(spec, threads=threads)
+        assert all(not p.error for p in result.points)
+        assert len(built) == len(spec.values)
+        self.assert_points_alone(spec, result)
 
     def test_csv_round_trip(self, tmp_path):
         result = run_sweep(self.make_spec([6.0, 10.0]))

@@ -13,14 +13,14 @@ from hypothesis import strategies as st
 from conftest import uniform_profile
 
 from nediff.analysis import momentum_density, rel_l2
-from nediff.analytic import (apply_interaction, build_phase_mask,
+from nediff.analytic import (PhaseMask, apply_interaction, build_phase_mask,
                              order_amplitudes_exact, order_series_taylor,
                              transverse_envelope, vacuum_propagate,
                              weak_field_order)
 from nediff.config import build_preset
 from nediff.core import (BLOCK_BYTES, Grid2D, bandwidth_to_fwhm_x, chirp_flight_time,
-                         gaussian_wavepacket, temporal_spread, to_momentum,
-                         unitary_transform_1d)
+                         Wavepacket, gaussian_wavepacket, temporal_spread,
+                         to_momentum, unitary_transform_1d)
 from nediff.errors import ConfigurationError, DomainError
 from nediff.nearfield import (GapResonatorModel, LaserParams, WireModel,
                              calibrate_gap_amplitude, coupling_profile)
@@ -126,6 +126,30 @@ class TestApplyInteraction:
                 out = apply_interaction(psi, build_phase_mask(profile, g))
             assert np.array_equal(out.amplitudes.view(np.uint64),
                                   expected.view(np.uint64))
+
+    FACTOR_GRID = Grid2D.centered(2, 8, 1.0, 1.0)
+    #: Finite phases, +-0 and subnormals included, up to |phase| = 1e308.
+    PHASES = st.lists(st.floats(min_value=-1e308, max_value=1e308),
+                      min_size=8, max_size=8)
+    #: Amplitudes whose parts are +-0, subnormal or normal.
+    PARTS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1e-310]),
+                      st.floats(min_value=-1e-308, max_value=1e-308),
+                      st.floats(min_value=-1e3, max_value=1e3))
+    AMPS = st.lists(st.builds(complex, PARTS, PARTS), min_size=16, max_size=16)
+
+    @settings(max_examples=300, deadline=None)
+    @given(PHASES, AMPS)
+    # sin(-0) is -0 where exp(1j * -0) has a +0 imaginary part; the product
+    # keeps that sign on an amplitude with a -0 real part.
+    @example([-0.0] * 8, [complex(-0.0, 0.7)] * 16)
+    def test_bits_equal_exp_factor_at_any_phase(self, phases, amps):
+        g = self.FACTOR_GRID
+        mask = PhaseMask(coupling=np.array(phases), cos_x=np.array([1.0, -1.0]), grid=g)
+        psi = Wavepacket(grid=g, amplitudes=np.array(amps).reshape(g.ny, g.nx),
+                         t=0.0, k0=1.0)
+        expected = np.exp(1j * mask.phase(slice(None))) * psi.amplitudes
+        out = apply_interaction(psi, mask)
+        assert np.array_equal(out.amplitudes.view(np.uint64), expected.view(np.uint64))
 
     def test_wrong_grid_rejected(self, packet, wire_profile, small_grid):
         mask = build_phase_mask(wire_profile, small_grid)

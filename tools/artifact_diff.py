@@ -155,9 +155,9 @@ def _run(name: str, config_text: str) -> Command:
     return Command(name, {"run.cfg": config_text}, (("run", "run.cfg", "--out", "out"),))
 
 
-def _sweep(name: str, values: str) -> Command:
-    return Command(name, {"sweep.cfg": f"[sweep]\npreset = fig2\nvalues = {values}\n"},
-                   (("sweep", "sweep.cfg", "--out", "out"),))
+def _sweep(name: str, values: str, preset: str = "fig2", overlay: str = "") -> Command:
+    text = f"[sweep]\npreset = {preset}\nvalues = {values}\n{overlay}"
+    return Command(name, {"sweep.cfg": text}, (("sweep", "sweep.cfg", "--out", "out"),))
 
 
 #: The fixed command table; names are directory names.
@@ -170,6 +170,11 @@ TABLE = (
     _run("gap-off-centre", GAP_OFF_CENTRE),
     _sweep("sweep-fig2-one-error", "1000,60000"),
     _sweep("sweep-fig2-all-failing", "40000,60000"),
+    # Points that build their own initial packet: a width that follows the
+    # radius, and a packet after a free flight.
+    _sweep("sweep-fig3-two-radii", "8,12", preset="fig3"),
+    _sweep("sweep-fig2-prepropagated", "100,400",
+           overlay="\n[electron]\nprepropagation_fs = 100.0\n"),
     _run("numeric-fails-mid-run", FAILING_NUMERIC),
     _run("numeric-fails-at-first-record", BORDER_NUMERIC),
 )
