@@ -78,11 +78,12 @@ def crosscut(dmap: DensityMap, axis: str, value: float) -> Crosscut:
 
 @dataclass(frozen=True)
 class SidebandTable:
-    """Populations binned by photon order."""
+    """Populations binned by photon order, and each bin's rms k_y when the
+    density it came from was at hand."""
 
     orders: np.ndarray
     populations: np.ndarray
-    ky_spread: np.ndarray
+    ky_spread: np.ndarray | None
 
     def population(self, n: int) -> float:
         idx = np.nonzero(self.orders == n)[0]
@@ -102,26 +103,36 @@ def check_sideband_spacing(delta_k: float, dkx: float) -> None:
 
 
 def sideband_populations(dmap: DensityMap, k0: float, delta_k: float) -> SidebandTable:
-    """Integrate k_x bins of width delta_k centered on k0 + n delta_k.
+    """Integrate k_x bins of width delta_k centered on k0 + n delta_k, with
+    each bin's rms k_y (see `bin_sidebands`)."""
+    check_sideband_spacing(delta_k, dmap.dkx)
+    mass_x = dmap.values.sum(axis=0) * dmap.dky * dmap.dkx
+    ky2_x = (dmap.values * dmap.ky[:, None] ** 2).sum(axis=0) * dmap.dky * dmap.dkx
+    return bin_sidebands(dmap.kx, k0, delta_k, mass_x, ky2_x)
+
+
+def bin_sidebands(kx: np.ndarray, k0: float, delta_k: float, mass_x: np.ndarray,
+                  ky2_x: np.ndarray | None = None) -> SidebandTable:
+    """Sum the k_x marginal of the mass, mass_x on the absolute axis kx, over
+    bins of width delta_k centered on k0 + n delta_k.
 
     Only complete bins inside the grid are reported, so the populations sum
-    to at most the total mass.
+    to at most the total mass.  ky2_x, the same marginal weighted by k_y^2,
+    gives each bin's rms k_y; without it the table has no spreads.
     """
-    check_sideband_spacing(delta_k, dmap.dkx)
-    offs = dmap.kx - k0
+    offs = kx - k0
     n_lo = int(math.ceil((offs[0] + 0.5 * delta_k) / delta_k))
     n_hi = int(math.floor((offs[-1] - 0.5 * delta_k) / delta_k))
     orders = np.arange(n_lo, n_hi + 1)
-    mass_x = dmap.values.sum(axis=0) * dmap.dky * dmap.dkx
-    ky2_x = (dmap.values * dmap.ky[:, None] ** 2).sum(axis=0) * dmap.dky * dmap.dkx
     pops = np.empty(len(orders))
-    spread = np.empty(len(orders))
+    spread = None if ky2_x is None else np.empty(len(orders))
     idx = np.floor(offs / delta_k + 0.5).astype(int)
     for i, n in enumerate(orders):
         sel = idx == n
         m = float(mass_x[sel].sum())
         pops[i] = m
-        spread[i] = math.sqrt(float(ky2_x[sel].sum()) / m) if m > 0.0 else 0.0
+        if spread is not None:
+            spread[i] = math.sqrt(float(ky2_x[sel].sum()) / m) if m > 0.0 else 0.0
     return SidebandTable(orders=orders, populations=pops, ky_spread=spread)
 
 
@@ -179,11 +190,15 @@ def deflection_angle(ky, k0: float):
 
 def max_deflection(dmap: DensityMap) -> float:
     """Largest |deflection| carrying at least DEFLECTION_LEVEL*max marginal density."""
-    marg = dmap.values.sum(axis=1)
-    level = DEFLECTION_LEVEL * float(marg.max())
-    sel = np.nonzero(marg >= level)[0]
-    ky_max = max(abs(dmap.ky[sel[0]]), abs(dmap.ky[sel[-1]]))
-    return float(deflection_angle(ky_max, dmap.k0))
+    return marginal_deflection(dmap.ky, dmap.values.sum(axis=1), dmap.k0)
+
+
+def marginal_deflection(ky: np.ndarray, marginal: np.ndarray, k0: float) -> float:
+    """`max_deflection` from the k_y marginal of the density, in any scale."""
+    level = DEFLECTION_LEVEL * float(marginal.max())
+    sel = np.nonzero(marginal >= level)[0]
+    ky_max = max(abs(ky[sel[0]]), abs(ky[sel[-1]]))
+    return float(deflection_angle(ky_max, k0))
 
 
 def energy_bandwidth_fwhm(psi: Wavepacket) -> float:

@@ -6,6 +6,9 @@ phase.  At any laser phase the Jacobi-Anger identity resolves the result into
 photon orders n with transverse amplitudes
 i^|n| J_|n|(P(y)) e^{-i n theta} g_perp(y), which this module evaluates
 exactly, as a truncated power series, and in the single-path weak-field limit.
+For a packet g_y(y) g_x(x), `interaction_factors` keeps the whole interacted
+spectrum as the 1D factors of that sum, from which a sweep point takes its
+metrics without forming the grid.
 """
 
 from __future__ import annotations
@@ -15,10 +18,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.fft as _fft
 import scipy.special
 
-from .core import (Grid2D, Wavepacket, _run_blocks, block_pool, check_coverage,
-                   from_momentum, row_blocks, to_momentum, unitary_transform_1d)
+from .core import (Grid2D, Wavepacket, _run_blocks, axis_marginals, block_pool,
+                   check_coverage, from_momentum, row_blocks, to_momentum,
+                   unitary_transform_1d)
 from .errors import ConfigurationError, DomainError
 from .nearfield import CouplingProfile
 from .units import ELECTRON_MASS, HBAR
@@ -37,12 +42,16 @@ class PhaseMask:
         """The phase on the given grid rows, shape (rows, nx)."""
         return self.coupling[rows, None] * self.cos_x[None, :]
 
-def build_phase_mask(profile: CouplingProfile, grid: Grid2D) -> PhaseMask:
-    """The interaction phase on the grid; no full-grid array is built."""
+def _check_profile_axis(profile: CouplingProfile, grid: Grid2D) -> None:
     if len(profile.y) != grid.ny or not np.allclose(
             profile.y, grid.y, rtol=0.0, atol=1e-12):
         raise ConfigurationError(
             "coupling profile is not sampled on the grid's y axis")
+
+
+def build_phase_mask(profile: CouplingProfile, grid: Grid2D) -> PhaseMask:
+    """The interaction phase on the grid; no full-grid array is built."""
+    _check_profile_axis(profile, grid)
     return PhaseMask(coupling=profile.coupling,
                      cos_x=np.cos(profile.delta_k * grid.x - profile.theta), grid=grid)
 
@@ -118,15 +127,103 @@ def order_amplitudes_exact(psi: Wavepacket, profile: CouplingProfile,
 
     P is signed: J_m(-x) = (-1)^m J_m(x) carries its sign into every order.
     """
-    gy = transverse_envelope(psi)
+    return jacobi_anger_orders(profile, transverse_envelope(psi), n_max)
+
+
+def jacobi_anger_orders(profile: CouplingProfile, gy: np.ndarray,
+                        n_max: int) -> OrderDecomposition:
+    """a_n = i^|n| J_|n|(P) e^{-i n theta} gy for |n| <= n_max, and their
+    spectra; gy is the transverse envelope on profile.y."""
     orders = np.arange(-n_max, n_max + 1)
+    bessel = scipy.special.jv(np.arange(n_max + 1)[:, None], profile.coupling)
     amps = np.empty((len(orders), len(gy)), dtype=np.complex128)
     for i, n in enumerate(orders):
         amps[i] = (1j ** abs(n) * cmath.exp(-1j * n * profile.theta)
-                   * scipy.special.jv(abs(n), profile.coupling) * gy)
+                   * bessel[abs(n)] * gy)
     ky, spectra = unitary_transform_1d(amps, profile.y)
     return OrderDecomposition(orders=orders, y=profile.y.copy(), amplitudes=amps,
                               ky=ky, spectra=spectra)
+
+
+#: The Jacobi-Anger sum of `interaction_factors` stops at the first order
+#: N >= max|P| with (max|P|/2)^N / N! below this, which bounds |J_N(P)| on
+#: every row.
+ORDER_TAIL = 1e-18
+
+
+def order_limit(coupling: np.ndarray) -> int:
+    """The highest photon order N that `interaction_factors` keeps."""
+    p = float(np.max(np.abs(coupling)))
+    n = max(1, math.ceil(p))
+    # log((p/2)^n / n!), so that no power or factorial overflows.
+    while p > 0.0 and n * math.log(p / 2.0) - math.lgamma(n + 1) >= math.log(ORDER_TAIL):
+        n += 1
+    return n
+
+
+@dataclass(frozen=True)
+class OrderFactors:
+    """The spectrum of an interacted packet g_y(y) g_x(x) as a sum over photon
+    orders, psi(k_y, k_x) = sum_n a[n](k_y) b[n](k_x), never formed.
+
+    By Jacobi-Anger, exp(i P(y) cos(dk x - theta)) g_y g_x is
+    sum_n [i^|n| J_|n|(P) e^{-i n theta} g_y] [g_x e^{i n dk x}]; a[n] and
+    b[n] are the 1D transforms of the two brackets on the grid's k_y and k_x
+    axes, in the normalization of `to_momentum`, for |n| <= `order_limit`.
+    The Gram matrix of the b is Toeplitz by Parseval:
+    sum_kx b[n] conj(b[m]) dkx = h[n - m], with
+    h[d] = sum_x |g_x|^2 e^{i d dk x} dx for d = 0..2N.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    h: np.ndarray
+    dky: float
+
+    def kx_marginal(self) -> np.ndarray:
+        """sum over k_y of |psi|^2 dky: sum_nm G[n, m] b[n] conj(b[m]) with
+        G = a a^H dky."""
+        # gram[m, n] = G[n, m], so row m of gram @ b is sum_n G[n, m] b[n];
+        # this is the only matrix product of a sweep point.
+        gram = np.einsum("mk,nk->mn", self.a.conj(), self.a) * self.dky
+        gb = gram @ self.b
+        return (np.einsum("mk,mk->k", gb.real, self.b.real)
+                + np.einsum("mk,mk->k", gb.imag, self.b.imag))
+
+    def ky_marginal(self) -> np.ndarray:
+        """sum over k_x of |psi|^2 dkx: sum_nm h[n - m] a[n] conj(a[m]),
+        summed by diagonals of the Toeplitz form (h[-d] = conj(h[d]))."""
+        a = self.a
+        total = self.h[0].real * (a.real**2 + a.imag**2).sum(axis=0)
+        for d in range(1, len(self.h)):
+            total += 2.0 * (self.h[d] * (a[d:] * a[:-d].conj()).sum(axis=0)).real
+        return total
+
+    def value(self, iy: int, ix: int) -> complex:
+        """psi at the grid point (k_y[iy], k_x[ix])."""
+        return complex((self.a[:, iy] * self.b[:, ix]).sum())
+
+
+def interaction_factors(profile: CouplingProfile, grid: Grid2D,
+                        gy: np.ndarray, gx: np.ndarray) -> OrderFactors:
+    """The packet gy(y) gx(x) after the interaction with profile, as
+    `OrderFactors`; no array of the grid's shape is built."""
+    _check_profile_axis(profile, grid)
+    n_max = order_limit(profile.coupling)
+    a = jacobi_anger_orders(profile, gy, n_max).spectra
+    # e^{i n dk x} for n = -N..N, by powers of e^{i dk x}; row 2N times
+    # row j is e^{i j dk x}.
+    phasors = np.empty((2 * n_max + 1, grid.nx), dtype=np.complex128)
+    phasors[n_max] = 1.0
+    step = np.exp(1j * profile.delta_k * grid.x)
+    for n in range(1, n_max + 1):
+        np.multiply(phasors[n_max + n - 1], step, out=phasors[n_max + n])
+        np.conjugate(phasors[n_max + n], out=phasors[n_max - n])
+    weight = (gx.real**2 + gx.imag**2) * phasors[-1]
+    h = np.einsum("nk,k->n", phasors, weight) * grid.dx
+    phasors *= gx
+    _, b = unitary_transform_1d(phasors, grid.x)
+    return OrderFactors(a=a, b=b, h=h, dky=grid.dky)
 
 
 def order_series_taylor(coupling: float, n: int, l_max: int) -> complex:
@@ -189,7 +286,8 @@ def vacuum_propagate(psi: Wavepacket, tau: float, axes: str = "xy") -> Wavepacke
     if axes not in ("xy", "x"):
         raise DomainError(f"axes must be 'xy' or 'x', got {axes!r}")
     spec = to_momentum(psi)
-    check_coverage(psi, tau, spec, axes)
+    check_coverage(psi.grid, axis_marginals(psi.density()), tau,
+                   axis_marginals(spec.density()), axes)
     kp_x = spec.kx - psi.k0
     phase = kp_x[None, :] ** 2
     if axes == "xy":
@@ -198,3 +296,26 @@ def vacuum_propagate(psi: Wavepacket, tau: float, axes: str = "xy") -> Wavepacke
     # Rebinding spec frees the unpropagated spectrum before the inverse.
     spec = replace(spec, values=spec.values * np.exp(1j * phase), t=psi.t + tau)
     return from_momentum(spec)
+
+
+def vacuum_propagate_factors(grid: Grid2D, gy: np.ndarray, gx: np.ndarray,
+                             tau: float, axes: str = "xy"
+                             ) -> tuple[np.ndarray, np.ndarray]:
+    """`vacuum_propagate` of the packet gy(y) gx(x), one 1D factor at a time;
+    returns the flown (gy, gx)."""
+    if axes not in ("xy", "x"):
+        raise DomainError(f"axes must be 'xy' or 'x', got {axes!r}")
+    sx, sy = _fft.fft(gx), _fft.fft(gy)
+    check_coverage(grid, (gx.real**2 + gx.imag**2, gy.real**2 + gy.imag**2), tau,
+                   (np.fft.fftshift(sx.real**2 + sx.imag**2),
+                    np.fft.fftshift(sy.real**2 + sy.imag**2)), axes)
+    gx = _fft.ifft(sx * _flight_phasor(grid.nx, grid.dx, tau))
+    if axes == "xy":
+        gy = _fft.ifft(sy * _flight_phasor(grid.ny, grid.dy, tau))
+    return gy, gx
+
+
+def _flight_phasor(n: int, d: float, tau: float) -> np.ndarray:
+    """exp(-i hbar k^2 tau / 2m) on the unshifted FFT frequencies of n cells."""
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d)
+    return np.exp(-1j * HBAR * tau / (2.0 * ELECTRON_MASS) * k**2)

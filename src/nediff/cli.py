@@ -7,8 +7,10 @@ written, 2 on numerical failures and on sweeps in which no point succeeded,
 are deterministic.  --threads sets the scipy.fft worker count for run and
 preset, which also sizes the thread pool that runs the split step's
 elementwise work in row blocks, and the number of concurrent points (one
-worker each) for sweeps.  run, sweep and preset differ only in where their
-config comes from; --engine sets the engine of a scenario or of a sweep.
+FFT worker each) for sweeps.  run, sweep and preset differ only in where
+their config comes from; --engine sets the engine of a scenario, or of a
+sweep, which runs on analytic or numeric (an analytic point forms no grid,
+see `scenario.run_sweep_point`).
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ from .numeric import NumericSpec
 from .units import electron_kinematics
 
 ENGINES = ("analytic", "numeric", "both")
+SWEEP_ENGINES = ("analytic", "numeric")
 OUTPUT_KINDS = ("grids", "density", "crosscuts", "populations", "profile",
                 "trace", "compare", "summary", "snapshots")
 #: Everything except the bulky per-step snapshot dumps.
@@ -117,6 +118,11 @@ class SweepSpec:
     engine: str = "analytic"
 
     def __post_init__(self):
+        # A point reports one engine's metrics, so `both` would run the
+        # numeric engine for nothing.
+        if self.engine not in SWEEP_ENGINES:
+            raise ConfigurationError(
+                f"sweep engine must be one of {SWEEP_ENGINES}, got {self.engine!r}")
         if self.axis not in SWEEP_AXES:
             raise ConfigurationError(
                 f"sweep axis must be one of {tuple(SWEEP_AXES)}, got {self.axis!r}")

@@ -270,6 +270,25 @@ def from_momentum(spectrum: MomentumSpectrum) -> Wavepacket:
     return Wavepacket(grid=g, amplitudes=amps, t=spectrum.t, k0=spectrum.k0)
 
 
+def _gaussian_profiles(grid: Grid2D, fwhm_x: float, fwhm_y: float,
+                       center: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """The unnormalized 1D Gaussians along y and x, after the width checks."""
+    if not (fwhm_x > 0.0 and fwhm_y > 0.0):
+        raise DomainError("FWHM values must be positive")
+    if grid.extent_x < 4.0 * fwhm_x or grid.extent_y < 4.0 * fwhm_y:
+        raise ConfigurationError(
+            f"grid extent ({grid.extent_x:g} x {grid.extent_y:g} nm) must be "
+            f">= 4x FWHM ({fwhm_x:g} x {fwhm_y:g} nm)"
+        )
+    cx, cy = center
+    sx = fwhm_x / _SQRT8LN2
+    sy = fwhm_y / _SQRT8LN2
+    # |g|^2 is Gaussian with std sigma, so the amplitude carries 1/(4 sigma^2).
+    gx = np.exp(-((grid.x - cx) ** 2) / (4.0 * sx * sx))
+    gy = np.exp(-((grid.y - cy) ** 2) / (4.0 * sy * sy))
+    return gy, gx
+
+
 def gaussian_wavepacket(
     grid: Grid2D,
     energy_ev: float,
@@ -282,24 +301,23 @@ def gaussian_wavepacket(
     Widths are FWHM of the probability density |psi|^2.  The grid extent must
     be at least four times each FWHM so the envelope is well contained.
     """
-    if not (fwhm_x > 0.0 and fwhm_y > 0.0):
-        raise DomainError("FWHM values must be positive")
-    if grid.extent_x < 4.0 * fwhm_x or grid.extent_y < 4.0 * fwhm_y:
-        raise ConfigurationError(
-            f"grid extent ({grid.extent_x:g} x {grid.extent_y:g} nm) must be "
-            f">= 4x FWHM ({fwhm_x:g} x {fwhm_y:g} nm)"
-        )
+    gy, gx = _gaussian_profiles(grid, fwhm_x, fwhm_y, center)
     k0, _ = electron_kinematics(energy_ev)
-    cx, cy = center
-    sx = fwhm_x / _SQRT8LN2
-    sy = fwhm_y / _SQRT8LN2
-    # |g|^2 is Gaussian with std sigma, so the amplitude carries 1/(4 sigma^2).
-    gx = np.exp(-((grid.x - cx) ** 2) / (4.0 * sx * sx))
-    gy = np.exp(-((grid.y - cy) ** 2) / (4.0 * sy * sy))
     amps = gy[:, None] * gx[None, :]
     amps = amps.astype(np.complex128)
     amps /= math.sqrt(float(np.sum(amps.real**2)) * grid.cell_area)
     return Wavepacket(grid=grid, amplitudes=amps, t=0.0, k0=k0)
+
+
+def gaussian_factors(grid: Grid2D, fwhm_x: float, fwhm_y: float,
+                     center: tuple[float, float] = (0.0, 0.0)
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The factors (g_y, g_x) of `gaussian_wavepacket`'s envelope
+    g_y(y) g_x(x), each normalized in 1D: sum |g|^2 d = 1 on its axis."""
+    gy, gx = _gaussian_profiles(grid, fwhm_x, fwhm_y, center)
+    gx /= math.sqrt(float(np.sum(gx**2)) * grid.dx)
+    gy /= math.sqrt(float(np.sum(gy**2)) * grid.dy)
+    return gy, gx
 
 
 def bandwidth_to_fwhm_x(bandwidth_ev: float, energy_ev: float) -> float:
@@ -325,6 +343,14 @@ def chirp_flight_time(bandwidth_ev: float, energy_ev: float,
     return math.sqrt(sigma_xt**2 - sigma_x0**2) * ELECTRON_MASS / (HBAR * sigma_k)
 
 
+def _axis_moments(marg: np.ndarray, coords: np.ndarray,
+                  mass: float) -> tuple[float, float]:
+    """Mean and standard deviation of coords weighted by marg / mass."""
+    mean = float((marg * coords).sum()) / mass
+    var = float((marg * (coords - mean) ** 2).sum()) / mass
+    return mean, math.sqrt(max(var, 0.0))
+
+
 def density_moments(rho: np.ndarray, x: np.ndarray, y: np.ndarray):
     """Mass of a density sampled on (y, x) and the mean and standard deviation
     of each axis, from its marginals.
@@ -333,34 +359,35 @@ def density_moments(rho: np.ndarray, x: np.ndarray, y: np.ndarray):
     by cell sizes.
     """
     mass = float(rho.sum())
-    means, stds = [], []
-    for marg, coords in ((rho.sum(axis=0), x), (rho.sum(axis=1), y)):
-        mean = float((marg * coords).sum()) / mass
-        var = float((marg * (coords - mean) ** 2).sum()) / mass
-        means.append(mean)
-        stds.append(math.sqrt(max(var, 0.0)))
-    return mass, tuple(means), tuple(stds)
+    moments = [_axis_moments(marg, coords, mass)
+               for marg, coords in zip(axis_marginals(rho), (x, y))]
+    return mass, tuple(m for m, _ in moments), tuple(s for _, s in moments)
 
 
-def check_coverage(psi: Wavepacket, tau: float = 0.0,
-                   spectrum: MomentumSpectrum | None = None,
+def axis_marginals(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y marginals of a density sampled on (y, x), unscaled."""
+    return rho.sum(axis=0), rho.sum(axis=1)
+
+
+def check_coverage(grid: Grid2D, marginals, tau: float = 0.0, spectral=None,
                    axes: str = "xy") -> None:
-    """Require the packet's +-COVERAGE_SIGMAS support to fit inside the grid
-    on each of the given axes, after tau fs of free flight.
+    """Require a packet's +-COVERAGE_SIGMAS support to fit inside the grid on
+    each of the given axes, after tau fs of free flight.
 
-    The width after the flight is hypot(sigma, hbar sigma_k tau / m), with
-    sigma_k from the packet's spectrum (required when tau is nonzero).
+    marginals are the packet's x and y density marginals on grid.x and
+    grid.y, in any scale; spectral, required when tau is nonzero, are those of
+    its momentum density on grid.kx and grid.ky.  The width after the flight
+    is hypot(sigma, hbar sigma_k tau / m).
     """
-    g = psi.grid
-    _, means, sigs = density_moments(psi.density(), g.x, g.y)
-    sigs_k = (0.0, 0.0)
-    if tau:
-        _, _, sigs_k = density_moments(spectrum.density(),
-                                       spectrum.kx - psi.k0, spectrum.ky)
-    for name, c, mean, sig, sig_k in zip(axes, (g.x, g.y), means, sigs, sigs_k):
+    if not tau:
+        spectral = (None, None)
+    for name, coords, k, marg, spec in zip(axes, (grid.x, grid.y), (grid.kx, grid.ky),
+                                           marginals, spectral):
+        mean, sig = _axis_moments(marg, coords, float(marg.sum()))
+        sig_k = 0.0 if spec is None else _axis_moments(spec, k, float(spec.sum()))[1]
         width = math.hypot(sig, HBAR * sig_k * tau / ELECTRON_MASS)
-        if not (mean - COVERAGE_SIGMAS * width >= c[0]
-                and mean + COVERAGE_SIGMAS * width <= c[-1]):
+        if not (mean - COVERAGE_SIGMAS * width >= coords[0]
+                and mean + COVERAGE_SIGMAS * width <= coords[-1]):
             raise ConfigurationError(
                 f"grid does not cover the wavepacket to {COVERAGE_SIGMAS:g} "
                 f"sigma along {name} after {tau:g} fs of free flight (center "
@@ -410,5 +437,6 @@ def unitary_transform_1d(values: np.ndarray, y: np.ndarray):
     dy = float(steps[0])
     ky = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(len(y), dy))
     out = np.fft.fftshift(_fft.fft(values, axis=-1), axes=-1)
-    out = out * (dy / math.sqrt(2.0 * math.pi)) * np.exp(-1j * ky * y[0])
+    out *= dy / math.sqrt(2.0 * math.pi)
+    out *= np.exp(-1j * ky * y[0])
     return ky, out

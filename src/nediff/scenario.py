@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -11,15 +10,16 @@ from pathlib import Path
 import numpy as np
 
 from . import gridio
-from .analysis import (Crosscut, DensityMap, SidebandTable,
-                       check_sideband_spacing, crosscut, max_deflection,
-                       momentum_density, peak_spacing, rel_l2,
+from .analysis import (Crosscut, DensityMap, SidebandTable, bin_sidebands,
+                       check_sideband_spacing, crosscut, marginal_deflection,
+                       max_deflection, momentum_density, peak_spacing, rel_l2,
                        sideband_populations, transverse_splitting)
-from .analytic import (apply_interaction, build_phase_mask, transverse_envelope,
-                       vacuum_propagate)
+from .analytic import (apply_interaction, build_phase_mask, interaction_factors,
+                       transverse_envelope, vacuum_propagate,
+                       vacuum_propagate_factors)
 from .config import ScenarioConfig, SweepSpec, serialize_config
-from .core import (Grid2D, Wavepacket, bandwidth_to_fwhm_x, check_coverage,
-                   gaussian_wavepacket)
+from .core import (Grid2D, Wavepacket, axis_marginals, bandwidth_to_fwhm_x,
+                   check_coverage, gaussian_factors, gaussian_wavepacket)
 from .errors import AnalysisError, NediffError
 from .nearfield import (CouplingProfile, GapResonatorModel,
                         calibrate_gap_amplitude, coupling_profile)
@@ -66,6 +66,14 @@ def resolve_model(cfg: ScenarioConfig):
     return model
 
 
+def _checked_setup(cfg: ScenarioConfig):
+    """(v0, model) after the checks every run makes before its initial packet."""
+    _, v0 = electron_kinematics(cfg.electron.energy_ev)
+    # Unbinnable photon orders fail the run before any engine work or file.
+    check_sideband_spacing(cfg.laser.omega / v0, cfg.grid.dkx)
+    return v0, resolve_model(cfg)
+
+
 def _gaussian_inputs(cfg: ScenarioConfig) -> tuple[Grid2D, float, float,
                                                     tuple[float, float]]:
     """What the initial Gaussian's amplitudes depend on: grid, FWHMs, center."""
@@ -81,51 +89,29 @@ def _gaussian_inputs(cfg: ScenarioConfig) -> tuple[Grid2D, float, float,
     return cfg.grid, fwhm_x, fwhm_y, (e.center_x_nm, e.center_y_nm)
 
 
-#: Any valid energy: a Gaussian's amplitudes do not depend on it, only k0 does.
-_SHARED_BUILD_ENERGY_EV = 100.0
-
-
-def gaussian_state(grid: Grid2D, fwhm_x: float, fwhm_y: float,
-                   center: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only amplitudes of a normalized Gaussian that passed
-    `check_coverage`, and their `transverse_envelope`.
-
-    The arguments are exactly what the amplitudes depend on, so sweep points
-    that agree on them can share one result; each attaches its own k0.
-    """
-    psi = gaussian_wavepacket(grid, _SHARED_BUILD_ENERGY_EV, fwhm_x, fwhm_y,
-                              center=center)
-    check_coverage(psi)
-    envelope = transverse_envelope(psi)
-    psi.amplitudes.flags.writeable = False
-    envelope.flags.writeable = False
-    return psi.amplitudes, envelope
-
-
-def _shared_gaussian(cfg: ScenarioConfig, gaussians):
-    """cfg's (amplitudes, envelope) from the `gaussian_state` cache
-    `gaussians`, or None when the point builds its own: without a cache, and
-    after a free flight, whose rounding through (k0 + kx) - k0 depends on k0."""
-    if gaussians is None or cfg.electron.prepropagation_fs > 0.0:
-        return None
-    return gaussians(*_gaussian_inputs(cfg))
-
-
-def build_initial_state(cfg: ScenarioConfig, gaussians=None) -> Wavepacket:
-    """The initial packet; shared from the `gaussian_state` cache `gaussians`
-    when the point may share it (see `run_sweep`)."""
+def build_initial_state(cfg: ScenarioConfig) -> Wavepacket:
+    """The initial packet, after its coverage check and free flight."""
     e = cfg.electron
-    shared = _shared_gaussian(cfg, gaussians)
-    if shared is not None:
-        k0, _ = electron_kinematics(e.energy_ev)
-        return Wavepacket(grid=cfg.grid, amplitudes=shared[0], t=0.0, k0=k0)
     grid, fwhm_x, fwhm_y, center = _gaussian_inputs(cfg)
     psi = gaussian_wavepacket(grid, e.energy_ev, fwhm_x, fwhm_y, center=center)
-    check_coverage(psi)
+    check_coverage(grid, axis_marginals(psi.density()))
     if e.prepropagation_fs > 0.0:
         psi = vacuum_propagate(psi, e.prepropagation_fs,
                                axes=e.prepropagation_axes)
     return psi
+
+
+def initial_factors(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The factors (g_y, g_x) of `build_initial_state`'s packet, each
+    normalized in 1D, after the same checks in the same order."""
+    e = cfg.electron
+    grid, fwhm_x, fwhm_y, center = _gaussian_inputs(cfg)
+    gy, gx = gaussian_factors(grid, fwhm_x, fwhm_y, center=center)
+    check_coverage(grid, (gx**2, gy**2))
+    if e.prepropagation_fs > 0.0:
+        gy, gx = vacuum_propagate_factors(grid, gy, gx, e.prepropagation_fs,
+                                          axes=e.prepropagation_axes)
+    return gy, gx
 
 
 def _engine_output(psi: Wavepacket, delta_k: float) -> EngineOutput:
@@ -134,16 +120,10 @@ def _engine_output(psi: Wavepacket, delta_k: float) -> EngineOutput:
                         sidebands=sideband_populations(dmap, psi.k0, delta_k))
 
 
-def run_scenario(cfg: ScenarioConfig, outdir=None, gaussians=None) -> ScenarioResult:
-    """Execute one scenario; optionally write the artifact bundle.
-
-    gaussians is a sweep's cache of `gaussian_state` (see `run_sweep`).
-    """
-    _, v0 = electron_kinematics(cfg.electron.energy_ev)
-    # Unbinnable photon orders fail the run before any engine work or file.
-    check_sideband_spacing(cfg.laser.omega / v0, cfg.grid.dkx)
-    model = resolve_model(cfg)
-    psi0 = build_initial_state(cfg, gaussians)
+def run_scenario(cfg: ScenarioConfig, outdir=None) -> ScenarioResult:
+    """Execute one scenario; optionally write the artifact bundle."""
+    v0, model = _checked_setup(cfg)
+    psi0 = build_initial_state(cfg)
     profile = coupling_profile(model, cfg.laser, v0, cfg.grid.y)
     delta_k = profile.delta_k
 
@@ -326,66 +306,71 @@ class SweepResult:
         gridio.write_csv(path, header, rows)
 
 
-def run_sweep_point(spec: SweepSpec, value: float, gaussians=None) -> SweepPoint:
+def run_sweep_point(spec: SweepSpec, value: float) -> SweepPoint:
     """Run one sweep point and extract the scan metrics.
 
-    gaussians is the sweep's cache of `gaussian_state`, or None to build the
-    initial packet as a single run does.
+    An analytic point builds no array of the grid's shape: its initial
+    packet is two 1D factors (`initial_factors`), and every metric comes
+    from the `OrderFactors` of the interacted packet, through their k_x and
+    k_y marginals and their value at (k0, 0).  A numeric point runs its
+    scenario and reduces the final density.
     """
     cfg = spec.point(value)
-    if gaussians is not None:
-        # The point's own memo: the envelope lookup below must not miss when
-        # another pool thread has since replaced the sweep's one entry.
-        gaussians = functools.lru_cache(maxsize=1)(gaussians)
-    result = run_scenario(cfg, gaussians=gaussians)
-    out = result.primary()
-    dmap = out.density
-    k0 = out.psi.k0
-    ix = int(np.argmin(np.abs(dmap.kx - k0)))
-    iy = int(np.argmin(np.abs(dmap.ky)))
-    depletion = float(dmap.values[iy, ix])
-    marginal = Crosscut(axis="kx", value=math.nan, coords=dmap.kx,
-                        density=dmap.values.sum(axis=0) * dmap.dky)
+    k0, _ = electron_kinematics(cfg.electron.energy_ev)
+    kx, ky = k0 + cfg.grid.kx, cfg.grid.ky
+    # The grid point of the initial momentum state (k0, 0).
+    ix, iy = int(np.argmin(np.abs(kx - k0))), int(np.argmin(np.abs(ky)))
+    if cfg.engine == "analytic":
+        v0, model = _checked_setup(cfg)
+        envelope, gx = initial_factors(cfg)
+        profile = coupling_profile(model, cfg.laser, v0, cfg.grid.y)
+        factors = interaction_factors(profile, cfg.grid, envelope, gx)
+        kx_marginal = factors.kx_marginal()
+        ky_marginal = factors.ky_marginal()
+        center = factors.value(iy, ix)
+        depletion = center.real**2 + center.imag**2
+        sidebands = bin_sidebands(kx, k0, profile.delta_k,
+                                  kx_marginal * cfg.grid.dkx)
+    else:
+        result = run_scenario(cfg)
+        profile = result.profile
+        envelope = transverse_envelope(result.psi_initial)
+        out = result.primary()
+        rho = out.density.values
+        kx_marginal = rho.sum(axis=0) * out.density.dky
+        ky_marginal = rho.sum(axis=1)
+        depletion = float(rho[iy, ix])
+        sidebands = out.sidebands
     try:
-        dkx_measured = peak_spacing(marginal)
+        dkx_measured = peak_spacing(Crosscut(axis="kx", value=math.nan, coords=kx,
+                                             density=kx_marginal))
     except AnalysisError:
         dkx_measured = math.nan
-    shared = _shared_gaussian(cfg, gaussians)
     try:
-        if shared is not None:
-            envelope = shared[1]
-        else:
-            envelope = transverse_envelope(result.psi_initial)
-        dky = transverse_splitting(result.profile, envelope=envelope)
+        dky = transverse_splitting(profile, envelope=envelope)
     except AnalysisError:
         dky = math.nan
     return SweepPoint(
         parameter=value,
-        populations=out.sidebands,
+        populations=sidebands,
         depletion=depletion,
-        alpha_max_deg=max_deflection(dmap),
+        alpha_max_deg=marginal_deflection(ky, ky_marginal, k0),
         delta_kx=dkx_measured,
         delta_ky=dky,
     )
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
-    """Run one scenario per parameter value and collect scan metrics.
+    """Run `run_sweep_point` per parameter value and collect scan metrics.
 
-    Points run on a pool of `threads` threads (the FFT work releases the
-    GIL) and are assembled in parameter order.  A point failing with a nediff
-    error is recorded and the sweep continues; any other exception is a bug
-    and propagates.
-
-    Points whose Gaussian inputs agree with the previous lookup's share one
-    read-only initial packet and envelope from a one-entry cache that lives
-    as long as this call; a packet after a free flight is never shared.
+    Points run on a pool of `threads` threads (numpy and the FFTs release
+    the GIL), each on its own arrays, and are assembled in parameter order.
+    A point failing with a nediff error is recorded and the sweep continues;
+    any other exception is a bug and propagates.
     """
-    gaussians = functools.lru_cache(maxsize=1)(gaussian_state)
-
     def one(value: float) -> SweepPoint:
         try:
-            return run_sweep_point(spec, value, gaussians=gaussians)
+            return run_sweep_point(spec, value)
         except NediffError as exc:
             return SweepPoint(parameter=value, populations=None,
                               depletion=math.nan, alpha_max_deg=math.nan,

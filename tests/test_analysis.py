@@ -1,10 +1,8 @@
 """Observables and scan metrics."""
 
 import dataclasses
-import gc
 import math
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -19,7 +17,7 @@ from nediff.analysis import (Crosscut, DensityMap, crosscut, deflection_angle,
                              rel_l2, sideband_populations,
                              transverse_splitting)
 from nediff.analytic import (apply_interaction, build_phase_mask,
-                             transverse_envelope)
+                             interaction_factors, transverse_envelope)
 from nediff import scenario
 from nediff.config import ElectronSpec, ScenarioConfig, SweepSpec, build_preset
 from nediff.core import (BLOCK_BYTES, Grid2D, bandwidth_to_fwhm_x,
@@ -357,7 +355,7 @@ class TestRunSweep:
     def test_pool_points_use_one_fft_worker(self, monkeypatch):
         seen = []
 
-        def probe(spec, value, gaussians=None):
+        def probe(spec, value):
             seen.append(scipy.fft.get_workers())
             raise DomainError("probe only")
 
@@ -376,6 +374,8 @@ class TestRunSweep:
         """Each point equals run_sweep_point run alone at its value, bit for
         bit (NaN included), or failed with the same error."""
         def same_bits(a, b):
+            if a is None or b is None:
+                return a is b
             a, b = np.asarray(a), np.asarray(b)
             return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -398,49 +398,30 @@ class TestRunSweep:
 
     @staticmethod
     def count_builds(monkeypatch):
-        """Record a weak reference to the amplitudes of every Gaussian built."""
+        """Record the value of every point that builds its initial packet."""
         built = []
-        build = scenario.gaussian_wavepacket
+        build = scenario.initial_factors
 
-        def counted(*args, **kwargs):
-            psi = build(*args, **kwargs)
-            built.append(weakref.ref(psi.amplitudes))
-            return psi
+        def counted(cfg):
+            built.append(cfg.electron.energy_ev)
+            return build(cfg)
 
-        monkeypatch.setattr(scenario, "gaussian_wavepacket", counted)
+        monkeypatch.setattr(scenario, "initial_factors", counted)
         return built
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_energy_points_share_one_read_only_packet(self, monkeypatch, threads):
+    def test_energy_points_equal_points_alone(self, monkeypatch, threads):
         # 400 eV fails its sideband spacing check before any packet is built.
         spec = self.energy_spec([30.0, 50.0, 70.0, 100.0, 400.0], fwhm_y_nm=16.0)
         built = self.count_builds(monkeypatch)
-        writes = []
-        interact = scenario.apply_interaction
-
-        def probing(psi, mask):
-            try:
-                psi.amplitudes[0, 0] = 0.0
-            except ValueError:
-                writes.append("rejected")
-            else:
-                writes.append("accepted")
-            return interact(psi, mask)
-
-        monkeypatch.setattr(scenario, "apply_interaction", probing)
         result = run_sweep(spec, threads=threads)
         assert [bool(p.error) for p in result.points] == [False] * 4 + [True]
-        assert 1 <= len(built) <= threads
-        assert writes == ["rejected"] * 4
-        gc.collect()
-        assert all(ref() is None for ref in built)
-        # A point run alone owns a writable packet, which the probe would change.
-        monkeypatch.setattr(scenario, "apply_interaction", interact)
+        assert sorted(built) == [30.0, 50.0, 70.0, 100.0]
         self.assert_points_alone(spec, result)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_radius_points_build_their_own_packet(self, monkeypatch, threads):
-        # The transverse width follows the radius, so no two points share.
+        # The transverse width follows the radius.
         spec = SweepSpec(template=self.template(fwhm_y_radius_scale=2.0),
                          axis="radius_nm", values=(6.0, 8.0, 10.0))
         built = self.count_builds(monkeypatch)
@@ -456,8 +437,22 @@ class TestRunSweep:
         built = self.count_builds(monkeypatch)
         result = run_sweep(spec, threads=threads)
         assert all(not p.error for p in result.points)
-        assert len(built) == len(spec.values)
+        assert sorted(built) == list(spec.values)
         self.assert_points_alone(spec, result)
+
+    def test_analytic_points_build_no_grid(self, monkeypatch):
+        # Every stage of the 2D path fails if called, so the sweep succeeds
+        # only if its points never reach one.
+        def grid_stage(*args, **kwargs):
+            raise AssertionError("a sweep point reached a 2D stage")
+
+        for name in ("run_scenario", "build_initial_state", "gaussian_wavepacket",
+                     "vacuum_propagate", "build_phase_mask", "apply_interaction",
+                     "momentum_density", "sideband_populations"):
+            monkeypatch.setattr(scenario, name, grid_stage)
+        spec = self.energy_spec([50.0, 70.0], fwhm_y_nm=16.0, prepropagation_fs=20.0)
+        result = run_sweep(spec, threads=2)
+        assert all(not p.error for p in result.points)
 
     def test_csv_round_trip(self, tmp_path):
         result = run_sweep(self.make_spec([6.0, 10.0]))
@@ -471,3 +466,108 @@ class TestRunSweep:
         flag_col = lines[0].split(",").index("depletion_min_flag")
         flags = [row.split(",")[flag_col] for row in lines[1:]]
         assert flags.count("1") == 1
+
+
+def _wire_spec(**electron):
+    """Energy sweep of TestRunSweep's 512x256 wire template."""
+    return SweepSpec(template=TestRunSweep.template(fwhm_y_nm=16.0, **electron),
+                     axis="energy_ev", values=(70.0, 100.0))
+
+
+def _off_centre_spec(phase):
+    """The wire 150 nm along x at a laser phase: the orders turn by
+    theta = phase + delta_k * 150 nm."""
+    template = dataclasses.replace(
+        TestRunSweep.template(fwhm_y_nm=16.0),
+        laser=dataclasses.replace(LASER, phase_rad=phase),
+        model=dataclasses.replace(WIRE, center=(150.0, 0.0)))
+    return SweepSpec(template=template, axis="energy_ev", values=(100.0, 200.0))
+
+
+def _gap_spec():
+    """An energy sweep on the fig4-limited gap: erfc/erfcx coupling."""
+    return SweepSpec(template=build_preset("fig4-limited"), axis="energy_ev",
+                     values=(100.0, 150.0))
+
+
+ORACLE_CASES = [
+    pytest.param(lambda: build_preset("fig2"), 50.0, id="fig2-50eV"),
+    pytest.param(lambda: build_preset("fig2"), 577.0, id="fig2-577eV"),
+    pytest.param(lambda: build_preset("fig2"), 10000.0, id="fig2-10keV"),
+    *(pytest.param(lambda phase=phase: _off_centre_spec(phase), 100.0,
+                   id=f"wire-cx150-phase{phase}") for phase in (0.0, 0.7, 2.0)),
+    pytest.param(_gap_spec, 100.0, id="gap"),
+    *(pytest.param(lambda axes=axes: _wire_spec(prepropagation_fs=20.0,
+                                                prepropagation_axes=axes),
+                   70.0, id=f"prepropagated-{axes}") for axes in ("xy", "x")),
+]
+
+
+class TestFactorPoint:
+    """An analytic sweep point against the 2D path as the oracle: the
+    initial packet, phase mask, interaction factor and momentum density on
+    the full grid, then the reductions over that density."""
+
+    @staticmethod
+    def grid_metrics(cfg):
+        k0, v0 = electron_kinematics(cfg.electron.energy_ev)
+        psi0 = scenario.build_initial_state(cfg)
+        profile = coupling_profile(scenario.resolve_model(cfg), cfg.laser, v0,
+                                   cfg.grid.y)
+        dmap = momentum_density(
+            apply_interaction(psi0, build_phase_mask(profile, cfg.grid)))
+        rho = dmap.values
+        kx_marginal = rho.sum(axis=0) * dmap.dky
+        ix = int(np.argmin(np.abs(dmap.kx - k0)))
+        iy = int(np.argmin(np.abs(dmap.ky)))
+        return {
+            "kx_marginal": kx_marginal,
+            "ky_marginal": rho.sum(axis=1) * dmap.dkx,
+            "depletion": float(rho[iy, ix]),
+            "populations": sideband_populations(dmap, k0, profile.delta_k),
+            "alpha_max_deg": max_deflection(dmap),
+            "delta_kx": peak_spacing(Crosscut(axis="kx", value=math.nan,
+                                              coords=dmap.kx, density=kx_marginal)),
+            "delta_ky": transverse_splitting(
+                profile, envelope=transverse_envelope(psi0)),
+        }
+
+    @pytest.mark.parametrize("make_spec, value", ORACLE_CASES)
+    def test_point_matches_the_grid(self, make_spec, value):
+        spec = make_spec()
+        cfg = spec.point(value)
+        want = self.grid_metrics(cfg)
+        _, v0 = electron_kinematics(value)
+        profile = coupling_profile(scenario.resolve_model(cfg), cfg.laser, v0,
+                                   cfg.grid.y)
+        factors = interaction_factors(profile, cfg.grid,
+                                      *scenario.initial_factors(cfg))
+        for name in ("kx_marginal", "ky_marginal"):
+            got = getattr(factors, name)()
+            assert np.max(np.abs(got - want[name])) <= 1e-13 * np.max(want[name]), name
+        point = scenario.run_sweep_point(spec, value)
+        assert point.depletion == pytest.approx(want["depletion"], rel=1e-13, abs=0.0)
+        table = want["populations"]
+        assert np.array_equal(point.populations.orders, table.orders)
+        assert np.max(np.abs(point.populations.populations - table.populations)) <= 1e-13
+        assert point.populations.ky_spread is None
+        for name in ("alpha_max_deg", "delta_kx", "delta_ky"):
+            assert getattr(point, name) == pytest.approx(want[name], rel=1e-12,
+                                                         abs=0.0), name
+
+    def test_fig2_point_peak_memory(self):
+        # A point holds its 1D factors and marginals: (2N+1) x nx complex
+        # arrays, 0.215 complex grids each at N = 27, and no array of the
+        # grid's shape.  Measured at 0.67 grids.
+        spec = build_preset("fig2")
+        grid = spec.template.grid
+        with scipy.fft.set_workers(1):
+            tracemalloc.start()
+            try:
+                base, _ = tracemalloc.get_traced_memory()
+                point = scenario.run_sweep_point(spec, 577.0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert not point.error
+        assert (peak - base) / (16 * grid.nx * grid.ny) <= 0.75

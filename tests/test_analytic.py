@@ -13,14 +13,15 @@ from hypothesis import strategies as st
 from conftest import uniform_profile
 
 from nediff.analysis import momentum_density, rel_l2
-from nediff.analytic import (PhaseMask, apply_interaction, build_phase_mask,
+from nediff.analytic import (ORDER_TAIL, PhaseMask, apply_interaction,
+                             build_phase_mask, interaction_factors, order_limit,
                              order_amplitudes_exact, order_series_taylor,
                              transverse_envelope, vacuum_propagate,
-                             weak_field_order)
+                             vacuum_propagate_factors, weak_field_order)
 from nediff.config import build_preset
 from nediff.core import (BLOCK_BYTES, Grid2D, bandwidth_to_fwhm_x, chirp_flight_time,
-                         Wavepacket, gaussian_wavepacket, temporal_spread,
-                         to_momentum, unitary_transform_1d)
+                         Wavepacket, gaussian_factors, gaussian_wavepacket,
+                         temporal_spread, to_momentum, unitary_transform_1d)
 from nediff.errors import ConfigurationError, DomainError
 from nediff.nearfield import (GapResonatorModel, LaserParams, WireModel,
                              calibrate_gap_amplitude, coupling_profile)
@@ -409,6 +410,50 @@ class TestWeakFieldOrder:
         assert gaps[1] < gaps[0]
 
 
+class TestOrderFactors:
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.72, 3.01, 4.36, 11.9, 40.0])
+    def test_order_limit_bounds_the_bessel_tail(self, p):
+        n = order_limit(np.array([0.25 * p, -p]))
+        assert n >= p
+        assert (p / 2.0) ** n / math.factorial(n) < ORDER_TAIL
+        if n > max(1, math.ceil(p)):
+            assert (p / 2.0) ** (n - 1) / math.factorial(n - 1) >= ORDER_TAIL
+        assert abs(scipy.special.jv(n, p)) < ORDER_TAIL
+
+    def test_fig2_order_limits(self):
+        spec = build_preset("fig2")
+        limits = {}
+        for energy in (50.0, 577.0, 10000.0):
+            cfg = spec.point(energy)
+            _, v0 = electron_kinematics(energy)
+            limits[energy] = order_limit(
+                coupling_profile(cfg.model, cfg.laser, v0, cfg.grid.y).coupling)
+        assert limits == {50.0: 23, 577.0: 27, 10000.0: 19}
+
+    @pytest.mark.parametrize("phase", [0.0, 0.7, 2.0])
+    def test_order_sum_is_the_interacted_spectrum(self, small_grid, phase):
+        # sum_n a[n] b[n] against the 2D mask, factor and transform, for a
+        # packet off the x axis origin.
+        laser = LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2, phase_rad=phase)
+        _, v0 = electron_kinematics(100.0)
+        profile = coupling_profile(WireModel(radius_nm=10.0, center=(150.0, 0.0)),
+                                   laser, v0, small_grid.y)
+        psi = gaussian_wavepacket(small_grid, 100.0, 40.0, 16.0, center=(20.0, 5.0))
+        gy, gx = gaussian_factors(small_grid, 40.0, 16.0, center=(20.0, 5.0))
+        factors = interaction_factors(profile, small_grid, gy, gx)
+        spectrum = np.einsum("nk,nj->kj", factors.a, factors.b)
+        expected = to_momentum(apply_interaction(
+            psi, build_phase_mask(profile, small_grid))).values
+        assert np.linalg.norm(spectrum - expected) <= 1e-13 * np.linalg.norm(expected)
+        assert factors.value(3, 7) == pytest.approx(expected[3, 7], rel=1e-13)
+
+    def test_profile_off_the_grid_rejected(self, small_grid, wire_profile):
+        gy, gx = gaussian_factors(small_grid, 40.0, 16.0)
+        with pytest.raises(ConfigurationError):
+            interaction_factors(wire_profile, Grid2D.centered(512, 128, 0.5, 0.5),
+                                gy[:128], gx)
+
+
 class TestVacuumPropagate:
     def test_norm_preserved(self, packet):
         out = vacuum_propagate(packet, 37.0)
@@ -473,6 +518,27 @@ class TestVacuumPropagate:
         assert out.t == packet.t + tau
         assert np.array_equal(out.amplitudes.view(np.uint64),
                               expected.view(np.uint64))
+
+    @pytest.mark.parametrize("axes", ["x", "xy"])
+    def test_factors_fly_as_the_packet(self, packet, axes):
+        g = packet.grid
+        gy, gx = gaussian_factors(g, 40.0, 16.0)
+        fy, fx = vacuum_propagate_factors(g, gy, gx, 30.0, axes=axes)
+        out = vacuum_propagate(packet, 30.0, axes=axes).amplitudes
+        assert np.max(np.abs(fy[:, None] * fx[None, :] - out)) <= 1e-13 * np.max(np.abs(out))
+        assert np.sum(np.abs(fx) ** 2) * g.dx == pytest.approx(1.0, abs=1e-13)
+
+    def test_factors_outgrowing_grid_rejected_as_the_packet(self):
+        grid = Grid2D.centered(128, 64, 0.5, 0.5)
+        psi = gaussian_wavepacket(grid, 100.0, 10.0, 6.0)
+        with pytest.raises(ConfigurationError) as packet:
+            vacuum_propagate(psi, 5000.0)
+        with pytest.raises(ConfigurationError) as factors:
+            vacuum_propagate_factors(grid, *gaussian_factors(grid, 10.0, 6.0), 5000.0)
+        assert str(factors.value) == str(packet.value)
+        with pytest.raises(DomainError):
+            vacuum_propagate_factors(grid, *gaussian_factors(grid, 10.0, 6.0), 1.0,
+                                     axes="y")
 
     @pytest.mark.parametrize("axes, bound", [("x", 3.25), ("xy", 3.75)])
     def test_fig4_chirped_peak_memory(self, axes, bound):

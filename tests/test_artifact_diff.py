@@ -75,3 +75,12 @@ def test_magnitude_of_differing_grids_and_tables(tmp_path):
     assert artifact_diff.magnitude(tmp_path / "p.csv", tmp_path / "same.csv") == (
         "numeric cells identical")
     assert artifact_diff.magnitude(tmp_path / "p.csv", tmp_path / "short.csv") is None
+
+
+def test_repeated_expect_flags_add_up(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(artifact_diff, "diff", lambda *args: seen.append(args) or 0)
+    argv = ["p", "c", "--work", str(tmp_path / "w"),
+            "--expect", "a", "--expect", "b", "c"]
+    assert artifact_diff.main(argv) == 0
+    assert seen[0][-1] == ["a", "b", "c"]

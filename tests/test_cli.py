@@ -426,6 +426,16 @@ def test_sweep_template_records_the_engine_its_points_ran(tmp_path, engine):
     assert f"engine = {engine or 'analytic'}" in lines
 
 
+def test_sweep_engine_both_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(FIG1_SWEEP, encoding="utf-8")
+    out = tmp_path / "sw"
+    argv = ["sweep", str(cfg), "--out", str(out), "--threads", "1", "--engine", "both"]
+    assert main(argv) == 1
+    assert "('analytic', 'numeric'), got 'both'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_preset_engine_override_validated(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["preset", "fig2", "--out", str(out), "--engine", "numeric"]) == 1

@@ -349,6 +349,19 @@ def test_sweep_engine_is_validated_against_the_template(engine):
                            f"values = 5,10\nengine = {engine}\n")
 
 
+def test_sweep_rejects_the_both_engine():
+    # A point reports one engine's metrics, so a `both` sweep would run the
+    # numeric engine on every point for nothing, [numeric] section or not.
+    text = (SWEEP_TEMPLATE + "\n[numeric]\nwindow_fs = 10.0\n"
+            "\n[sweep]\naxis = radius_nm\nvalues = 5,10\nengine = both\n")
+    message = r"sweep engine must be one of \('analytic', 'numeric'\), got 'both'"
+    with pytest.raises(ConfigurationError, match=message):
+        parse_sweep_config(text)
+    spec = parse_sweep_config(text.replace("engine = both", "engine = numeric"))
+    with pytest.raises(ConfigurationError, match=message):
+        dataclasses.replace(spec, engine="both")
+
+
 def test_sweep_preset_numeric_engine_with_numeric_overlay():
     spec = parse_sweep_config("[sweep]\npreset = fig3\nengine = numeric\n"
                               "\n[numeric]\nwindow_fs = 10.0\n")

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from nediff.core import (Grid2D, Wavepacket, check_coverage, density_moments,
-                         from_momentum, fwhm_interpolated, gaussian_wavepacket,
-                         temporal_spread, to_momentum)
+from nediff.core import (Grid2D, Wavepacket, axis_marginals, check_coverage,
+                         density_moments, from_momentum, fwhm_interpolated,
+                         gaussian_factors, gaussian_wavepacket, temporal_spread,
+                         to_momentum)
 from nediff.errors import ConfigurationError, DomainError
 from nediff.gridio import read_grid, write_grid
 from nediff.units import (C0, ELECTRON_MASS, ELECTRON_REST_EV, HBAR,
@@ -115,10 +116,15 @@ def test_gaussian_rejects_bad_widths():
 
 
 def test_coverage_check():
+    # The packet's marginals and its 1D factors give the same error.
     grid = Grid2D.centered(256, 128, 0.5, 0.5)
     psi = gaussian_wavepacket(grid, 100.0, 30.0, 15.0, center=(50.0, 0.0))
-    with pytest.raises(ConfigurationError):
-        check_coverage(psi)
+    with pytest.raises(ConfigurationError, match="along x") as packet:
+        check_coverage(grid, axis_marginals(psi.density()))
+    gy, gx = gaussian_factors(grid, 30.0, 15.0, center=(50.0, 0.0))
+    with pytest.raises(ConfigurationError) as factors:
+        check_coverage(grid, (gx**2, gy**2))
+    assert str(factors.value) == str(packet.value)
 
 
 def test_transform_round_trip(fig1_style_packet):

@@ -175,6 +175,14 @@ TABLE = (
     _sweep("sweep-fig3-two-radii", "8,12", preset="fig3"),
     _sweep("sweep-fig2-prepropagated", "100,400",
            overlay="\n[electron]\nprepropagation_fs = 100.0\n"),
+    # Photon orders turned by theta = phase + delta_k * center_x, and the
+    # gap's erfc/erfcx coupling, on the sweep path.
+    _sweep("sweep-fig2-phase-off-centre", "100,577",
+           overlay="\n[laser]\nphase_rad = 0.7\n\n[model]\ncenter_x_nm = 150.0\n"),
+    Command("sweep-gap-two-energies",
+            {"sweep.cfg": "[scenario]\npreset = fig4-limited\n\n"
+                          "[sweep]\naxis = energy_ev\nvalues = 100,150\n"},
+            (("sweep", "sweep.cfg", "--out", "out"),)),
     _run("numeric-fails-mid-run", FAILING_NUMERIC),
     _run("numeric-fails-at-first-record", BORDER_NUMERIC),
 )
@@ -310,8 +318,10 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="source tree of the change")
     parser.add_argument("--work", type=Path, required=True,
                         help="new directory for the outputs of both sides")
-    parser.add_argument("--expect", nargs="+", default=[], metavar="PATTERN",
-                        help="entries allowed to differ, as fnmatch patterns")
+    parser.add_argument("--expect", nargs="+", action="extend", default=[],
+                        metavar="PATTERN",
+                        help="entries allowed to differ, as fnmatch patterns; "
+                             "repeated flags add up")
     args = parser.parse_args(argv)
     if args.work.exists():
         parser.error(f"{args.work} exists; the outputs need a new directory")
