@@ -10,7 +10,8 @@ elementwise work in row blocks, and the number of concurrent points (one
 FFT worker each) for sweeps.  run, sweep and preset differ only in where
 their config comes from; --engine sets the engine of a scenario, or of a
 sweep, which runs on analytic or numeric (an analytic point forms no grid,
-see `scenario.run_sweep_point`).
+see `scenario.run_sweep_point`).  A run resolves its outputs against the
+engine after --engine applies (`ScenarioConfig.resolve_outputs`).
 """
 
 from __future__ import annotations

@@ -32,8 +32,14 @@ ENGINES = ("analytic", "numeric", "both")
 SWEEP_ENGINES = ("analytic", "numeric")
 OUTPUT_KINDS = ("grids", "density", "crosscuts", "populations", "profile",
                 "trace", "compare", "summary", "snapshots")
-#: Everything except the bulky per-step snapshot dumps.
-DEFAULT_OUTPUTS = tuple(k for k in OUTPUT_KINDS if k != "snapshots")
+#: The output kinds each engine can produce: trace and snapshots need the
+#: numeric engine, compare needs both.
+ENGINE_OUTPUTS = {
+    "analytic": tuple(k for k in OUTPUT_KINDS
+                      if k not in ("trace", "compare", "snapshots")),
+    "numeric": tuple(k for k in OUTPUT_KINDS if k != "compare"),
+    "both": OUTPUT_KINDS,
+}
 #: Each sweep axis and the ScenarioConfig field that carries it.
 SWEEP_AXES = {"energy_ev": "electron", "radius_nm": "model",
               "field_v_per_nm": "laser"}
@@ -82,7 +88,12 @@ class ElectronSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One fully resolved simulation run."""
+    """One fully resolved simulation run, apart from its outputs.
+
+    outputs None, an absent `outputs` key, means the engine's own kinds
+    apart from the bulky per-step snapshots; `resolve_outputs` settles the
+    outputs once the engine is final.
+    """
 
     electron: ElectronSpec
     laser: LaserParams
@@ -90,13 +101,13 @@ class ScenarioConfig:
     grid: Grid2D
     engine: str = "analytic"
     numeric: NumericSpec | None = None
-    outputs: tuple[str, ...] = DEFAULT_OUTPUTS
+    outputs: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.engine not in ENGINES:
             raise ConfigurationError(
                 f"engine must be one of {ENGINES}, got {self.engine!r}")
-        for kind in self.outputs:
+        for kind in self.outputs or ():
             if kind not in OUTPUT_KINDS:
                 raise ConfigurationError(f"unknown output kind {kind!r}")
         if self.engine in ("numeric", "both") and self.numeric is None:
@@ -107,10 +118,31 @@ class ScenarioConfig:
             raise ConfigurationError(
                 "electron.fwhm_y_radius_scale requires a wire model")
 
+    def resolve_outputs(self) -> "ScenarioConfig":
+        """This config with the output kinds its run writes.
+
+        Absent outputs become the engine's own kinds except snapshots; a
+        listed kind that the engine cannot produce is a ConfigurationError.
+        """
+        own = ENGINE_OUTPUTS[self.engine]
+        if self.outputs is None:
+            return replace(self, outputs=tuple(k for k in own if k != "snapshots"))
+        missing = [k for k in self.outputs if k not in own]
+        if missing:
+            raise ConfigurationError(
+                f"the {self.engine} engine cannot produce the output kinds "
+                f"{','.join(missing)}: trace and snapshots need the numeric "
+                f"engine, compare needs both")
+        return self
+
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A scenario template plus the parameter axis to scan."""
+    """A scenario template plus the parameter axis to scan.
+
+    Points write no artifacts, so the template's outputs are neither used
+    nor checked against the engine; template.txt echoes them as given.
+    """
 
     template: ScenarioConfig
     axis: str

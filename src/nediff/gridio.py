@@ -41,10 +41,11 @@ def write_grid(path, psi: Wavepacket) -> None:
             psi.t, psi.k0, psi.energy_ev,
         )]
     )
+    # Written through its buffer: a C-ordered <c16 array is not copied.
     data = np.ascontiguousarray(psi.amplitudes, dtype="<c16")
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
-        fh.write(data.tobytes())
+        fh.write(memoryview(data).cast("B"))
 
 
 def read_grid(path) -> Wavepacket:

@@ -24,15 +24,20 @@ def _scale_linear(values: np.ndarray) -> np.ndarray:
     if hi == lo:
         # Degenerate range renders mid-gray.
         return np.full_like(values, 0.5, dtype=float)
-    return (values - lo) / (hi - lo)
+    scaled = values - lo
+    scaled /= hi - lo
+    return scaled
 
 
 def _scale_log(values: np.ndarray, clip: float) -> np.ndarray:
     hi = float(values.max())
     floor = clip * hi
-    v = np.log(np.maximum(values, floor))
+    scaled = np.maximum(values, floor)
+    np.log(scaled, out=scaled)
     lo = np.log(floor)
-    return (v - lo) / (np.log(hi) - lo)
+    scaled -= lo
+    scaled /= np.log(hi) - lo
+    return scaled
 
 
 def render_heatmap(density, path, colormap: str = "linear",
@@ -68,12 +73,14 @@ def render_heatmap(density, path, colormap: str = "linear",
     else:
         scaled = _scale_log(values, clip)
 
-    pixels = np.round(scaled * PGM_MAXVAL).astype(">u2")
-    pixels = pixels[::-1]  # top row carries the highest coordinate
+    # In place on the one array the scaling made; values stays untouched.
+    scaled *= PGM_MAXVAL
+    np.round(scaled, out=scaled)
+    pixels = scaled[::-1].astype(">u2")  # top row carries the highest coordinate
     h, w = pixels.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n{PGM_MAXVAL}\n".encode("ascii"))
-        fh.write(pixels.tobytes())
+        fh.write(memoryview(pixels).cast("B"))
 
     sidecar = path.with_suffix(path.suffix + ".txt")
     lines = [

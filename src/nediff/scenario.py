@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +15,12 @@ from .analysis import (Crosscut, DensityMap, SidebandTable, bin_sidebands,
                        max_deflection, momentum_density, peak_spacing, rel_l2,
                        sideband_populations, transverse_splitting)
 from .analytic import (apply_interaction, build_phase_mask, interaction_factors,
-                       transverse_envelope, vacuum_propagate,
-                       vacuum_propagate_factors)
+                       transverse_envelope, vacuum_propagate_factors)
+# Unused here; kept because the benchmark tracer patches scenario.vacuum_propagate.
+from .analytic import vacuum_propagate
 from .config import ScenarioConfig, SweepSpec, serialize_config
-from .core import (Grid2D, Wavepacket, axis_marginals, bandwidth_to_fwhm_x,
-                   check_coverage, gaussian_factors, gaussian_wavepacket)
+from .core import (Grid2D, Wavepacket, bandwidth_to_fwhm_x, check_coverage,
+                   gaussian_factors, gaussian_wavepacket, separable_packet)
 from .errors import AnalysisError, NediffError
 from .nearfield import (CouplingProfile, GapResonatorModel,
                         calibrate_gap_amplitude, coupling_profile)
@@ -90,20 +91,25 @@ def _gaussian_inputs(cfg: ScenarioConfig) -> tuple[Grid2D, float, float,
 
 
 def build_initial_state(cfg: ScenarioConfig) -> Wavepacket:
-    """The initial packet, after its coverage check and free flight."""
+    """The initial packet, after its coverage check and free flight.
+
+    The checks and the flight act on `initial_factors`; the 2D packet is
+    then formed once.  Without a flight it is `gaussian_wavepacket`, bit for
+    bit; after one it is the outer product of the flown factors.
+    """
     e = cfg.electron
-    grid, fwhm_x, fwhm_y, center = _gaussian_inputs(cfg)
-    psi = gaussian_wavepacket(grid, e.energy_ev, fwhm_x, fwhm_y, center=center)
-    check_coverage(grid, axis_marginals(psi.density()))
+    gy, gx = initial_factors(cfg)
     if e.prepropagation_fs > 0.0:
-        psi = vacuum_propagate(psi, e.prepropagation_fs,
-                               axes=e.prepropagation_axes)
-    return psi
+        k0, _ = electron_kinematics(e.energy_ev)
+        return separable_packet(cfg.grid, k0, gy, gx, t=e.prepropagation_fs)
+    grid, fwhm_x, fwhm_y, center = _gaussian_inputs(cfg)
+    return gaussian_wavepacket(grid, e.energy_ev, fwhm_x, fwhm_y, center=center)
 
 
 def initial_factors(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The factors (g_y, g_x) of `build_initial_state`'s packet, each
-    normalized in 1D, after the same checks in the same order."""
+    """The factors (g_y, g_x) of the initial packet, each normalized in 1D:
+    the width checks, the coverage check on their marginals, then the free
+    flight, one factor at a time."""
     e = cfg.electron
     grid, fwhm_x, fwhm_y, center = _gaussian_inputs(cfg)
     gy, gx = gaussian_factors(grid, fwhm_x, fwhm_y, center=center)
@@ -121,7 +127,13 @@ def _engine_output(psi: Wavepacket, delta_k: float) -> EngineOutput:
 
 
 def run_scenario(cfg: ScenarioConfig, outdir=None) -> ScenarioResult:
-    """Execute one scenario; optionally write the artifact bundle."""
+    """Execute one scenario; optionally write the artifact bundle.
+
+    The outputs are resolved against the engine first
+    (`ScenarioConfig.resolve_outputs`), so a kind the engine cannot produce
+    fails the run before any work or file.
+    """
+    cfg = cfg.resolve_outputs()
     v0, model = _checked_setup(cfg)
     psi0 = build_initial_state(cfg)
     profile = coupling_profile(model, cfg.laser, v0, cfg.grid.y)
@@ -332,7 +344,8 @@ def run_sweep_point(spec: SweepSpec, value: float) -> SweepPoint:
         sidebands = bin_sidebands(kx, k0, profile.delta_k,
                                   kx_marginal * cfg.grid.dkx)
     else:
-        result = run_scenario(cfg)
+        # A point writes no artifacts, so the template's outputs do not apply.
+        result = run_scenario(replace(cfg, outputs=None))
         profile = result.profile
         envelope = transverse_envelope(result.psi_initial)
         out = result.primary()

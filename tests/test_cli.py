@@ -541,3 +541,57 @@ def test_malformed_grid_dump_exits_one(tmp_path, capsys, content):
     assert main(["compare", str(bad), str(bad)]) == 1
     assert capsys.readouterr().err.count("error: ") == 2
     assert not (tmp_path / "bad.grid.pgm").exists()
+
+
+def test_analytic_run_listing_numeric_outputs_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_RUN.replace("profile,summary", "profile,trace,compare,summary"),
+                   encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    assert ("the analytic engine cannot produce the output kinds trace,compare"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_engine_override_is_checked_against_listed_outputs(tmp_path, capsys):
+    # The config's own engine could produce the kinds; the override cannot.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_RUN.replace("engine = analytic", "engine = both")
+                   .replace("profile,summary", "profile,compare,summary")
+                   + "\n[numeric]\nwindow_fs = 3.0\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out), "--engine", "numeric"]) == 1
+    assert "the numeric engine cannot produce the output kinds compare" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_absent_outputs_follow_the_engine_override(tmp_path):
+    # The fig1 preset runs on both engines; overridden to analytic, it writes
+    # the analytic kinds and records them in config.txt.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FIG1_SWEEP.split("[sweep]")[0], encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out), "--engine", "analytic",
+                 "--threads", "1"]) == 0
+    lines = (out / "config.txt").read_text(encoding="utf-8").splitlines()
+    assert "engine = analytic" in lines
+    assert "outputs = grids,density,crosscuts,populations,profile,summary" in lines
+    assert (out / "analytic.grid").exists() and (out / "summary.txt").exists()
+
+
+def test_sweep_template_outputs_are_echoed_and_not_checked(tmp_path):
+    # Points write no artifacts, so kinds the sweep engine cannot produce
+    # are no error.
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(FIG1_SWEEP.replace("preset = fig1\n",
+                                      "preset = fig1\noutputs = trace,compare\n"),
+                   encoding="utf-8")
+    out = tmp_path / "sw"
+    assert main(["sweep", str(cfg), "--out", str(out), "--threads", "1",
+                 "--engine", "numeric"]) == 0
+    lines = (out / "template.txt").read_text(encoding="utf-8").splitlines()
+    assert "outputs = trace,compare" in lines
+    rows = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == 2 and all(row.endswith(",") for row in rows)  # no error

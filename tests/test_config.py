@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -477,3 +478,43 @@ def test_point_sets_only_its_axis_and_the_sweep_engine(axis):
     assert cfg.engine == "analytic"
     restored = dataclasses.replace(cfg, **{field: getattr(template, field)})
     assert restored == dataclasses.replace(template, engine="analytic")
+
+
+def test_absent_outputs_mean_the_engines_own_kinds():
+    cfg = parse_config(MINIMAL)
+    assert cfg.outputs is None
+    assert "outputs" not in serialize_config(cfg)
+    assert cfg.resolve_outputs().outputs == (
+        "grids", "density", "crosscuts", "populations", "profile", "summary")
+    numeric = replace(cfg, engine="numeric", numeric=NumericSpec(window_fs=3.0))
+    assert numeric.resolve_outputs().outputs == (
+        "grids", "density", "crosscuts", "populations", "profile", "trace",
+        "summary")
+    both = replace(numeric, engine="both")
+    assert both.resolve_outputs().outputs == tuple(
+        k for k in config.OUTPUT_KINDS if k != "snapshots")
+    # A preset's engine does not fix the outputs of an override.
+    fig1 = parse_config("[scenario]\npreset = fig1\nengine = analytic\n")
+    assert fig1.resolve_outputs().outputs == cfg.resolve_outputs().outputs
+
+
+@pytest.mark.parametrize("engine, kinds", [
+    ("analytic", ("summary", "trace")), ("analytic", ("compare",)),
+    ("analytic", ("snapshots",)), ("numeric", ("grids", "compare")),
+])
+def test_listed_outputs_the_engine_cannot_produce_are_rejected(engine, kinds):
+    cfg = replace(parse_config(MINIMAL), engine=engine, outputs=kinds,
+                  numeric=NumericSpec(window_fs=3.0))
+    missing = ",".join(k for k in kinds if k != "summary" and k != "grids")
+    with pytest.raises(ConfigurationError,
+                       match=f"the {engine} engine cannot produce the output "
+                             f"kinds {missing}:"):
+        cfg.resolve_outputs()
+    # Listing the kinds alone is no error: the engine may still change.
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_listed_outputs_the_engine_produces_are_kept():
+    cfg = replace(parse_config(MINIMAL), engine="both",
+                  numeric=NumericSpec(window_fs=3.0), outputs=("compare", "trace"))
+    assert cfg.resolve_outputs() is cfg

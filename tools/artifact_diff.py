@@ -81,6 +81,11 @@ WIRE_OFF_CENTRE = (SMALL_WIRE.split("[numeric]")[0]
                    .replace(",trace,compare,summary,snapshots", ",summary")
                    .replace("radius_nm = 10.0\n", "radius_nm = 10.0\ncenter_x_nm = 150.0\n"))
 
+#: The same 512x256 run on both engines after 200 fs of free flight in x and y.
+SMALL_WIRE_FLOWN = SMALL_WIRE.replace(
+    "fwhm_y_nm = 16.0\n",
+    "fwhm_y_nm = 16.0\nprepropagation_fs = 200.0\nprepropagation_axes = xy\n")
+
 #: The fig4-limited gap 37 nm along x at laser phase 0.9, on the analytic
 #: engine: the coupling turns by delta_k * center_x + phase.
 GAP_OFF_CENTRE = """[scenario]
@@ -166,6 +171,7 @@ TABLE = (
     *(Command(f"preset-{name}", argvs=(("preset", name, "--out", "out"),))
       for name in ("fig2", "fig4-limited", "fig4-chirped")),
     _run("both-512x256", SMALL_WIRE),
+    _run("both-512x256-prepropagated", SMALL_WIRE_FLOWN),
     _run("wire-off-centre", WIRE_OFF_CENTRE),
     _run("gap-off-centre", GAP_OFF_CENTRE),
     _sweep("sweep-fig2-one-error", "1000,60000"),
