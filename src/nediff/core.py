@@ -28,6 +28,10 @@ COVERAGE_SIGMAS = 4.0
 #: Size of one complex128 row block of grid-wide elementwise work; the block
 #: height follows from the row length (32 rows at nx = 2048).
 BLOCK_BYTES = 1 << 20
+#: Cells of padding at the end of each row of a full-grid FFT buffer: 64
+#: bytes, one cache line.  A power-of-two row stride maps every row to the
+#: same cache sets, so the column pass of a 2D FFT evicts its own lines.
+FFT_ROW_PAD = 4
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -199,6 +203,26 @@ def _run_blocks(pool, blocks, fn, *args) -> list:
     return list(pool.map(lambda rows: fn(rows, *args), blocks))
 
 
+def fft_buffer(grid: Grid2D) -> np.ndarray:
+    """An uninitialized (ny, nx) complex128 view whose rows lie
+    nx + FFT_ROW_PAD cells apart, for a full-grid transform in place."""
+    return np.empty((grid.ny, grid.nx + FFT_ROW_PAD), dtype=np.complex128)[:, :grid.nx]
+
+
+def fft2_copy(grid: Grid2D, a: np.ndarray) -> np.ndarray:
+    """fft2 of a, transformed in place in a new `fft_buffer`; a is kept."""
+    buf = fft_buffer(grid)
+    buf[...] = a
+    return _fft.fft2(buf, overwrite_x=True)
+
+
+def _half_swaps(n: int) -> tuple[tuple[slice, slice], ...]:
+    """(destination, source) halves of the shift by n // 2 along an axis of
+    even length n: fftshift and ifftshift both swap the two halves."""
+    h = n // 2
+    return (slice(0, h), slice(h, n)), (slice(h, n), slice(0, h))
+
+
 def momentum_blocks(psi: Wavepacket, fn, out: np.ndarray | None = None) -> None:
     """Transform the envelope and hand each row block of the spectrum, in
     the normalization of :func:`to_momentum`, to fn(rows, block).
@@ -208,10 +232,10 @@ def momentum_blocks(psi: Wavepacket, fn, out: np.ndarray | None = None) -> None:
     applied in place in the order of the full-grid expression.
     """
     g = psi.grid
-    raw = _fft.fft2(psi.amplitudes)
+    raw = fft2_copy(g, psi.amplitudes)
     scale = g.cell_area / (2.0 * np.pi)
     px, py = _axis_phases(g)
-    hy, hx = g.ny // 2, g.nx // 2  # power-of-two counts: shifts by half
+    hy = g.ny // 2  # power-of-two counts: shifts by half
 
     def shifted(rows):
         if out is None:
@@ -224,8 +248,8 @@ def momentum_blocks(psi: Wavepacket, fn, out: np.ndarray | None = None) -> None:
             if lo < hi:
                 src = lo + hy if lo < hy else lo - hy
                 dst = block[lo - rows.start:hi - rows.start]
-                dst[:, :hx] = raw[src:src + hi - lo, hx:]
-                dst[:, hx:] = raw[src:src + hi - lo, :hx]
+                for to, frm in _half_swaps(g.nx):
+                    dst[:, to] = raw[src:src + hi - lo, frm]
         block *= scale
         block *= px[None, :]
         block *= py[rows, None]
@@ -257,14 +281,19 @@ def to_momentum(psi: Wavepacket) -> MomentumSpectrum:
 
 
 def from_momentum(spectrum: MomentumSpectrum) -> Wavepacket:
-    """Inverse of :func:`to_momentum`; round trips to machine precision."""
+    """Inverse of :func:`to_momentum`; round trips to machine precision.
+    The amplitudes are a :func:`fft_buffer` view."""
     g = spectrum.grid
     px, py = _axis_phases(g)
-    # One copy, then in place: the same operations and bits as out of place,
-    # with two fewer full-grid temporaries.
-    vals = spectrum.values * np.conj(px)[None, :]
-    vals *= np.conj(py)[:, None]
-    raw = np.fft.ifftshift(vals)
+    cx, cy = np.conj(px), np.conj(py)
+    # ifftshift a quadrant at a time into the transform's buffer, each
+    # quadrant phased in place: the bits of the full-grid expression.
+    raw = fft_buffer(g)
+    for to_y, frm_y in _half_swaps(g.ny):
+        for to_x, frm_x in _half_swaps(g.nx):
+            quad = raw[to_y, to_x]
+            np.multiply(spectrum.values[frm_y, frm_x], cx[None, frm_x], out=quad)
+            quad *= cy[frm_y, None]
     raw /= g.cell_area / (2.0 * np.pi)
     amps = _fft.ifft2(raw, overwrite_x=True)
     return Wavepacket(grid=g, amplitudes=amps, t=spectrum.t, k0=spectrum.k0)
@@ -397,17 +426,20 @@ def check_coverage(grid: Grid2D, marginals, tau: float = 0.0, spectral=None,
     """
     if not tau:
         spectral = (None, None)
-    for name, coords, k, marg, spec in zip(axes, (grid.x, grid.y), (grid.kx, grid.ky),
-                                           marginals, spectral):
+    for name, coords, d, k, marg, spec in zip(axes, (grid.x, grid.y), (grid.dx, grid.dy),
+                                              (grid.kx, grid.ky), marginals, spectral):
         mean, sig = _axis_moments(marg, coords, float(marg.sum()))
         sig_k = 0.0 if spec is None else _axis_moments(spec, k, float(spec.sum()))[1]
         width = math.hypot(sig, HBAR * sig_k * tau / ELECTRON_MASS)
         if not (mean - COVERAGE_SIGMAS * width >= coords[0]
                 and mean + COVERAGE_SIGMAS * width <= coords[-1]):
+            # The centre to a thousandth of a cell, so that the rounding noise
+            # of a centred packet prints as 0 (round gives an int: never -0).
+            centre = round(mean / (1e-3 * d)) * (1e-3 * d)
             raise ConfigurationError(
                 f"grid does not cover the wavepacket to {COVERAGE_SIGMAS:g} "
                 f"sigma along {name} after {tau:g} fs of free flight (center "
-                f"{mean:.3g} nm, sigma {width:.3g} nm)")
+                f"{centre:.3g} nm, sigma {width:.3g} nm)")
 
 
 def fwhm_interpolated(coords: np.ndarray, values: np.ndarray) -> float:

@@ -41,11 +41,13 @@ def write_grid(path, psi: Wavepacket) -> None:
             psi.t, psi.k0, psi.energy_ev,
         )]
     )
-    # Written through its buffer: a C-ordered <c16 array is not copied.
-    data = np.ascontiguousarray(psi.amplitudes, dtype="<c16")
+    # Written a row at a time through its buffer: a <c16 array whose rows
+    # are contiguous, such as a padded `core.fft_buffer` view, is not copied.
+    data = np.asarray(psi.amplitudes, dtype="<c16")
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
-        fh.write(memoryview(data).cast("B"))
+        for row in data:
+            fh.write(memoryview(np.ascontiguousarray(row)).cast("B"))
 
 
 def read_grid(path) -> Wavepacket:

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.fft as _fft
 
 from .core import (Grid2D, Wavepacket, _run_blocks, block_pool, density_moments,
-                   row_blocks)
+                   fft2_copy, row_blocks)
 from .errors import ConfigurationError, NumericalError
 from .nearfield import LaserParams, NearFieldModel
 from .units import ELECTRON_CHARGE, ELECTRON_MASS, HBAR
@@ -165,6 +165,9 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
     every block computes the same expressions as the whole grid.  Each kick
     block also sums its mass in the outer 10% border, and every step checks
     the total against EDGE_MASS_TOL of the initial mass.
+
+    The final amplitudes are a `core.fft_buffer` view: their rows lie
+    nx + FFT_ROW_PAD cells apart.
     """
     grid = psi0.grid
     validate_evolution(params, grid)
@@ -180,6 +183,7 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
     ksq = kx1[None, :] ** 2 + ky1[:, None] ** 2
     kin_full = np.exp(-1j * (HBAR * dt / (2.0 * ELECTRON_MASS)) * ksq)
     kin_half = np.exp(-1j * (HBAR * 0.5 * dt / (2.0 * ELECTRON_MASS)) * ksq)
+    del ksq
 
     x = grid.x
     y_col = grid.y[:, None]
@@ -264,11 +268,12 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
 
     t0 = params.t_start
     t_end = params.t_end
-    psi = np.array(psi0.amplitudes, dtype=np.complex128, order="C", copy=True)
     phase_sign = -q / HBAR  # exp(-i q Phi dt / hbar) = exp(i phase_sign * Phi * dt)
     with block_pool() as pool:
-        spec = _fft.fft2(psi)
-        mass0 = record(t0, psi, spec)
+        # Every transform runs in place on padded rows (`core.fft_buffer`):
+        # psi and spec share one buffer, and a snapshot transforms a copy.
+        spec = fft2_copy(grid, psi0.amplitudes)
+        mass0 = record(t0, psi0.amplitudes, spec)
         # Leading half segment [t0, t0 + dt/2].
         segment(pool, spec, kin_half, t0, t0 + 0.5 * dt)
         for k in range(n):
@@ -281,16 +286,17 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
             # snapshots would otherwise go unseen.
             check_border(t_mid, sum(border), mass0)
             take_snap = ((k + 1) % params.snapshot_stride == 0) or (k == n - 1)
-            # Transform in place except where record still needs psi.
-            spec = _fft.fft2(psi, overwrite_x=not take_snap)
             if take_snap:
+                spec = fft2_copy(grid, psi)  # record still needs psi
                 record(t_mid, psi, spec)
+            else:
+                spec = _fft.fft2(psi, overwrite_x=True)
             if k < n - 1:
                 segment(pool, spec, kin_full, t_mid, t_mid + dt)
         segment(pool, spec, kin_half, t0 + (n - 0.5) * dt, t_end)
     psi = _fft.ifft2(spec, overwrite_x=True)
     final = Wavepacket(grid=grid, amplitudes=psi, t=t_end, k0=psi0.k0)
-    record(t_end, psi, _fft.fft2(psi))
+    record(t_end, psi, fft2_copy(grid, psi))
     return final, _trace_from(snaps)
 
 

@@ -11,7 +11,7 @@ import scipy.fft
 from nediff.analytic import apply_interaction, build_phase_mask, vacuum_propagate
 from nediff.analysis import momentum_density, rel_l2, sideband_populations
 from nediff.config import ElectronSpec, ScenarioConfig, build_preset
-from nediff.core import Grid2D, gaussian_wavepacket, to_momentum
+from nediff.core import Grid2D, from_momentum, gaussian_wavepacket, to_momentum
 from nediff.errors import ConfigurationError, NumericalError
 from nediff.nearfield import (GapResonatorModel, LaserParams, WireModel,
                               coupling_profile)
@@ -240,6 +240,42 @@ class TestReferenceLoop:
             split_step_evolve(packet, params)
         assert 10 <= len(calls) < params.n_steps * 4
         assert threading.active_count() == threads
+
+
+class _StrideLog:
+    """Stands in for the scipy.fft handle of numeric and core and records
+    the row stride, in bytes, of every 2D transform's input."""
+
+    def __init__(self):
+        self.strides = []
+
+    def fft2(self, x, *args, **kwargs):
+        self.strides.append(x.strides[0])
+        return scipy.fft.fft2(x, *args, **kwargs)
+
+    def ifft2(self, x, *args, **kwargs):
+        self.strides.append(x.strides[0])
+        return scipy.fft.ifft2(x, *args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(scipy.fft, name)
+
+
+def test_every_full_grid_transform_runs_on_padded_rows(monkeypatch, grid, packet):
+    log = _StrideLog()
+    monkeypatch.setattr(numeric, "_fft", log)
+    monkeypatch.setattr(core, "_fft", log)
+    params = choose_steps(NumericSpec(window_fs=2.0, safety=0.9, snapshot_stride=3),
+                          LASER, WIRE, grid)
+    assert params.n_steps > 2 * params.snapshot_stride
+    final, _ = split_step_evolve(packet, params)
+    momentum_density(final)
+    # The first spectrum, a pair per step, the final state and its record,
+    # then the density.
+    assert len(log.strides) == 2 * params.n_steps + 4
+    from_momentum(to_momentum(packet))
+    assert len(log.strides) == 2 * params.n_steps + 6
+    assert set(log.strides) == {(grid.nx + core.FFT_ROW_PAD) * 16}
 
 
 class TestConservation:

@@ -1,6 +1,7 @@
 """Property tests of the round trips (config text, grid dumps, CSV cells,
-momentum transform, time reversal of the evolution window) and of the shared
-panel evaluations of the multi-component quadrature."""
+momentum transform, time reversal of the evolution window), of the padded
+in-place FFT against the contiguous one and of the shared panel evaluations
+of the multi-component quadrature."""
 
 import csv
 import struct
@@ -9,13 +10,15 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nediff.config import (OUTPUT_KINDS, ElectronSpec, ScenarioConfig,
                            parse_config, serialize_config)
-from nediff.core import Grid2D, Wavepacket, from_momentum, to_momentum
+from nediff.core import (FFT_ROW_PAD, Grid2D, Wavepacket, fft_buffer, from_momentum,
+                         to_momentum)
 from nediff.gridio import read_grid, write_csv, write_grid
 from nediff.nearfield import GapResonatorModel, LaserParams, WireModel
 from nediff.numeric import EvolutionParams, NumericSpec
@@ -158,6 +161,23 @@ def test_momentum_transform_round_trip(psi):
     back = from_momentum(to_momentum(psi))
     assert back.grid == psi.grid and back.k0 == psi.k0 and back.t == psi.t
     assert np.max(np.abs(back.amplitudes - psi.amplitudes)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from([2 ** e for e in range(1, 10)]),
+       st.sampled_from([2 ** e for e in range(1, 10)]),
+       st.sampled_from([1, 2]), st.integers(min_value=0, max_value=2**32 - 1))
+def test_padded_in_place_fft_is_bitwise_contiguous(ny, nx, workers, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((ny, nx)) + 1j * rng.standard_normal((ny, nx))
+    grid = Grid2D.centered(nx, ny, 1.0, 1.0)
+    with scipy.fft.set_workers(workers):
+        for transform in (scipy.fft.fft2, scipy.fft.ifft2):
+            buf = fft_buffer(grid)
+            assert buf.strides[0] == (nx + FFT_ROW_PAD) * 16
+            buf[...] = a
+            out = transform(buf, overwrite_x=True)
+            assert np.array_equal(out.view(np.uint64), transform(a).view(np.uint64))
 
 
 @st.composite

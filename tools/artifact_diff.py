@@ -185,6 +185,11 @@ TABLE = (
     # gap's erfc/erfcx coupling, on the sweep path.
     _sweep("sweep-fig2-phase-off-centre", "100,577",
            overlay="\n[laser]\nphase_rad = 0.7\n\n[model]\ncenter_x_nm = 150.0\n"),
+    # The split step on the sweep pool's threads, at one FFT worker each.
+    Command("sweep-numeric-two-radii",
+            {"sweep.cfg": SMALL_WIRE.replace("engine = both\n", "")
+                          + "\n[sweep]\nengine = numeric\naxis = radius_nm\nvalues = 8,12\n"},
+            (("sweep", "sweep.cfg", "--out", "out"),)),
     Command("sweep-gap-two-energies",
             {"sweep.cfg": "[scenario]\npreset = fig4-limited\n\n"
                           "[sweep]\naxis = energy_ev\nvalues = 100,150\n"},
