@@ -124,15 +124,13 @@ def bin_sidebands(kx: np.ndarray, k0: float, delta_k: float, mass_x: np.ndarray,
     n_lo = int(math.ceil((offs[0] + 0.5 * delta_k) / delta_k))
     n_hi = int(math.floor((offs[-1] - 0.5 * delta_k) / delta_k))
     orders = np.arange(n_lo, n_hi + 1)
-    pops = np.empty(len(orders))
-    spread = None if ky2_x is None else np.empty(len(orders))
+    # idx never decreases along the ascending kx: each bin is one slice.
     idx = np.floor(offs / delta_k + 0.5).astype(int)
-    for i, n in enumerate(orders):
-        sel = idx == n
-        m = float(mass_x[sel].sum())
-        pops[i] = m
-        if spread is not None:
-            spread[i] = math.sqrt(float(ky2_x[sel].sum()) / m) if m > 0.0 else 0.0
+    edges = np.searchsorted(idx, np.arange(n_lo, n_hi + 2))
+    bins = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    pops = np.array([mass_x[b].sum() for b in bins], dtype=float)
+    spread = None if ky2_x is None else np.array(
+        [math.sqrt(ky2_x[b].sum() / m) if m > 0.0 else 0.0 for b, m in zip(bins, pops)])
     return SidebandTable(orders=orders, populations=pops, ky_spread=spread)
 
 

@@ -6,9 +6,8 @@ phase.  At any laser phase the Jacobi-Anger identity resolves the result into
 photon orders n with transverse amplitudes
 i^|n| J_|n|(P(y)) e^{-i n theta} g_perp(y), which this module evaluates
 exactly, as a truncated power series, and in the single-path weak-field limit.
-For a packet g_y(y) g_x(x), `interaction_factors` keeps the whole interacted
-spectrum as the 1D factors of that sum, from which a sweep point takes its
-metrics without forming the grid.
+For a packet g_y(y) g_x(x), `interaction_factors` keeps the interacted spectrum
+as the 1D factors of its N + 1 cosine orders and their real Gram matrices.
 """
 
 from __future__ import annotations
@@ -155,75 +154,78 @@ def order_limit(coupling: np.ndarray) -> int:
     """The highest photon order N that `interaction_factors` keeps."""
     p = float(np.max(np.abs(coupling)))
     n = max(1, math.ceil(p))
-    # log((p/2)^n / n!), so that no power or factorial overflows.
-    while p > 0.0 and n * math.log(p / 2.0) - math.lgamma(n + 1) >= math.log(ORDER_TAIL):
+    # log((p/2)^n / n!), so that nothing overflows; p <= ORDER_TAIL keeps N = 1.
+    while p > ORDER_TAIL and (n * math.log(p / 2.0) - math.lgamma(n + 1)
+                              >= math.log(ORDER_TAIL)):
         n += 1
     return n
 
 
 @dataclass(frozen=True)
 class OrderFactors:
-    """The spectrum of an interacted packet g_y(y) g_x(x) as a sum over photon
-    orders, psi(k_y, k_x) = sum_n a[n](k_y) b[n](k_x), never formed.
+    """psi(k_y, k_x) = sum_j a[j](k_y) b[j](k_x) over the cosine orders
+    j = 0..N of an interacted packet g_y(y) g_x(x), never formed.
 
-    By Jacobi-Anger, exp(i P(y) cos(dk x - theta)) g_y g_x is
-    sum_n [i^|n| J_|n|(P) e^{-i n theta} g_y] [g_x e^{i n dk x}]; a[n] and
-    b[n] are the 1D transforms of the two brackets on the grid's k_y and k_x
-    axes, in the normalization of `to_momentum`, for |n| <= `order_limit`.
-    The Gram matrix of the b is Toeplitz by Parseval:
-    sum_kx b[n] conj(b[m]) dkx = h[n - m], with
-    h[d] = sum_x |g_x|^2 e^{i d dk x} dx for d = 0..2N.
+    By Jacobi-Anger, exp(i P cos phi) = sum_j w_j J_j(P) cos(j phi) with
+    phi = dk x - theta, w_0 = 1 and w_j = 2 i^j (`weights`); a[j] and b[j]
+    are the 1D transforms of J_j(P) g_y and w_j cos(j phi) g_x, as in
+    `to_momentum`.  By Parseval the a have the real Gram matrix gram_y = K,
+    K_jl = sum_y J_j J_l |g_y|^2 dy, and the b have w_j conj(w_l) C_jl, with
+    gram_x = C, C_jl = sum_x cos(j phi) cos(l phi) |g_x|^2 dx.
     """
 
     a: np.ndarray
     b: np.ndarray
-    h: np.ndarray
-    dky: float
+    weights: np.ndarray
+    gram_y: np.ndarray
+    gram_x: np.ndarray
 
     def kx_marginal(self) -> np.ndarray:
-        """sum over k_y of |psi|^2 dky: sum_nm G[n, m] b[n] conj(b[m]) with
-        G = a a^H dky."""
-        # gram[m, n] = G[n, m], so row m of gram @ b is sum_n G[n, m] b[n];
-        # this is the only matrix product of a sweep point.
-        gram = np.einsum("mk,nk->mn", self.a.conj(), self.a) * self.dky
-        gb = gram @ self.b
-        return (np.einsum("mk,mk->k", gb.real, self.b.real)
-                + np.einsum("mk,mk->k", gb.imag, self.b.imag))
+        """sum over k_y of |psi|^2 dky: sum_jl K_jl Re(b[j] conj(b[l]))."""
+        return _real_quadratic_form(self.gram_y, self.b)
 
     def ky_marginal(self) -> np.ndarray:
-        """sum over k_x of |psi|^2 dkx: sum_nm h[n - m] a[n] conj(a[m]),
-        summed by diagonals of the Toeplitz form (h[-d] = conj(h[d]))."""
-        a = self.a
-        total = self.h[0].real * (a.real**2 + a.imag**2).sum(axis=0)
-        for d in range(1, len(self.h)):
-            total += 2.0 * (self.h[d] * (a[d:] * a[:-d].conj()).sum(axis=0)).real
-        return total
+        """sum over k_x of |psi|^2 dkx: the same form of C and the w_j a[j]."""
+        return _real_quadratic_form(self.gram_x, self.weights[:, None] * self.a)
 
     def value(self, iy: int, ix: int) -> complex:
         """psi at the grid point (k_y[iy], k_x[ix])."""
         return complex((self.a[:, iy] * self.b[:, ix]).sum())
 
 
+def _real_quadratic_form(gram: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_jl gram[j, l] Re(z[j] conj(z[l])) per column, for a real symmetric
+    gram.  np.einsum calls no BLAS, whose threads would compete with a sweep's."""
+    zr = z.view(np.float64)  # (re, im) pairs, summed last
+    return np.einsum("jk,jk->k", np.einsum("jl,lk->jk", gram, zr), zr).reshape(-1, 2).sum(1)
+
+
 def interaction_factors(profile: CouplingProfile, grid: Grid2D,
                         gy: np.ndarray, gx: np.ndarray) -> OrderFactors:
     """The packet gy(y) gx(x) after the interaction with profile, as
-    `OrderFactors`; no array of the grid's shape is built."""
+    `OrderFactors` for j <= `order_limit`, with no array of the grid's shape."""
     _check_profile_axis(profile, grid)
     n_max = order_limit(profile.coupling)
-    a = jacobi_anger_orders(profile, gy, n_max).spectra
-    # e^{i n dk x} for n = -N..N, by powers of e^{i dk x}; row 2N times
-    # row j is e^{i j dk x}.
-    phasors = np.empty((2 * n_max + 1, grid.nx), dtype=np.complex128)
-    phasors[n_max] = 1.0
-    step = np.exp(1j * profile.delta_k * grid.x)
-    for n in range(1, n_max + 1):
-        np.multiply(phasors[n_max + n - 1], step, out=phasors[n_max + n])
-        np.conjugate(phasors[n_max + n], out=phasors[n_max - n])
-    weight = (gx.real**2 + gx.imag**2) * phasors[-1]
-    h = np.einsum("nk,k->n", phasors, weight) * grid.dx
-    phasors *= gx
-    _, b = unitary_transform_1d(phasors, grid.x)
-    return OrderFactors(a=a, b=b, h=h, dky=grid.dky)
+    j = np.arange(n_max + 1)
+    bessel = scipy.special.jv(j[:, None], profile.coupling)
+    _, a = unitary_transform_1d(bessel * gy, grid.y)
+    root = bessel * (np.abs(gy) * math.sqrt(grid.dy))  # so K[j, l] is K[l, j]
+    # cos(d phi) = Re e^{i d phi} by powers, off by about d eps; np.cos(d * phi)
+    # would round d phi (1e4 rad on fig2).  h[d] = sum_x cos(d phi) |g_x|^2 dx.
+    mass_x = (gx.real**2 + gx.imag**2) * grid.dx
+    step = np.exp(1j * (profile.delta_k * grid.x - profile.theta))
+    power = np.ones_like(step)
+    h = np.empty(2 * n_max + 1)
+    weights = np.where(j == 0, 1.0, 2.0 * np.array((1.0, 1j, -1.0, -1j))[j % 4])
+    beta = np.empty((n_max + 1, grid.nx), dtype=np.complex128)
+    for d in range(2 * n_max + 1):
+        h[d] = np.einsum("k,k->", power.real, mass_x)
+        if d <= n_max:
+            np.multiply(power.real, weights[d] * gx, out=beta[d])
+        power *= step
+    _, b = unitary_transform_1d(beta, grid.x)
+    return OrderFactors(a=a, b=b, weights=weights, gram_y=np.einsum("jy,ly->jl", root, root),
+                        gram_x=0.5 * (h[np.abs(j[:, None] - j)] + h[j[:, None] + j]))
 
 
 def order_series_taylor(coupling: float, n: int, l_max: int) -> complex:

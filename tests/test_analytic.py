@@ -1,5 +1,6 @@
 """Phase-mask engine, photon orders, series identities, free flight."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -21,7 +22,8 @@ from nediff.analytic import (ORDER_TAIL, PhaseMask, apply_interaction,
 from nediff.config import build_preset
 from nediff.core import (BLOCK_BYTES, Grid2D, bandwidth_to_fwhm_x, chirp_flight_time,
                          Wavepacket, gaussian_factors, gaussian_wavepacket,
-                         temporal_spread, to_momentum, unitary_transform_1d)
+                         separable_packet, temporal_spread, to_momentum,
+                         unitary_transform_1d)
 from nediff.errors import ConfigurationError, DomainError
 from nediff.nearfield import (GapResonatorModel, LaserParams, WireModel,
                              calibrate_gap_amplitude, coupling_profile)
@@ -411,7 +413,7 @@ class TestWeakFieldOrder:
 
 
 class TestOrderFactors:
-    @pytest.mark.parametrize("p", [0.0, 0.5, 1.72, 3.01, 4.36, 11.9, 40.0])
+    @pytest.mark.parametrize("p", [0.0, 5e-324, 1e-18, 0.5, 1.72, 3.01, 4.36, 11.9, 40.0])
     def test_order_limit_bounds_the_bessel_tail(self, p):
         n = order_limit(np.array([0.25 * p, -p]))
         assert n >= p
@@ -446,6 +448,49 @@ class TestOrderFactors:
             psi, build_phase_mask(profile, small_grid))).values
         assert np.linalg.norm(spectrum - expected) <= 1e-13 * np.linalg.norm(expected)
         assert factors.value(3, 7) == pytest.approx(expected[3, 7], rel=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @example(theta=0.0, wire_y=0.0, centre=(0.0, 0.0), flight=None, p_max=4.36)
+    @example(theta=0.7, wire_y=5.0, centre=(20.0, 5.0), flight="xy", p_max=11.9)
+    @example(theta=2.0, wire_y=-9.0, centre=(-25.0, -4.0), flight="x", p_max=11.9)
+    @given(theta=st.floats(-2.0 * math.pi, 2.0 * math.pi),
+           wire_y=st.floats(-12.0, 12.0),
+           centre=st.tuples(st.floats(-30.0, 30.0), st.floats(-6.0, 6.0)),
+           flight=st.sampled_from([None, "xy", "x"]),
+           p_max=st.floats(0.0, 11.9))
+    def test_cosine_orders_against_the_grid(self, theta, wire_y, centre, flight, p_max):
+        # The cosine-order factors of a flown or unflown packet, off centre,
+        # at couplings up to fig4-limited's max |P| of 11.9, against the 2D
+        # mask, factor and transform, and the marginals against sums over
+        # that density.
+        grid = Grid2D.centered(512, 128, 0.5, 0.5)
+        _, v0 = electron_kinematics(100.0)
+        profile = coupling_profile(WireModel(radius_nm=5.0, center=(0.0, wire_y)),
+                                   LASER, v0, grid.y)
+        peak = float(np.max(np.abs(profile.coupling)))
+        profile = dataclasses.replace(profile, theta=theta,
+                                      coupling=profile.coupling * (p_max / peak))
+        gy, gx = gaussian_factors(grid, 40.0, 12.0, center=centre)
+        if flight:
+            gy, gx = vacuum_propagate_factors(grid, gy, gx, 150.0, axes=flight)
+        factors = interaction_factors(profile, grid, gy, gx)
+        spectrum = np.einsum("jk,jl->kl", factors.a, factors.b)
+        psi = separable_packet(grid, 1.0, gy, gx)
+        expected = to_momentum(apply_interaction(psi, build_phase_mask(profile, grid))).values
+        assert np.linalg.norm(spectrum - expected) <= 1e-13 * np.linalg.norm(expected)
+        rho = expected.real**2 + expected.imag**2
+        for got, want in ((factors.kx_marginal(), rho.sum(axis=0) * grid.dky),
+                          (factors.ky_marginal(), rho.sum(axis=1) * grid.dkx)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+        assert np.array_equal(factors.gram_y, factors.gram_y.T)
+        assert np.array_equal(factors.gram_x, factors.gram_x.T)
+        # C directly, with each cos(j phi) in extended precision so that the
+        # rounding of j phi does not enter.
+        phi = (profile.delta_k * grid.x - profile.theta).astype(np.longdouble)
+        cosines = np.cos(np.arange(len(factors.a))[:, None] * phi)
+        direct = np.einsum("jx,lx,x->jl", cosines, cosines,
+                           (gx.real**2 + gx.imag**2) * grid.dx).astype(float)
+        assert np.max(np.abs(factors.gram_x - direct)) <= 1e-14
 
     def test_profile_off_the_grid_rejected(self, small_grid, wire_profile):
         gy, gx = gaussian_factors(small_grid, 40.0, 16.0)

@@ -185,6 +185,9 @@ TABLE = (
     # gap's erfc/erfcx coupling, on the sweep path.
     _sweep("sweep-fig2-phase-off-centre", "100,577",
            overlay="\n[laser]\nphase_rad = 0.7\n\n[model]\ncenter_x_nm = 150.0\n"),
+    # fig2's lowest and highest photon-order limits, N = 19 at 10 keV and 27
+    # at 577 eV, and N = 23 at 50 eV.
+    _sweep("sweep-fig2-order-range", "50,577,10000"),
     # The split step on the sweep pool's threads, at one FFT worker each.
     Command("sweep-numeric-two-radii",
             {"sweep.cfg": SMALL_WIRE.replace("engine = both\n", "")
