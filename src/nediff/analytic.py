@@ -21,8 +21,8 @@ import scipy.fft as _fft
 import scipy.special
 
 from .core import (Grid2D, Wavepacket, _run_blocks, axis_marginals, block_pool,
-                   check_coverage, from_momentum, row_blocks, to_momentum,
-                   unitary_transform_1d)
+                   check_coverage, flight_phasor, from_momentum, row_blocks,
+                   to_momentum, unitary_transform_1d)
 from .errors import ConfigurationError, DomainError
 from .nearfield import CouplingProfile
 from .units import ELECTRON_MASS, HBAR
@@ -311,13 +311,8 @@ def vacuum_propagate_factors(grid: Grid2D, gy: np.ndarray, gx: np.ndarray,
     check_coverage(grid, (gx.real**2 + gx.imag**2, gy.real**2 + gy.imag**2), tau,
                    (np.fft.fftshift(sx.real**2 + sx.imag**2),
                     np.fft.fftshift(sy.real**2 + sy.imag**2)), axes)
-    gx = _fft.ifft(sx * _flight_phasor(grid.nx, grid.dx, tau))
+    gx = _fft.ifft(sx * flight_phasor(grid.nx, grid.dx, tau))
     if axes == "xy":
-        gy = _fft.ifft(sy * _flight_phasor(grid.ny, grid.dy, tau))
+        gy = _fft.ifft(sy * flight_phasor(grid.ny, grid.dy, tau))
     return gy, gx
 
-
-def _flight_phasor(n: int, d: float, tau: float) -> np.ndarray:
-    """exp(-i hbar k^2 tau / 2m) on the unshifted FFT frequencies of n cells."""
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d)
-    return np.exp(-1j * HBAR * tau / (2.0 * ELECTRON_MASS) * k**2)

@@ -388,25 +388,12 @@ def chirp_flight_time(bandwidth_ev: float, energy_ev: float,
     return math.sqrt(sigma_xt**2 - sigma_x0**2) * ELECTRON_MASS / (HBAR * sigma_k)
 
 
-def _axis_moments(marg: np.ndarray, coords: np.ndarray,
-                  mass: float) -> tuple[float, float]:
+def axis_moments(marg: np.ndarray, coords: np.ndarray,
+                 mass: float) -> tuple[float, float]:
     """Mean and standard deviation of coords weighted by marg / mass."""
     mean = float((marg * coords).sum()) / mass
     var = float((marg * (coords - mean) ** 2).sum()) / mass
     return mean, math.sqrt(max(var, 0.0))
-
-
-def density_moments(rho: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """Mass of a density sampled on (y, x) and the mean and standard deviation
-    of each axis, from its marginals.
-
-    Returns (mass, (x_mean, y_mean), (x_std, y_std)); the sums are not scaled
-    by cell sizes.
-    """
-    mass = float(rho.sum())
-    moments = [_axis_moments(marg, coords, mass)
-               for marg, coords in zip(axis_marginals(rho), (x, y))]
-    return mass, tuple(m for m, _ in moments), tuple(s for _, s in moments)
 
 
 def axis_marginals(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -428,8 +415,8 @@ def check_coverage(grid: Grid2D, marginals, tau: float = 0.0, spectral=None,
         spectral = (None, None)
     for name, coords, d, k, marg, spec in zip(axes, (grid.x, grid.y), (grid.dx, grid.dy),
                                               (grid.kx, grid.ky), marginals, spectral):
-        mean, sig = _axis_moments(marg, coords, float(marg.sum()))
-        sig_k = 0.0 if spec is None else _axis_moments(spec, k, float(spec.sum()))[1]
+        mean, sig = axis_moments(marg, coords, float(marg.sum()))
+        sig_k = 0.0 if spec is None else axis_moments(spec, k, float(spec.sum()))[1]
         width = math.hypot(sig, HBAR * sig_k * tau / ELECTRON_MASS)
         if not (mean - COVERAGE_SIGMAS * width >= coords[0]
                 and mean + COVERAGE_SIGMAS * width <= coords[-1]):
@@ -484,7 +471,21 @@ def unitary_transform_1d(values: np.ndarray, y: np.ndarray):
         raise ConfigurationError("profile must be sampled on a uniform y grid")
     dy = float(steps[0])
     ky = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(len(y), dy))
-    out = np.fft.fftshift(_fft.fft(values, axis=-1), axes=-1)
+    out = _fft.fft(values, axis=-1)
+    # fftshift in place, a row at a time through a copy of its tail.  The
+    # halves of one row of even length do not overlap, so numpy needs no
+    # buffer of its own, as it would for the halves of a whole 2D array.
+    n, s = out.shape[-1], out.shape[-1] // 2
+    for row in out.reshape(-1, n):
+        tail = row[n - s:].copy()
+        row[s:] = row[:n - s]
+        row[:s] = tail
     out *= dy / math.sqrt(2.0 * math.pi)
     out *= np.exp(-1j * ky * y[0])
     return ky, out
+
+
+def flight_phasor(n: int, d: float, tau: float) -> np.ndarray:
+    """exp(-i hbar k^2 tau / 2m) on the unshifted FFT frequencies of n cells."""
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d)
+    return np.exp(-1j * HBAR * tau / (2.0 * ELECTRON_MASS) * k**2)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as _fft
 
-from .core import (Grid2D, Wavepacket, _run_blocks, block_pool, density_moments,
-                   fft2_copy, row_blocks)
+from .core import (Grid2D, Wavepacket, _run_blocks, axis_moments, block_pool,
+                   fft2_copy, flight_phasor, row_blocks)
 from .errors import ConfigurationError, NumericalError
 from .nearfield import LaserParams, NearFieldModel
 from .units import ELECTRON_CHARGE, ELECTRON_MASS, HBAR
@@ -162,9 +162,13 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
 
     The elementwise work of each step runs in row blocks on the block pool
     (`core.block_pool`), so one setting sizes both the FFTs and the blocks;
-    every block computes the same expressions as the whole grid.  Each kick
-    block also sums its mass in the outer 10% border, and every step checks
-    the total against EDGE_MASS_TOL of the initial mass.
+    every block computes the same expressions as the whole grid.  The
+    kinetic phase is a k_x row times a k_y column (`core.flight_phasor`),
+    and a trace record sums its marginals a row block at a time, in block
+    order, so no step or record holds a second full grid beyond the
+    spectrum a snapshot transforms.  Each kick block also sums its mass in
+    the outer 10% border, and every step checks the total against
+    EDGE_MASS_TOL of the initial mass.
 
     The final amplitudes are a `core.fft_buffer` view: their rows lie
     nx + FFT_ROW_PAD cells apart.
@@ -180,10 +184,10 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
 
     kx1 = 2.0 * np.pi * np.fft.fftfreq(grid.nx, grid.dx)
     ky1 = 2.0 * np.pi * np.fft.fftfreq(grid.ny, grid.dy)
-    ksq = kx1[None, :] ** 2 + ky1[:, None] ** 2
-    kin_full = np.exp(-1j * (HBAR * dt / (2.0 * ELECTRON_MASS)) * ksq)
-    kin_half = np.exp(-1j * (HBAR * 0.5 * dt / (2.0 * ELECTRON_MASS)) * ksq)
-    del ksq
+    # exp(-i hbar (k_x^2 + k_y^2) tau / 2m) as its k_x row and k_y column.
+    kin_full, kin_half = ((flight_phasor(grid.nx, grid.dx, tau),
+                           flight_phasor(grid.ny, grid.dy, tau))
+                          for tau in (dt, 0.5 * dt))
 
     x = grid.x
     y_col = grid.y[:, None]
@@ -214,19 +218,18 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
         psi[rows] *= factor
         return border_mass(rows, psi[rows])
 
-    def drift(rows, spec, kin, gauge):
-        spec[rows] *= kin[rows]
-        if gauge is not None:
-            spec[rows] *= gauge[rows]
+    def drift(rows, spec, kin_x, col):
+        spec[rows] *= kin_x
+        spec[rows] *= col[rows]
 
     def segment(pool, spec, kin, ta: float, tb: float) -> None:
-        # Kinetic phase, then the vector-potential phase over [ta, tb]: one
-        # factor per k_y row.
-        gauge = None
+        # The k_x phasor, then one factor per k_y row: the k_y phasor times
+        # the vector-potential phase over [ta, tb].
+        kin_x, col = kin
         if params.include_vector_potential:
             integral = _vector_potential_integral(laser, ta, tb)
-            gauge = np.exp(1j * (q / ELECTRON_MASS) * integral * ky1)[:, None]
-        _run_blocks(pool, blocks, drift, spec, kin, gauge)
+            col = col * np.exp(1j * (q / ELECTRON_MASS) * integral * ky1)
+        _run_blocks(pool, blocks, drift, spec, kin_x, col[:, None])
 
     snaps: list[tuple[float, ...]] = []
 
@@ -244,21 +247,38 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
             partial=_trace_from(snaps),
         )
 
-    def record(t, psi_r, spec_raw) -> float:
-        rho = psi_r.real**2 + psi_r.imag**2
-        mass, (x_mean, _), _ = density_moments(rho, x, grid.y)
+    def marginals(a):
+        rho = a.real**2 + a.imag**2
+        return rho.sum(axis=0), rho.sum(axis=1)
+
+    def block_sums(rows, psi_r, spec_raw):
+        # The x and y marginals and the border mass of |psi|^2, and the k_x
+        # and k_y marginals of |spec|^2, over one row block.
+        return (*marginals(psi_r[rows]), border_mass(rows, psi_r[rows]),
+                *marginals(spec_raw[rows]))
+
+    def record(pool, t, psi_r, spec_raw) -> float:
+        # Blocks are summed in block order: the row does not depend on the
+        # number of workers.
+        m_x, m_y, border, m_kx, m_ky = zip(
+            *_run_blocks(pool, blocks, block_sums, psi_r, spec_raw))
+        m_x, m_kx = sum(m_x), sum(m_kx)
+        m_y, m_ky = np.concatenate(m_y), np.concatenate(m_ky)
+        mass = float(m_y.sum())
         norm = math.sqrt(mass * cell)
         if not math.isfinite(norm):
             raise NumericalError(
                 f"non-finite amplitudes at t={t:g} fs",
                 partial=_trace_from(snaps),
             )
-        check_border(t, border_mass(slice(0, grid.ny), psi_r), mass)
-        rho_k = spec_raw.real**2 + spec_raw.imag**2
-        mass_k, (kx_mean, ky_mean), _ = density_moments(rho_k, kx1, ky1)
-        e_mean = (HBAR**2 / (2.0 * ELECTRON_MASS)) * float(
-            (rho_k * ((psi0.k0 + kx1[None, :]) ** 2 + ky1[:, None] ** 2)).sum()
-        ) / mass_k
+        check_border(t, sum(border), mass)
+        mass_k = float(m_ky.sum())
+        x_mean, _ = axis_moments(m_x, x, mass)
+        kx_mean, _ = axis_moments(m_kx, kx1, mass_k)
+        ky_mean, _ = axis_moments(m_ky, ky1, mass_k)
+        e_mean = (HBAR**2 / (2.0 * ELECTRON_MASS)) * (
+            float((m_kx * (psi0.k0 + kx1) ** 2).sum())
+            + float((m_ky * ky1**2).sum())) / mass_k
         # One trace row, in TRACE_COLUMNS order.
         snaps.append((t, norm, x_mean, psi0.k0 + kx_mean, ky_mean, e_mean))
         if snapshot_callback is not None:
@@ -273,7 +293,7 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
         # Every transform runs in place on padded rows (`core.fft_buffer`):
         # psi and spec share one buffer, and a snapshot transforms a copy.
         spec = fft2_copy(grid, psi0.amplitudes)
-        mass0 = record(t0, psi0.amplitudes, spec)
+        mass0 = record(pool, t0, psi0.amplitudes, spec)
         # Leading half segment [t0, t0 + dt/2].
         segment(pool, spec, kin_half, t0, t0 + 0.5 * dt)
         for k in range(n):
@@ -288,16 +308,16 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
             take_snap = ((k + 1) % params.snapshot_stride == 0) or (k == n - 1)
             if take_snap:
                 spec = fft2_copy(grid, psi)  # record still needs psi
-                record(t_mid, psi, spec)
+                record(pool, t_mid, psi, spec)
             else:
                 spec = _fft.fft2(psi, overwrite_x=True)
             if k < n - 1:
                 segment(pool, spec, kin_full, t_mid, t_mid + dt)
         segment(pool, spec, kin_half, t0 + (n - 0.5) * dt, t_end)
-    psi = _fft.ifft2(spec, overwrite_x=True)
-    final = Wavepacket(grid=grid, amplitudes=psi, t=t_end, k0=psi0.k0)
-    record(t_end, psi, fft2_copy(grid, psi))
-    return final, _trace_from(snaps)
+        psi = _fft.ifft2(spec, overwrite_x=True)
+        record(pool, t_end, psi, fft2_copy(grid, psi))
+    return (Wavepacket(grid=grid, amplitudes=psi, t=t_end, k0=psi0.k0),
+            _trace_from(snaps))
 
 
 def _trace_from(snaps) -> EvolutionTrace:

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
-from nediff.core import (Grid2D, Wavepacket, axis_marginals, check_coverage,
-                         density_moments, from_momentum, fwhm_interpolated,
+from nediff.core import (Grid2D, Wavepacket, axis_marginals, axis_moments,
+                         check_coverage, from_momentum, fwhm_interpolated,
                          gaussian_factors, gaussian_wavepacket, temporal_spread,
-                         to_momentum)
+                         to_momentum, unitary_transform_1d)
 from nediff.errors import ConfigurationError, DomainError
 from nediff.gridio import read_grid, write_grid
 from nediff.units import (C0, ELECTRON_MASS, ELECTRON_REST_EV, HBAR,
@@ -92,10 +93,31 @@ def test_gaussian_density_fwhm_matches_request(fig1_style_packet):
 
 def test_gaussian_mean_momentum(fig1_style_packet):
     spec = to_momentum(fig1_style_packet)
-    _, (kx, ky), _ = density_moments(spec.density(), spec.kx, spec.ky)
+    m_kx, m_ky = axis_marginals(spec.density())
+    kx, _ = axis_moments(m_kx, spec.kx, float(m_kx.sum()))
+    ky, _ = axis_moments(m_ky, spec.ky, float(m_ky.sum()))
     k0 = fig1_style_packet.k0
     assert abs(kx - k0) <= 1e-6 * k0
     assert abs(ky) <= 1e-6 * k0
+
+
+def test_axis_moments_weighted_mean_and_std():
+    assert axis_moments(np.array([1.0, 2.0, 1.0]), np.array([1.0, 2.0, 3.0]),
+                        4.0) == (2.0, math.sqrt(0.5))
+    assert axis_moments(np.array([1.0, 3.0]), np.array([0.0, 4.0]),
+                        4.0) == (3.0, math.sqrt(3.0))
+
+
+@pytest.mark.parametrize("shape", [(7,), (8,), (3, 16), (2, 3, 9)])
+def test_unitary_transform_shift_is_fftshift_bitwise(shape):
+    rng = np.random.default_rng(len(shape))
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    y = -1.0 + 0.25 * np.arange(shape[-1])
+    ky, out = unitary_transform_1d(values, y)
+    want = np.fft.fftshift(scipy.fft.fft(values, axis=-1), axes=-1)
+    want *= 0.25 / math.sqrt(2.0 * math.pi)
+    want *= np.exp(-1j * ky * y[0])
+    assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
 
 
 def test_gaussian_carrier_energy(fig1_style_packet):
