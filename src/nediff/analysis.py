@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Wavepacket, fwhm_interpolated, momentum_blocks, to_momentum
+from .core import (Wavepacket, fft2_copy, fwhm_interpolated, momentum_squared,
+                   to_momentum)
 from .errors import AnalysisError, ConfigurationError, DomainError
 from .nearfield import CouplingProfile
 from .units import ELECTRON_MASS, HBAR
@@ -34,13 +35,13 @@ def momentum_density(psi: Wavepacket) -> DensityMap:
     """|to_momentum(psi)|^2, squared a row block at a time; the complex
     spectrum is never kept."""
     g = psi.grid
-    rho = np.empty((g.ny, g.nx))
+    return density_map(psi, momentum_squared(g, fft2_copy(g, psi.amplitudes)))
 
-    def square(rows, block):
-        np.add(block.real**2, block.imag**2, out=rho[rows])
 
-    momentum_blocks(psi, square)
-    return DensityMap(values=rho, kx=psi.k0 + g.kx, ky=g.ky.copy(),
+def density_map(psi: Wavepacket, values: np.ndarray) -> DensityMap:
+    """The DensityMap of values, a momentum density of psi on its grid."""
+    g = psi.grid
+    return DensityMap(values=values, kx=psi.k0 + g.kx, ky=g.ky.copy(),
                       dkx=g.dkx, dky=g.dky, k0=psi.k0)
 
 
@@ -107,7 +108,9 @@ def sideband_populations(dmap: DensityMap, k0: float, delta_k: float) -> Sideban
     each bin's rms k_y (see `bin_sidebands`)."""
     check_sideband_spacing(delta_k, dmap.dkx)
     mass_x = dmap.values.sum(axis=0) * dmap.dky * dmap.dkx
-    ky2_x = (dmap.values * dmap.ky[:, None] ** 2).sum(axis=0) * dmap.dky * dmap.dkx
+    # Summed over k_y rows in order, as sum(axis=0) of the weighted grid,
+    # without forming that grid.
+    ky2_x = np.einsum("y,yx->x", dmap.ky**2, dmap.values) * dmap.dky * dmap.dkx
     return bin_sidebands(dmap.kx, k0, delta_k, mass_x, ky2_x)
 
 

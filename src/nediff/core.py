@@ -223,16 +223,18 @@ def _half_swaps(n: int) -> tuple[tuple[slice, slice], ...]:
     return (slice(0, h), slice(h, n)), (slice(h, n), slice(0, h))
 
 
-def momentum_blocks(psi: Wavepacket, fn, out: np.ndarray | None = None) -> None:
-    """Transform the envelope and hand each row block of the spectrum, in
-    the normalization of :func:`to_momentum`, to fn(rows, block).
+def momentum_blocks(grid: Grid2D, raw: np.ndarray, fn,
+                    out: np.ndarray | None = None, pool=None) -> None:
+    """Hand each row block of the spectrum whose raw DFT is raw (fft2 of
+    the envelope, unshifted), in the normalization of :func:`to_momentum`,
+    to fn(rows, block); raw is only read.
 
     The block is out[rows], or a scratch buffer when out is None: fftshift
     by index copies, then the scale, the x phases and the y phases, each
-    applied in place in the order of the full-grid expression.
+    applied in place in the order of the full-grid expression.  The blocks
+    run on pool, or on a `block_pool` of their own when pool is None.
     """
-    g = psi.grid
-    raw = fft2_copy(g, psi.amplitudes)
+    g = grid
     scale = g.cell_area / (2.0 * np.pi)
     px, py = _axis_phases(g)
     hy = g.ny // 2  # power-of-two counts: shifts by half
@@ -255,8 +257,23 @@ def momentum_blocks(psi: Wavepacket, fn, out: np.ndarray | None = None) -> None:
         block *= py[rows, None]
         fn(rows, block)
 
-    with block_pool() as pool:
+    if pool is not None:
         _run_blocks(pool, row_blocks(g), shifted)
+        return
+    with block_pool() as own:
+        _run_blocks(own, row_blocks(g), shifted)
+
+
+def momentum_squared(grid: Grid2D, raw: np.ndarray, pool=None) -> np.ndarray:
+    """|spectrum|^2 of the raw DFT raw (see `momentum_blocks`), squared a
+    row block at a time; the complex spectrum is never kept."""
+    rho = np.empty((grid.ny, grid.nx))
+
+    def square(rows, block):
+        np.add(block.real**2, block.imag**2, out=rho[rows])
+
+    momentum_blocks(grid, raw, square, pool=pool)
+    return rho
 
 
 def to_momentum(psi: Wavepacket) -> MomentumSpectrum:
@@ -267,7 +284,8 @@ def to_momentum(psi: Wavepacket) -> MomentumSpectrum:
     """
     g = psi.grid
     vals = np.empty((g.ny, g.nx), dtype=np.complex128)
-    momentum_blocks(psi, lambda rows, block: None, out=vals)
+    momentum_blocks(g, fft2_copy(g, psi.amplitudes), lambda rows, block: None,
+                    out=vals)
     return MomentumSpectrum(
         values=vals,
         kx=psi.k0 + g.kx,

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as _fft
 
-from .core import (Grid2D, Wavepacket, _run_blocks, axis_moments, block_pool,
-                   fft2_copy, flight_phasor, row_blocks)
+from .core import (Grid2D, Wavepacket, _run_blocks, axis_marginals, axis_moments,
+                   block_pool, fft2_copy, flight_phasor, momentum_squared,
+                   row_blocks)
 from .errors import ConfigurationError, NumericalError
 from .nearfield import LaserParams, NearFieldModel
 from .units import ELECTRON_CHARGE, ELECTRON_MASS, HBAR
@@ -152,8 +153,9 @@ def _vector_potential_integral(laser: LaserParams, ta: float, tb: float) -> floa
 
 def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
                       snapshot_callback=None
-                      ) -> tuple[Wavepacket, EvolutionTrace]:
-    """Strang-split evolution over the window; returns final state and trace.
+                      ) -> tuple[Wavepacket, EvolutionTrace, np.ndarray]:
+    """Strang-split evolution over the window; returns the final state, the
+    trace and the final momentum density.
 
     The incoming amplitudes are taken as the envelope at t_start.  Each step
     applies the exact kinetic (and gauge) phase between potential midpoints
@@ -163,15 +165,20 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
     The elementwise work of each step runs in row blocks on the block pool
     (`core.block_pool`), so one setting sizes both the FFTs and the blocks;
     every block computes the same expressions as the whole grid.  The
-    kinetic phase is a k_x row times a k_y column (`core.flight_phasor`),
-    and a trace record sums its marginals a row block at a time, in block
-    order, so no step or record holds a second full grid beyond the
-    spectrum a snapshot transforms.  Each kick block also sums its mass in
-    the outer 10% border, and every step checks the total against
-    EDGE_MASS_TOL of the initial mass.
+    kinetic phase is a k_x row times a k_y column (`core.flight_phasor`).
+    A trace record sums its marginals a row block at a time, in block
+    order: those of psi, on which every check is made, before psi is
+    transformed in place, and those of its spectrum after.  The final
+    spectrum is summed and squared into the momentum density
+    (`core.momentum_squared`) before the last inverse transform.  So a run
+    holds one complex grid beside its input, and the density beside that
+    at its end.  Each kick block also sums its mass in the outer 10%
+    border, and every step checks the total against EDGE_MASS_TOL of the
+    initial mass.
 
     The final amplitudes are a `core.fft_buffer` view: their rows lie
-    nx + FFT_ROW_PAD cells apart.
+    nx + FFT_ROW_PAD cells apart.  The density is a (ny, nx) float array
+    on the shifted axes of `core.to_momentum`.
     """
     grid = psi0.grid
     validate_evolution(params, grid)
@@ -247,23 +254,23 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
             partial=_trace_from(snaps),
         )
 
-    def marginals(a):
-        rho = a.real**2 + a.imag**2
-        return rho.sum(axis=0), rho.sum(axis=1)
+    def marginals(rows, a, border: bool):
+        # The x and y marginals of |a|^2 over one row block, and the border
+        # mass when asked.
+        a = a[rows]
+        m_x, m_y = axis_marginals(a.real**2 + a.imag**2)
+        return m_x, m_y, border_mass(rows, a) if border else 0.0
 
-    def block_sums(rows, psi_r, spec_raw):
-        # The x and y marginals and the border mass of |psi|^2, and the k_x
-        # and k_y marginals of |spec|^2, over one row block.
-        return (*marginals(psi_r[rows]), border_mass(rows, psi_r[rows]),
-                *marginals(spec_raw[rows]))
-
-    def record(pool, t, psi_r, spec_raw) -> float:
-        # Blocks are summed in block order: the row does not depend on the
+    def sums(pool, a, border: bool = False):
+        # Blocks are summed in block order: the sums do not depend on the
         # number of workers.
-        m_x, m_y, border, m_kx, m_ky = zip(
-            *_run_blocks(pool, blocks, block_sums, psi_r, spec_raw))
-        m_x, m_kx = sum(m_x), sum(m_kx)
-        m_y, m_ky = np.concatenate(m_y), np.concatenate(m_ky)
+        m_x, m_y, masses = zip(*_run_blocks(pool, blocks, marginals, a, border))
+        return sum(m_x), np.concatenate(m_y), sum(masses)
+
+    def check_psi(pool, t, psi_r):
+        # The marginals and border mass of psi, every check of a record on
+        # them, then the snapshot.
+        m_x, m_y, border = sums(pool, psi_r, border=True)
         mass = float(m_y.sum())
         norm = math.sqrt(mass * cell)
         if not math.isfinite(norm):
@@ -271,7 +278,16 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
                 f"non-finite amplitudes at t={t:g} fs",
                 partial=_trace_from(snaps),
             )
-        check_border(t, sum(border), mass)
+        check_border(t, border, mass)
+        if snapshot_callback is not None:
+            snapshot_callback(t, Wavepacket(grid=grid, amplitudes=psi_r.copy(),
+                                            t=t, k0=psi0.k0))
+        return mass, norm, m_x
+
+    def record(t, psi_part, spec_part) -> None:
+        # One trace row from the sums of psi and of its spectrum.
+        mass, norm, m_x = psi_part
+        m_kx, m_ky, _ = spec_part
         mass_k = float(m_ky.sum())
         x_mean, _ = axis_moments(m_x, x, mass)
         kx_mean, _ = axis_moments(m_kx, kx1, mass_k)
@@ -281,19 +297,17 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
             + float((m_ky * ky1**2).sum())) / mass_k
         # One trace row, in TRACE_COLUMNS order.
         snaps.append((t, norm, x_mean, psi0.k0 + kx_mean, ky_mean, e_mean))
-        if snapshot_callback is not None:
-            snapshot_callback(t, Wavepacket(grid=grid, amplitudes=psi_r.copy(),
-                                            t=t, k0=psi0.k0))
-        return mass
 
     t0 = params.t_start
     t_end = params.t_end
     phase_sign = -q / HBAR  # exp(-i q Phi dt / hbar) = exp(i phase_sign * Phi * dt)
     with block_pool() as pool:
         # Every transform runs in place on padded rows (`core.fft_buffer`):
-        # psi and spec share one buffer, and a snapshot transforms a copy.
+        # after the first, psi and spec share one buffer.
+        psi_part = check_psi(pool, t0, psi0.amplitudes)
         spec = fft2_copy(grid, psi0.amplitudes)
-        mass0 = record(pool, t0, psi0.amplitudes, spec)
+        record(t0, psi_part, sums(pool, spec))
+        mass0 = psi_part[0]
         # Leading half segment [t0, t0 + dt/2].
         segment(pool, spec, kin_half, t0, t0 + 0.5 * dt)
         for k in range(n):
@@ -307,17 +321,20 @@ def split_step_evolve(psi0: Wavepacket, params: EvolutionParams,
             check_border(t_mid, sum(border), mass0)
             take_snap = ((k + 1) % params.snapshot_stride == 0) or (k == n - 1)
             if take_snap:
-                spec = fft2_copy(grid, psi)  # record still needs psi
-                record(pool, t_mid, psi, spec)
-            else:
-                spec = _fft.fft2(psi, overwrite_x=True)
+                psi_part = check_psi(pool, t_mid, psi)
+            spec = _fft.fft2(psi, overwrite_x=True)
+            if take_snap:
+                record(t_mid, psi_part, sums(pool, spec))
             if k < n - 1:
                 segment(pool, spec, kin_full, t_mid, t_mid + dt)
         segment(pool, spec, kin_half, t0 + (n - 0.5) * dt, t_end)
+        # The final spectrum's sums and density, then the final state's.
+        spec_part = sums(pool, spec)
+        density = momentum_squared(grid, spec, pool=pool)
         psi = _fft.ifft2(spec, overwrite_x=True)
-        record(pool, t_end, psi, fft2_copy(grid, psi))
+        record(t_end, check_psi(pool, t_end, psi), spec_part)
     return (Wavepacket(grid=grid, amplitudes=psi, t=t_end, k0=psi0.k0),
-            _trace_from(snaps))
+            _trace_from(snaps), density)
 
 
 def _trace_from(snaps) -> EvolutionTrace:

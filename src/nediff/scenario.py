@@ -11,9 +11,10 @@ import numpy as np
 
 from . import gridio
 from .analysis import (Crosscut, DensityMap, SidebandTable, bin_sidebands,
-                       check_sideband_spacing, crosscut, marginal_deflection,
-                       max_deflection, momentum_density, peak_spacing, rel_l2,
-                       sideband_populations, transverse_splitting)
+                       check_sideband_spacing, crosscut, density_map,
+                       marginal_deflection, max_deflection, momentum_density,
+                       peak_spacing, rel_l2, sideband_populations,
+                       transverse_splitting)
 from .analytic import (apply_interaction, build_phase_mask, interaction_factors,
                        transverse_envelope, vacuum_propagate_factors)
 # Unused here; kept because the benchmark tracer patches scenario.vacuum_propagate.
@@ -120,8 +121,8 @@ def initial_factors(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     return gy, gx
 
 
-def _engine_output(psi: Wavepacket, delta_k: float) -> EngineOutput:
-    dmap = momentum_density(psi)
+def _engine_output(psi: Wavepacket, dmap: DensityMap,
+                   delta_k: float) -> EngineOutput:
     return EngineOutput(psi=psi, density=dmap,
                         sidebands=sideband_populations(dmap, psi.k0, delta_k))
 
@@ -145,7 +146,7 @@ def run_scenario(cfg: ScenarioConfig, outdir=None) -> ScenarioResult:
     if cfg.engine in ("analytic", "both"):
         mask = build_phase_mask(profile, cfg.grid)
         psi_a = apply_interaction(psi0, mask)
-        analytic_out = _engine_output(psi_a, delta_k)
+        analytic_out = _engine_output(psi_a, momentum_density(psi_a), delta_k)
     if cfg.engine in ("numeric", "both"):
         params = choose_steps(cfg.numeric, cfg.laser, model, cfg.grid)
         snapshot_callback = None
@@ -159,9 +160,9 @@ def run_scenario(cfg: ScenarioConfig, outdir=None) -> ScenarioResult:
                 gridio.write_grid(
                     snap_dir / f"snap_{next(counter):06d}.grid", psi_snap)
 
-        psi_n, trace = split_step_evolve(psi0, params,
-                                         snapshot_callback=snapshot_callback)
-        numeric_out = _engine_output(psi_n, delta_k)
+        psi_n, trace, rho = split_step_evolve(
+            psi0, params, snapshot_callback=snapshot_callback)
+        numeric_out = _engine_output(psi_n, density_map(psi_n, rho), delta_k)
 
     distance = None
     if analytic_out is not None and numeric_out is not None:

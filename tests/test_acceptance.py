@@ -366,7 +366,7 @@ def test_criterion_11_conservation_suite(fig1):
                                  laser=laser, model=wire,
                                  include_vector_potential=True,
                                  snapshot_stride=50)
-        out, _ = split_step_evolve(psi, params)
+        out, _, _ = split_step_evolve(psi, params)
         return momentum_density(out).values
 
     ref = run(0.008)
@@ -378,7 +378,7 @@ def test_criterion_11_conservation_suite(fig1):
     free_wire = WireModel(radius_nm=10.0, response=0.0)
     spec = NumericSpec(window_fs=20.0, safety=0.9, vector_potential=False)
     params = choose_steps(spec, laser, free_wire, grid)
-    psi_free, trace_free = split_step_evolve(psi, params)
+    psi_free, trace_free, _ = split_step_evolve(psi, params)
     psi_vac = vacuum_propagate(psi, 20.0)
     free_err = float(np.max(np.abs(to_momentum(psi_free).values
                                    - to_momentum(psi_vac).values)))

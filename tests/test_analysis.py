@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,10 +21,11 @@ from nediff.analysis import (Crosscut, DensityMap, bin_sidebands, crosscut,
                              transverse_splitting)
 from nediff.analytic import (apply_interaction, build_phase_mask,
                              interaction_factors, transverse_envelope)
-from nediff import scenario
+from nediff import core, scenario
 from nediff.config import ElectronSpec, ScenarioConfig, SweepSpec, build_preset
-from nediff.core import (BLOCK_BYTES, Grid2D, bandwidth_to_fwhm_x,
-                         gaussian_wavepacket, to_momentum, unitary_transform_1d)
+from nediff.core import (BLOCK_BYTES, Grid2D, Wavepacket, bandwidth_to_fwhm_x,
+                         fft2_copy, gaussian_wavepacket, momentum_blocks,
+                         momentum_squared, to_momentum, unitary_transform_1d)
 from nediff.errors import (AnalysisError, ConfigurationError, DomainError,
                            NediffError)
 from nediff.nearfield import LaserParams, WireModel, coupling_profile
@@ -97,6 +99,37 @@ class TestMomentumDensity:
             assert np.array_equal(values.view(np.uint64), spec.view(np.uint64))
             assert np.array_equal(dmap.values.view(np.uint64),
                                   (spec.real**2 + spec.imag**2).view(np.uint64))
+
+    @settings(max_examples=25, deadline=None)
+    @given(nx=st.sampled_from([2, 4, 16, 64, 256, 512]),
+           ny=st.sampled_from([2, 8, 32, 128, 512]),
+           block_rows=st.sampled_from([None, 1, 3, 16]),
+           workers=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
+    def test_raw_dft_blocks_equal_momentum_density(self, nx, ny, block_rows,
+                                                   workers, seed):
+        # The split step hands its own final spectrum to momentum_blocks.
+        # On fft2_copy(a) the blocks, on the caller's pool or their own,
+        # give the bits of the full-grid expression, which is
+        # momentum_density(a) (test_bits_equal_full_grid_expression).
+        rng = np.random.default_rng(seed)
+        g = Grid2D(nx, ny, float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.1, 1.0)),
+                   float(rng.uniform(-50.0, 0.0)), float(rng.uniform(-50.0, 0.0)))
+        a = rng.normal(size=(ny, nx)) + 1j * rng.normal(size=(ny, nx))
+        spec = np.fft.fftshift(scipy.fft.fft2(a)) * (g.cell_area / (2.0 * np.pi))
+        spec = spec * np.exp(-1j * g.kx * g.x0)[None, :]
+        spec *= np.exp(-1j * g.ky * g.y0)[:, None]
+        want = spec.real**2 + spec.imag**2
+        block_bytes = BLOCK_BYTES if block_rows is None else 16 * nx * block_rows
+        vals = np.empty((ny, nx), dtype=np.complex128)
+        with mock.patch.object(core, "BLOCK_BYTES", block_bytes), \
+                scipy.fft.set_workers(workers):
+            momentum_blocks(g, fft2_copy(g, a), lambda rows, block: None, out=vals)
+            with core.block_pool() as pool:
+                rho = momentum_squared(g, fft2_copy(g, a), pool=pool)
+            dmap = momentum_density(Wavepacket(grid=g, amplitudes=a, t=0.0, k0=1.0))
+        assert np.array_equal(vals.view(np.uint64), spec.view(np.uint64))
+        assert np.array_equal(rho.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(dmap.values.view(np.uint64), want.view(np.uint64))
 
     def test_fig2_point_peak_memory(self):
         # The analytic stages of one fig2 sweep point stream their row
@@ -183,6 +216,34 @@ class TestSidebandPopulations:
         _, psi, dmap = interacted
         with pytest.raises(ConfigurationError):
             sideband_populations(dmap, psi.k0, 3.0 * dmap.dkx)
+
+    @pytest.mark.parametrize("shape", [(1024, 2048), (256, 8192), (512, 1024),
+                                       (384, 1000)])
+    def test_ky_weighting_forms_no_grid(self, shape):
+        # The k_y^2-weighted k_x marginal sums the rows in order, as the sum
+        # over axis 0 of the weighted grid did, without forming that grid.
+        rng = np.random.default_rng(sum(shape))
+        ny, nx = shape
+        values = rng.random(shape) * 10.0 ** rng.uniform(-30.0, 0.0, shape)
+        dkx, dky, k0 = 0.01, 0.03, 50.0
+        dmap = DensityMap(values=values, kx=k0 + (np.arange(nx) - nx // 2) * dkx,
+                          ky=(np.arange(ny) - ny // 2) * dky, dkx=dkx, dky=dky, k0=k0)
+        delta_k = 6.5 * dkx
+        want = bin_sidebands(
+            dmap.kx, k0, delta_k, values.sum(axis=0) * dky * dkx,
+            (values * dmap.ky[:, None] ** 2).sum(axis=0) * dky * dkx)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            table = sideband_populations(dmap, k0, delta_k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(table.populations.view(np.uint64),
+                              want.populations.view(np.uint64))
+        assert np.array_equal(table.ky_spread.view(np.uint64),
+                              want.ky_spread.view(np.uint64))
+        assert (peak - base) / values.nbytes < 0.1
 
     @settings(max_examples=80, deadline=None)
     @given(nx=st.integers(min_value=2, max_value=700),
