@@ -93,20 +93,28 @@ class SidebandTable:
         return float(self.populations[idx[0]])
 
 
-def check_sideband_spacing(delta_k: float, dkx: float) -> None:
+def check_sideband_spacing(delta_k: float, dkx: float, nx: int) -> None:
     """Reject a sideband spacing that spans fewer than SIDEBAND_MIN_CELLS
-    k_x cells, which no bin of `sideband_populations` could resolve."""
+    k_x cells, which no bin of `sideband_populations` could resolve, or more
+    than nx - 2 cells, which leaves the nx-cell k_x window no complete bin
+    of order 0 (see `bin_sidebands`)."""
     if delta_k < SIDEBAND_MIN_CELLS * dkx:
         raise ConfigurationError(
             f"sideband spacing {delta_k:g} spans fewer than {SIDEBAND_MIN_CELLS} grid "
             f"cells (dkx = {dkx:g}); refine the momentum grid"
+        )
+    if delta_k > (nx - 2) * dkx:
+        raise ConfigurationError(
+            f"sideband spacing {delta_k:g} is wider than the k_x window allows "
+            f"({(nx - 2) * dkx:g} = (nx - 2) dkx), so order 0 has no complete bin; "
+            f"check the wavelength or refine the spatial grid"
         )
 
 
 def sideband_populations(dmap: DensityMap, k0: float, delta_k: float) -> SidebandTable:
     """Integrate k_x bins of width delta_k centered on k0 + n delta_k, with
     each bin's rms k_y (see `bin_sidebands`)."""
-    check_sideband_spacing(delta_k, dmap.dkx)
+    check_sideband_spacing(delta_k, dmap.dkx, len(dmap.kx))
     mass_x = dmap.values.sum(axis=0) * dmap.dky * dmap.dkx
     # Summed over k_y rows in order, as sum(axis=0) of the weighted grid,
     # without forming that grid.

@@ -4,10 +4,12 @@ The near-field interaction multiplies the envelope by exp(i dphi) with
 dphi(x, y) = P(y) cos(dk x - theta), one real coupling profile turned by one
 phase.  At any laser phase the Jacobi-Anger identity resolves the result into
 photon orders n with transverse amplitudes
-i^|n| J_|n|(P(y)) e^{-i n theta} g_perp(y), which this module evaluates
-exactly, as a truncated power series, and in the single-path weak-field limit.
-For a packet g_y(y) g_x(x), `interaction_factors` keeps the interacted spectrum
-as the 1D factors of its N + 1 cosine orders and their real Gram matrices.
+i^|n| J_|n|(P(y)) e^{-i n theta} g_y(y), which this module evaluates
+exactly, as a truncated power series, and in the single-path weak-field limit,
+each from the packet's transverse factor g_y.  For a packet g_y(y) g_x(x),
+`interaction_factors` keeps the interacted spectrum as the 1D factors of its
+N + 1 cosine orders and their real Gram matrices; the exact orders -N..N are
+the same N + 1 Bessel rows, each turned by i^|n| e^{-i n theta}.
 """
 
 from __future__ import annotations
@@ -103,45 +105,31 @@ class OrderDecomposition:
         return int(idx[0])
 
 
-def transverse_envelope(psi: Wavepacket) -> np.ndarray:
-    """Normalized transverse slice through the packet's center column.
-
-    Valid for envelopes that factorize into longitudinal and transverse
-    parts, which holds for Gaussian construction and stays true under free
-    dispersion.
-    """
-    rho_x = psi.density().sum(axis=0)
-    ix = int(np.argmax(rho_x))
-    gy = psi.amplitudes[:, ix].astype(np.complex128)
-    dy = psi.grid.dy
-    nrm = math.sqrt(float(np.sum(np.abs(gy) ** 2)) * dy)
-    if nrm == 0.0:
-        raise DomainError("wavepacket has an empty center column")
-    return gy / nrm
+def _bessel_rows(coupling: np.ndarray, gy: np.ndarray, y: np.ndarray, n_max: int):
+    """J_j(P) for j = 0..n_max, one row each, with the k_y axis and the 1D
+    transforms of J_j(P) gy."""
+    bessel = scipy.special.jv(np.arange(n_max + 1)[:, None], coupling)
+    ky, rows = unitary_transform_1d(bessel * gy, y)
+    return bessel, ky, rows
 
 
-def order_amplitudes_exact(psi: Wavepacket, profile: CouplingProfile,
+def order_amplitudes_exact(profile: CouplingProfile, gy: np.ndarray,
                            n_max: int) -> OrderDecomposition:
-    """Exact photon-order amplitudes a_n = i^|n| J_|n|(P) e^{-i n theta} g_perp.
+    """Exact photon-order amplitudes a_n = i^|n| J_|n|(P) e^{-i n theta} gy for
+    |n| <= n_max, and their spectra; gy is the transverse factor on profile.y.
 
-    P is signed: J_m(-x) = (-1)^m J_m(x) carries its sign into every order.
+    Order n is i^|n| e^{-i n theta} times the Bessel row |n| of
+    `interaction_factors`, so N + 1 transforms give all 2N + 1 spectra.  P is
+    signed: J_m(-x) = (-1)^m J_m(x) carries its sign into every order.
     """
-    return jacobi_anger_orders(profile, transverse_envelope(psi), n_max)
-
-
-def jacobi_anger_orders(profile: CouplingProfile, gy: np.ndarray,
-                        n_max: int) -> OrderDecomposition:
-    """a_n = i^|n| J_|n|(P) e^{-i n theta} gy for |n| <= n_max, and their
-    spectra; gy is the transverse envelope on profile.y."""
     orders = np.arange(-n_max, n_max + 1)
-    bessel = scipy.special.jv(np.arange(n_max + 1)[:, None], profile.coupling)
-    amps = np.empty((len(orders), len(gy)), dtype=np.complex128)
-    for i, n in enumerate(orders):
-        amps[i] = (1j ** abs(n) * cmath.exp(-1j * n * profile.theta)
-                   * bessel[abs(n)] * gy)
-    ky, spectra = unitary_transform_1d(amps, profile.y)
-    return OrderDecomposition(orders=orders, y=profile.y.copy(), amplitudes=amps,
-                              ky=ky, spectra=spectra)
+    bessel, ky, rows = _bessel_rows(profile.coupling, gy, profile.y, n_max)
+    turn = np.array([1j ** abs(n) * cmath.exp(-1j * n * profile.theta)
+                     for n in orders])[:, None]
+    m = np.abs(orders)
+    return OrderDecomposition(orders=orders, y=profile.y.copy(),
+                              amplitudes=turn * bessel[m] * gy, ky=ky,
+                              spectra=turn * rows[m])
 
 
 #: The Jacobi-Anger sum of `interaction_factors` stops at the first order
@@ -207,8 +195,7 @@ def interaction_factors(profile: CouplingProfile, grid: Grid2D,
     _check_profile_axis(profile, grid)
     n_max = order_limit(profile.coupling)
     j = np.arange(n_max + 1)
-    bessel = scipy.special.jv(j[:, None], profile.coupling)
-    _, a = unitary_transform_1d(bessel * gy, grid.y)
+    bessel, _, a = _bessel_rows(profile.coupling, gy, grid.y, n_max)
     root = bessel * (np.abs(gy) * math.sqrt(grid.dy))  # so K[j, l] is K[l, j]
     # cos(d phi) = Re e^{i d phi} by powers, off by about d eps; np.cos(d * phi)
     # would round d phi (1e4 rad on fig2).  h[d] = sum_x cos(d phi) |g_x|^2 dx.
@@ -251,28 +238,18 @@ def order_series_taylor(coupling: float, n: int, l_max: int) -> complex:
     return (1j ** n_abs) * total
 
 
-@dataclass(frozen=True)
-class OrderSpectrum:
-    """Transverse spectrum of a single photon order."""
-
-    order: int
-    ky: np.ndarray
-    values: np.ndarray
-
-
-def weak_field_order(psi: Wavepacket, profile: CouplingProfile, n: int) -> OrderSpectrum:
-    """Single-path (weak-field) transverse spectrum of order n.
+def weak_field_order(profile: CouplingProfile, gy: np.ndarray,
+                     n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Single-path (weak-field) transverse spectrum of order n, as (ky, values).
 
     Keeps only the most direct path,
-    a_n = i^|n| (P/2)^|n| / |n|! e^{-i n theta} g_perp, whose spectrum is the
+    a_n = i^|n| (P/2)^|n| / |n|! e^{-i n theta} gy, whose spectrum is the
     |n|-fold convolution of the initial transverse spectrum with the coupling
-    transform.
+    transform; gy is the transverse factor on profile.y.
     """
-    gy = transverse_envelope(psi)
     amp = (1j ** abs(n) * cmath.exp(-1j * n * profile.theta) / math.factorial(abs(n))
            * (profile.coupling / 2.0) ** abs(n) * gy)
-    ky, vals = unitary_transform_1d(amp, profile.y)
-    return OrderSpectrum(order=n, ky=ky, values=vals)
+    return unitary_transform_1d(amp, profile.y)
 
 
 def vacuum_propagate(psi: Wavepacket, tau: float, axes: str = "xy") -> Wavepacket:

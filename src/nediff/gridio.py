@@ -60,6 +60,8 @@ def read_grid(path) -> Wavepacket:
         try:
             nx, ny = int(header[1]), int(header[2])
             dx, dy, x0, y0, t, k0, _e0 = (float(v) for v in header[3:])
+            # A DomainError of the grid's own checks is a ValueError too.
+            grid = Grid2D(nx, ny, dx, dy, x0, y0)
         except ValueError as exc:
             raise ConfigurationError(f"{path}: malformed header ({exc})") from exc
         raw = fh.read()
@@ -69,5 +71,4 @@ def read_grid(path) -> Wavepacket:
             f"{path}: payload has {len(raw)} bytes, expected {expected}"
         )
     amps = np.frombuffer(raw, dtype="<c16").reshape(ny, nx).copy()
-    grid = Grid2D(nx, ny, dx, dy, x0, y0)
     return Wavepacket(grid=grid, amplitudes=amps, t=t, k0=k0)

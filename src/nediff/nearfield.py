@@ -243,10 +243,11 @@ def calibrate_gap_amplitude(model: GapResonatorModel) -> GapResonatorModel:
     """
     half_open = 0.5 * (model.separation_nm - model.smoothing_fwhm_nm)
     ys = model.center[1] + np.linspace(-half_open, half_open, 2001)
-    ey_unit = model._axis_field_unit(ys)
+    with np.errstate(all="ignore"):  # a NaN or inf peak is rejected below
+        ey_unit = model._axis_field_unit(ys)
     peak = float(np.max(np.abs(ey_unit)))
-    if peak <= 0.0:
-        raise DomainError("degenerate geometry: no field on the gap axis")
+    if not (peak > 0.0 and math.isfinite(peak)):
+        raise DomainError("degenerate geometry: no finite field on the gap axis")
     moment = model.peak_field_v_per_nm / peak
     # Record the global potential maximum for time-step bounds; the extremes
     # sit on the gap axis where the dipole fields align.
@@ -298,14 +299,20 @@ def coupling_profile(model: NearFieldModel, laser: LaserParams, v0: float,
     Gap, summed over its two sites, b = d / (sqrt(2) sigma) and c = k sigma / sqrt(2):
       F = moment pi sgn(eta) [e^{-k d} - (T1 + T2) / 2], T2 = e^{-b^2 - c^2} erfcx(b + c),
       T1 = e^{-b^2 - c^2} erfcx(b - c) if b > c, else e^{-k d} erfc(b - c).
+    A profile that is not finite (a model whose transform overflows, say a
+    radius of 1e300 nm) is a DomainError.
     """
     if not v0 > 0.0:
         raise DomainError("electron velocity must be positive")
     ys = np.asarray(y_grid, dtype=float)
     delta_k = laser.omega / v0
-    transform = model.cosine_transform(ys, delta_k, laser.field_v_per_nm)
+    with np.errstate(all="ignore"):  # an overflow is rejected below
+        coupling = (-ELECTRON_CHARGE / (HBAR * v0)
+                    * model.cosine_transform(ys, delta_k, laser.field_v_per_nm))
+    if not np.isfinite(coupling).all():
+        raise DomainError("the near field's coupling profile is not finite")
     return CouplingProfile(
-        y=ys, coupling=-ELECTRON_CHARGE / (HBAR * v0) * transform,
+        y=ys, coupling=coupling,
         theta=delta_k * model.center[0] + laser.phase_rad,
         delta_k=delta_k, model=model, laser=laser, v0=v0,
     )

@@ -16,7 +16,7 @@ from .analysis import (Crosscut, DensityMap, SidebandTable, bin_sidebands,
                        peak_spacing, rel_l2, sideband_populations,
                        transverse_splitting)
 from .analytic import (apply_interaction, build_phase_mask, interaction_factors,
-                       transverse_envelope, vacuum_propagate_factors)
+                       vacuum_propagate_factors)
 # Unused here; kept because the benchmark tracer patches scenario.vacuum_propagate.
 from .analytic import vacuum_propagate
 from .config import ScenarioConfig, SweepSpec, serialize_config
@@ -72,7 +72,7 @@ def _checked_setup(cfg: ScenarioConfig):
     """(v0, model) after the checks every run makes before its initial packet."""
     _, v0 = electron_kinematics(cfg.electron.energy_ev)
     # Unbinnable photon orders fail the run before any engine work or file.
-    check_sideband_spacing(cfg.laser.omega / v0, cfg.grid.dkx)
+    check_sideband_spacing(cfg.laser.omega / v0, cfg.grid.dkx, cfg.grid.nx)
     return v0, resolve_model(cfg)
 
 
@@ -326,7 +326,8 @@ def run_sweep_point(spec: SweepSpec, value: float) -> SweepPoint:
     packet is two 1D factors (`initial_factors`), and every metric comes
     from the `OrderFactors` of the interacted packet, through their k_x and
     k_y marginals and their value at (k0, 0).  A numeric point runs its
-    scenario and reduces the final density.
+    scenario and reduces the final density.  Both weight the transverse
+    splitting by the g_y of `initial_factors`.
     """
     cfg = spec.point(value)
     k0, _ = electron_kinematics(cfg.electron.energy_ev)
@@ -348,7 +349,7 @@ def run_sweep_point(spec: SweepSpec, value: float) -> SweepPoint:
         # A point writes no artifacts, so the template's outputs do not apply.
         result = run_scenario(replace(cfg, outputs=None))
         profile = result.profile
-        envelope = transverse_envelope(result.psi_initial)
+        envelope, _ = initial_factors(cfg)
         out = result.primary()
         rho = out.density.values
         kx_marginal = rho.sum(axis=0) * out.density.dky

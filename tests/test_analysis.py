@@ -20,7 +20,7 @@ from nediff.analysis import (Crosscut, DensityMap, bin_sidebands, crosscut,
                              peak_spacing, rel_l2, sideband_populations,
                              transverse_splitting)
 from nediff.analytic import (apply_interaction, build_phase_mask,
-                             interaction_factors, transverse_envelope)
+                             interaction_factors)
 from nediff import core, scenario
 from nediff.config import ElectronSpec, ScenarioConfig, SweepSpec, build_preset
 from nediff.core import (BLOCK_BYTES, Grid2D, Wavepacket, bandwidth_to_fwhm_x,
@@ -217,6 +217,24 @@ class TestSidebandPopulations:
         with pytest.raises(ConfigurationError):
             sideband_populations(dmap, psi.k0, 3.0 * dmap.dkx)
 
+    @pytest.mark.parametrize("nx", [64, 512])
+    def test_spacing_bound_is_where_order_zero_loses_its_bin(self, nx):
+        # Below (nx - 2) dkx the binning keeps a complete order-0 bin;
+        # above it there is none, and the spacing is rejected.
+        g = Grid2D.centered(nx, 64, 4.0, 1.0)
+        k0 = 51.0
+        kx = k0 + g.kx
+        mass = np.ones(nx)
+        for scale in (1.0 - 1e-9, 1.0 + 1e-9):
+            delta_k = scale * (nx - 2) * g.dkx
+            orders = bin_sidebands(kx, k0, delta_k, mass).orders
+            assert (0 in orders) == (scale < 1.0)
+        psi = gaussian_wavepacket(g, 100.0, 40.0, 10.0)
+        dmap = momentum_density(psi)
+        sideband_populations(dmap, psi.k0, (1.0 - 1e-9) * (nx - 2) * g.dkx)
+        with pytest.raises(ConfigurationError, match="order 0 has no complete bin"):
+            sideband_populations(dmap, psi.k0, (1.0 + 1e-9) * (nx - 2) * g.dkx)
+
     @pytest.mark.parametrize("shape", [(1024, 2048), (256, 8192), (512, 1024),
                                        (384, 1000)])
     def test_ky_weighting_forms_no_grid(self, shape):
@@ -382,7 +400,7 @@ class TestTransverseSplitting:
         # A laser phase only turns the profile, by theta; |P| stays, and with
         # it the splitting, also at pi/2 where the cosine coupling vanishes.
         cfg = build_preset("fig2").point(577.0)
-        envelope = transverse_envelope(scenario.build_initial_state(cfg))
+        envelope, _ = scenario.initial_factors(cfg)
         _, v0 = electron_kinematics(577.0)
 
         def splitting(phase):
@@ -610,6 +628,8 @@ class TestFactorPoint:
         kx_marginal = rho.sum(axis=0) * dmap.dky
         ix = int(np.argmin(np.abs(dmap.kx - k0)))
         iy = int(np.argmin(np.abs(dmap.ky)))
+        # The packet's transverse envelope: its column of largest density.
+        column = psi0.amplitudes[:, int(np.argmax(psi0.density().sum(axis=0)))]
         return {
             "kx_marginal": kx_marginal,
             "ky_marginal": rho.sum(axis=1) * dmap.dkx,
@@ -618,8 +638,7 @@ class TestFactorPoint:
             "alpha_max_deg": max_deflection(dmap),
             "delta_kx": peak_spacing(Crosscut(axis="kx", value=math.nan,
                                               coords=dmap.kx, density=kx_marginal)),
-            "delta_ky": transverse_splitting(
-                profile, envelope=transverse_envelope(psi0)),
+            "delta_ky": transverse_splitting(profile, envelope=column),
         }
 
     @pytest.mark.parametrize("make_spec, value", ORACLE_CASES)

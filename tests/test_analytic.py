@@ -17,8 +17,8 @@ from nediff.analysis import momentum_density, rel_l2
 from nediff.analytic import (ORDER_TAIL, PhaseMask, apply_interaction,
                              build_phase_mask, interaction_factors, order_limit,
                              order_amplitudes_exact, order_series_taylor,
-                             transverse_envelope, vacuum_propagate,
-                             vacuum_propagate_factors, weak_field_order)
+                             vacuum_propagate, vacuum_propagate_factors,
+                             weak_field_order)
 from nediff.config import build_preset
 from nediff.core import (BLOCK_BYTES, Grid2D, bandwidth_to_fwhm_x, chirp_flight_time,
                          Wavepacket, gaussian_factors, gaussian_wavepacket,
@@ -41,6 +41,12 @@ def small_grid():
 @pytest.fixture(scope="module")
 def packet(small_grid):
     return gaussian_wavepacket(small_grid, 100.0, 40.0, 16.0)
+
+
+@pytest.fixture(scope="module")
+def gy(small_grid):
+    """The transverse factor of `packet`, normalized in 1D."""
+    return gaussian_factors(small_grid, 40.0, 16.0)[0]
 
 
 @pytest.fixture(scope="module")
@@ -168,45 +174,44 @@ def populations(dec):
 
 
 class TestOrderDecomposition:
-    def test_zero_coupling_keeps_ground_state(self, packet, small_grid):
+    def test_zero_coupling_keeps_ground_state(self, gy, small_grid):
         _, v0 = electron_kinematics(100.0)
         prof = uniform_profile(0.0, -1.0, 1.0, LASER, v0, small_grid.y)
-        dec = order_amplitudes_exact(packet, prof, n_max=3)
-        gy = transverse_envelope(packet)
+        dec = order_amplitudes_exact(prof, gy, n_max=3)
         i0 = dec.order_index(0)
         assert np.max(np.abs(dec.amplitudes[i0] - gy)) < 1e-12
         for n in (-3, -2, -1, 1, 2, 3):
             assert np.max(np.abs(dec.amplitudes[dec.order_index(n)])) < 1e-12
 
-    def test_stripe_bessel_weights(self, packet, stripe_profile):
-        dec = order_amplitudes_exact(packet, stripe_profile, n_max=8)
+    def test_stripe_bessel_weights(self, gy, stripe_profile):
+        dec = order_amplitudes_exact(stripe_profile, gy, n_max=8)
         pops = populations(dec)
         for n in range(0, 4):
             expected = scipy.special.jv(n, 1.0) ** 2
             assert pops[dec.order_index(n)] == pytest.approx(expected, abs=1e-10)
             assert pops[dec.order_index(-n)] == pytest.approx(expected, abs=1e-10)
 
-    def test_completeness(self, packet, wire_profile):
-        dec = order_amplitudes_exact(packet, wire_profile, n_max=8)
+    def test_completeness(self, gy, wire_profile):
+        dec = order_amplitudes_exact(wire_profile, gy, n_max=8)
         assert float(populations(dec).sum()) == pytest.approx(1.0, abs=1e-6)
 
-    def test_odd_orders_vanish_on_axis(self, packet, wire_profile, small_grid):
-        dec = order_amplitudes_exact(packet, wire_profile, n_max=8)
+    def test_odd_orders_vanish_on_axis(self, gy, wire_profile, small_grid):
+        dec = order_amplitudes_exact(wire_profile, gy, n_max=8)
         iy0 = small_grid.ny // 2
         scale = float(np.max(np.abs(dec.amplitudes)))
         for n in (-3, -1, 1, 3):
             assert abs(dec.amplitudes[dec.order_index(n)][iy0]) < 1e-12 * scale
 
-    def test_order_parity(self, packet, wire_profile):
-        dec = order_amplitudes_exact(packet, wire_profile, n_max=8)
+    def test_order_parity(self, gy, wire_profile):
+        dec = order_amplitudes_exact(wire_profile, gy, n_max=8)
         for n in (-2, -1, 0, 1, 2):
             a = dec.amplitudes[dec.order_index(n)]
             sign = (-1.0) ** abs(n)
             assert np.max(np.abs(a[1:] - sign * a[1:][::-1])) < 1e-9
 
-    def test_transverse_spectra_parity(self, packet, wire_profile):
+    def test_transverse_spectra_parity(self, gy, wire_profile):
         # Even |spectrum| in k_y for every order; odd orders vanish at k_y=0.
-        dec = order_amplitudes_exact(packet, wire_profile, n_max=8)
+        dec = order_amplitudes_exact(wire_profile, gy, n_max=8)
         for n in (0, 1, 2, 3):
             s = np.abs(dec.spectra[dec.order_index(n)])
             assert np.max(np.abs(s[1:] - s[1:][::-1])) < 1e-9 * s.max()
@@ -215,7 +220,7 @@ class TestOrderDecomposition:
             s = np.abs(dec.spectra[dec.order_index(n)])
             assert s[izero] < 1e-9 * s.max()
 
-    def test_ladder_at_sine_coupling(self, packet, wire_profile, small_grid):
+    def test_ladder_at_sine_coupling(self, gy, wire_profile, small_grid):
         # With C = P cos(theta) and S = P sin(theta), C - iS = R e^{-i phi}:
         # order n carries i^|n| J_|n|(R) e^{-i n phi}, and a laser phase
         # turns order n by e^{-i n phase}.
@@ -224,11 +229,10 @@ class TestOrderDecomposition:
                              phase_rad=0.7)
         prof = coupling_profile(WIRE, tilted, v0, small_grid.y)
         assert abs(math.sin(prof.theta)) * np.abs(prof.coupling).max() > 0.1
-        dec = order_amplitudes_exact(packet, prof, n_max=8)
-        flat = order_amplitudes_exact(packet, wire_profile, n_max=8)
+        dec = order_amplitudes_exact(prof, gy, n_max=8)
+        flat = order_amplitudes_exact(wire_profile, gy, n_max=8)
         c, s = math.cos(prof.theta) * prof.coupling, math.sin(prof.theta) * prof.coupling
         r, phi = np.hypot(c, s), np.arctan2(s, c)
-        gy = transverse_envelope(packet)
         scale = float(np.max(np.abs(dec.amplitudes)))
         for n in range(-8, 9):
             a = dec.amplitudes[dec.order_index(n)]
@@ -302,8 +306,8 @@ class TestLadderOracle:
         expected = momentum_density(psi.with_amplitudes(ladder)).values
         assert rel_l2(momentum_density(out).values, expected) <= 1e-12
 
-        dec = order_amplitudes_exact(psi, profile, n_max=n_max)
         norm = math.sqrt(float(np.sum(np.abs(g_y) ** 2)) * grid.dy)
+        dec = order_amplitudes_exact(profile, g_y / norm, n_max=n_max)
         scale = max(float(np.max(np.abs(a[n]))) for n in orders) / norm
         for n in orders:
             got = dec.amplitudes[dec.order_index(n)]
@@ -340,24 +344,23 @@ class TestOrderSeries:
 
 
 class TestWeakFieldOrder:
-    def test_order_zero_matches_initial_spectrum(self, packet, wire_profile):
-        ws = weak_field_order(packet, wire_profile, 0)
-        gy = transverse_envelope(packet)
-        dy = packet.grid.dy
+    def test_order_zero_matches_initial_spectrum(self, gy, small_grid, wire_profile):
+        ky_got, values = weak_field_order(wire_profile, gy, 0)
+        dy = small_grid.dy
         ky = 2 * np.pi * np.fft.fftshift(np.fft.fftfreq(len(gy), dy))
         ref = np.fft.fftshift(np.fft.fft(gy)) * dy / math.sqrt(2 * math.pi)
-        ref *= np.exp(-1j * ky * packet.grid.y[0])
-        assert np.max(np.abs(ws.values - ref)) < 1e-12
+        ref *= np.exp(-1j * ky * small_grid.y[0])
+        assert np.array_equal(ky_got, ky)
+        assert np.max(np.abs(values - ref)) < 1e-12
 
-    def test_order_one_matches_convolution_oracle(self, packet, wire_profile):
+    def test_order_one_matches_convolution_oracle(self, gy, small_grid, wire_profile):
         # Brute-force circular convolution of the transverse spectrum with the
         # coupling transform.  With the unitary convention used throughout,
         # FT[f g] = dky/sqrt(2 pi) * (FT[f] conv FT[g]); on the centered grid
         # the transform is exactly periodic over the momentum window, so the
         # convolution wraps in DFT index order.
-        ws = weak_field_order(packet, wire_profile, 1)
-        gy = transverse_envelope(packet)
-        grid = packet.grid
+        _, values = weak_field_order(wire_profile, gy, 1)
+        grid = small_grid
         ky = 2 * np.pi * np.fft.fftshift(np.fft.fftfreq(grid.ny, grid.dy))
 
         def uft(f):
@@ -374,40 +377,38 @@ class TestWeakFieldOrder:
                 acc += a[(j - m) % n] * b[m]
             conv[j] = acc
         expected = 1j * np.fft.fftshift(conv) * grid.dky / math.sqrt(2.0 * math.pi)
-        assert np.max(np.abs(ws.values - expected)) < 1e-12 * np.max(np.abs(ws.values))
+        assert np.max(np.abs(values - expected)) < 1e-12 * np.max(np.abs(values))
 
-    def test_negative_order_uses_the_conjugate_coupling(self, packet, small_grid,
+    def test_negative_order_uses_the_conjugate_coupling(self, gy, small_grid,
                                                           stripe_profile):
         for n in (1, 2, 3):
-            plus = weak_field_order(packet, stripe_profile, n).values
-            minus = weak_field_order(packet, stripe_profile, -n).values
+            _, plus = weak_field_order(stripe_profile, gy, n)
+            _, minus = weak_field_order(stripe_profile, gy, -n)
             assert np.max(np.abs(minus - plus)) <= 1e-15 * np.max(np.abs(plus))
         _, v0 = electron_kinematics(100.0)
         tilted = LaserParams(wavelength_nm=2000.0, field_v_per_nm=0.2,
                              phase_rad=0.7)
         prof = coupling_profile(WIRE, tilted, v0, small_grid.y)
         k_bar = prof.coupling * np.exp(1j * prof.theta)
-        gy = transverse_envelope(packet)
         for n in (1, 2):
-            ws = weak_field_order(packet, prof, -n)
-            assert ws.order == -n
+            _, values = weak_field_order(prof, gy, -n)
             _, expected = unitary_transform_1d(
                 (1j ** n) * (k_bar / 2.0) ** n / math.factorial(n) * gy, prof.y)
-            assert np.max(np.abs(ws.values - expected)) < 1e-12 * np.max(
+            assert np.max(np.abs(values - expected)) < 1e-12 * np.max(
                 np.abs(expected))
 
     @pytest.mark.parametrize("phase", [0.0, 1.0, 0.5 * math.pi],
                              ids=["phase0", "phase1", "phase_pi_2"])
-    def test_approaches_exact_order_as_field_weakens(self, packet, small_grid, phase):
+    def test_approaches_exact_order_as_field_weakens(self, gy, small_grid, phase):
         _, v0 = electron_kinematics(100.0)
         gaps = []
         for scale in (1.0, 0.25):
             laser = LaserParams(wavelength_nm=2000.0,
                                 field_v_per_nm=0.2 * scale, phase_rad=phase)
             prof = coupling_profile(WIRE, laser, v0, small_grid.y)
-            exact = order_amplitudes_exact(packet, prof, n_max=6)
+            exact = order_amplitudes_exact(prof, gy, n_max=6)
             a1 = exact.spectra[exact.order_index(1)]
-            weak = weak_field_order(packet, prof, 1).values
+            _, weak = weak_field_order(prof, gy, 1)
             gaps.append(np.linalg.norm(weak - a1) / np.linalg.norm(a1))
         assert gaps[1] < gaps[0]
 
@@ -491,6 +492,36 @@ class TestOrderFactors:
         direct = np.einsum("jx,lx,x->jl", cosines, cosines,
                            (gx.real**2 + gx.imag**2) * grid.dx).astype(float)
         assert np.max(np.abs(factors.gram_x - direct)) <= 1e-14
+
+    @settings(max_examples=25, deadline=None)
+    @example(theta=0.0, wire_y=0.0, centre_y=0.0, tau=1.0, p_max=0.0)
+    @example(theta=0.7, wire_y=5.0, centre_y=5.0, tau=150.0, p_max=11.9)
+    @given(theta=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+           wire_y=st.floats(-12.0, 12.0), centre_y=st.floats(-6.0, 6.0),
+           tau=st.floats(1.0, 150.0), p_max=st.floats(0.0, 11.9))
+    def test_exact_orders_are_the_turned_bessel_rows(self, theta, wire_y, centre_y,
+                                                     tau, p_max):
+        # Order n of order_amplitudes_exact is i^|n| e^{-i n theta} times the
+        # transform a[|n|] of J_|n|(P) g_y that the cosine factors keep, for a
+        # complex g_y after a flight.
+        grid = Grid2D.centered(256, 128, 0.5, 0.5)
+        _, v0 = electron_kinematics(100.0)
+        profile = coupling_profile(WireModel(radius_nm=5.0, center=(0.0, wire_y)),
+                                   LASER, v0, grid.y)
+        peak = float(np.max(np.abs(profile.coupling)))
+        profile = dataclasses.replace(profile, theta=theta,
+                                      coupling=profile.coupling * (p_max / peak))
+        gy, gx = vacuum_propagate_factors(
+            grid, *gaussian_factors(grid, 30.0, 12.0, center=(0.0, centre_y)), tau)
+        assert np.max(np.abs(gy.imag)) > 0.0
+        a = interaction_factors(profile, grid, gy, gx).a
+        dec = order_amplitudes_exact(profile, gy, n_max=len(a) - 1)
+        assert np.array_equal(dec.orders, np.arange(1 - len(a), len(a)))
+        scale = float(np.max(np.abs(a)))
+        for n in dec.orders:
+            turned = 1j ** abs(n) * np.exp(-1j * n * theta) * a[abs(n)]
+            got = dec.spectra[dec.order_index(n)]
+            assert np.max(np.abs(got - turned)) <= 1e-15 * scale
 
     def test_profile_off_the_grid_rejected(self, small_grid, wire_profile):
         gy, gx = gaussian_factors(small_grid, 40.0, 16.0)

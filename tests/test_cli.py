@@ -283,6 +283,35 @@ def test_run_that_cannot_bin_its_sidebands_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+# wavelength_nm = 2.0, a value in um typed as nm: delta_k = 159 /nm at
+# 100 eV, against a k_x window of 12.6 /nm.
+def test_run_whose_sidebands_outrun_the_window_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_RUN.replace("wavelength_nm = 2000.0", "wavelength_nm = 2.0"),
+                   encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    assert "order 0 has no complete bin" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_whose_sidebands_outrun_the_window_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("[sweep]\npreset = fig2\nvalues = 100,200\n\n"
+                   "[laser]\nwavelength_nm = 2.0\n", encoding="utf-8")
+    out = tmp_path / "sw"
+    assert main(["sweep", str(cfg), "--out", str(out), "--threads", "2"]) == 2
+    header, *rows = (line.split(",")
+                     for line in (out / "sweep.csv").read_text().splitlines())
+    error = header.index("error")
+    assert [row[error].split(" is wider")[0] for row in rows] == [
+        "ConfigurationError: sideband spacing 158.798",
+        "ConfigurationError: sideband spacing 112.287"]
+    captured = capsys.readouterr()
+    assert "no sweep point succeeded" in captured.err
+    assert "ground-state" not in captured.out
+
+
 def test_numeric_run_that_cannot_bin_its_sidebands_writes_nothing(tmp_path, capsys):
     # The spacing check runs before the engines, so no step and no snapshot.
     cfg = tmp_path / "run.cfg"
@@ -541,6 +570,50 @@ def test_malformed_grid_dump_exits_one(tmp_path, capsys, content):
     assert main(["compare", str(bad), str(bad)]) == 1
     assert capsys.readouterr().err.count("error: ") == 2
     assert not (tmp_path / "bad.grid.pgm").exists()
+
+
+@pytest.mark.parametrize("nx, ny", [(-4, -4), (2, -2), (3, 4)])
+def test_grid_dump_with_impossible_dimensions_exits_one(tmp_path, capsys, nx, ny):
+    # The payload has the |nx * ny| cells the header names.
+    bad = tmp_path / "bad.grid"
+    bad.write_bytes(f"NEDIFF1 {nx} {ny} 0.5 0.5 0.0 0.0 0.0 1.0 100.0\n".encode("ascii")
+                    + bytes(16 * abs(nx * ny)))
+    assert main(["render", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: malformed header (grid counts must be "
+                          f"powers of two, got {nx} x {ny})")
+    assert not (tmp_path / "bad.grid.pgm").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    (SMALL_RUN.replace("radius_nm = 10.0", "radius_nm = 1e300"),
+     "the near field's coupling profile is not finite"),
+    ("[scenario]\npreset = fig4-limited\nengine = analytic\n\n"
+     "[model]\nsmoothing_fwhm_nm = 1e-300\n",
+     "degenerate geometry: no finite field on the gap axis"),
+], ids=["wire-radius", "gap-smoothing"])
+def test_non_finite_near_field_exits_one_before_writing(tmp_path, capsys, text,
+                                                        message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_point_with_a_non_finite_near_field_is_an_error_row(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_TEMPLATE + "\n[sweep]\naxis = radius_nm\nvalues = 10,1e300\n",
+                   encoding="utf-8")
+    out = tmp_path / "sw"
+    assert main(["sweep", str(cfg), "--out", str(out), "--threads", "1"]) == 0
+    header, ok, bad = (line.split(",")
+                       for line in (out / "sweep.csv").read_text().splitlines())
+    error = header.index("error")
+    assert ok[error] == ""
+    assert bad[error] == "DomainError: the near field's coupling profile is not finite"
+    assert "point 1e+300 failed: DomainError" in capsys.readouterr().err
 
 
 def test_analytic_run_listing_numeric_outputs_exits_one(tmp_path, capsys):

@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from nediff import analytic, scenario
-from nediff.analysis import momentum_density
+from nediff.analysis import momentum_density, transverse_splitting
 from nediff.analytic import vacuum_propagate
-from nediff.config import ElectronSpec, ScenarioConfig, build_preset
+from nediff.config import ElectronSpec, ScenarioConfig, SweepSpec, build_preset
 from nediff.core import Grid2D, axis_marginals, check_coverage, gaussian_wavepacket
 from nediff.errors import ConfigurationError
 from nediff.gridio import read_grid
-from nediff.nearfield import LaserParams, WireModel
+from nediff.nearfield import LaserParams, WireModel, coupling_profile
 from nediff.numeric import NumericSpec
 from nediff.scenario import build_initial_state, run_scenario
+from nediff.units import electron_kinematics
 
 
 def small_config(engine="analytic", field=0.2, outputs=None, numeric=None):
@@ -130,3 +131,23 @@ def test_numeric_snapshot_dumps(tmp_path):
     first = read_grid(snaps[0])
     assert first.t == result.trace["t_fs"][0]
     assert first.amplitudes.shape == (cfg.grid.ny, cfg.grid.nx)
+
+
+@pytest.mark.parametrize("flight_fs", [0.0, 100.0], ids=["unflown", "flown"])
+def test_numeric_sweep_point_weights_its_splitting_by_the_initial_factor(flight_fs):
+    # Both engines weight the transverse splitting by the g_y of
+    # initial_factors, so a numeric point reports the analytic point's
+    # delta_ky bit for bit.
+    template = replace(
+        small_config(numeric=NumericSpec(window_fs=3.0, safety=0.9)),
+        electron=ElectronSpec(energy_ev=100.0, fwhm_x_nm=40.0, fwhm_y_nm=16.0,
+                              prepropagation_fs=flight_fs))
+    numeric = SweepSpec(template=template, axis="radius_nm", values=(8.0, 12.0),
+                        engine="numeric")
+    cfg = numeric.point(8.0)
+    _, v0 = electron_kinematics(100.0)
+    profile = coupling_profile(cfg.model, cfg.laser, v0, cfg.grid.y)
+    want = transverse_splitting(profile, envelope=scenario.initial_factors(cfg)[0])
+    assert scenario.run_sweep_point(numeric, 8.0).delta_ky == want
+    analytic = replace(numeric, engine="analytic")
+    assert scenario.run_sweep_point(analytic, 8.0).delta_ky == want

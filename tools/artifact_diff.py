@@ -74,12 +74,14 @@ window_fs = 20.0
 snapshot_stride = 7
 """
 
-#: The same wire 150 nm along x, on the analytic engine alone: the coupling
-#: turns by delta_k * center_x.
-WIRE_OFF_CENTRE = (SMALL_WIRE.split("[numeric]")[0]
-                   .replace("engine = both", "engine = analytic")
-                   .replace(",trace,compare,summary,snapshots", ",summary")
-                   .replace("radius_nm = 10.0\n", "radius_nm = 10.0\ncenter_x_nm = 150.0\n"))
+#: The same wire on the analytic engine alone.
+SMALL_WIRE_ANALYTIC = (SMALL_WIRE.split("[numeric]")[0]
+                       .replace("engine = both", "engine = analytic")
+                       .replace(",trace,compare,summary,snapshots", ",summary"))
+
+#: The analytic wire 150 nm along x: the coupling turns by delta_k * center_x.
+WIRE_OFF_CENTRE = SMALL_WIRE_ANALYTIC.replace(
+    "radius_nm = 10.0\n", "radius_nm = 10.0\ncenter_x_nm = 150.0\n")
 
 #: The same 512x256 run on both engines after 200 fs of free flight in x and y.
 SMALL_WIRE_FLOWN = SMALL_WIRE.replace(
@@ -173,6 +175,13 @@ TABLE = (
     _run("both-512x256", SMALL_WIRE),
     _run("both-512x256-prepropagated", SMALL_WIRE_FLOWN),
     _run("wire-off-centre", WIRE_OFF_CENTRE),
+    # A wire whose coupling overflows to NaN, and a wavelength in um typed as
+    # nm, whose sideband spacing (159 /nm) outruns the 12.6 /nm k_x window:
+    # both exit 1 and write nothing.
+    _run("wire-non-finite-coupling",
+         SMALL_WIRE_ANALYTIC.replace("radius_nm = 10.0", "radius_nm = 1e300")),
+    _run("wavelength-in-um",
+         SMALL_WIRE_ANALYTIC.replace("wavelength_nm = 2000.0", "wavelength_nm = 2.0")),
     _run("gap-off-centre", GAP_OFF_CENTRE),
     _sweep("sweep-fig2-one-error", "1000,60000"),
     _sweep("sweep-fig2-all-failing", "40000,60000"),
@@ -188,6 +197,9 @@ TABLE = (
     # fig2's lowest and highest photon-order limits, N = 19 at 10 keV and 27
     # at 577 eV, and N = 23 at 50 eV.
     _sweep("sweep-fig2-order-range", "50,577,10000"),
+    # Every point outruns the k_x window: two error rows, exit 2.
+    _sweep("sweep-wavelength-in-um", "100,200",
+           overlay="\n[laser]\nwavelength_nm = 2.0\n"),
     # The split step on the sweep pool's threads, at one FFT worker each.
     Command("sweep-numeric-two-radii",
             {"sweep.cfg": SMALL_WIRE.replace("engine = both\n", "")
